@@ -36,9 +36,9 @@ print(f"\nmse_40 / mse_1 = {stats.mse[40] / stats.mse[1]:.2e}")
 
 # --- 2. Determinism is part of the contract ---------------------------------
 #
-# Trial t draws from SeedSequence((master_seed, t)), so any subset of
-# trials can be re-run, in any order or thread count, with identical
-# results.
+# Trial t draws from SeedSequence((master_seed, t)), so a re-run with the
+# same arguments is bit-identical, and trial t's values depend only on
+# (master_seed, t), up to rounding.
 
 stats_again, _ = monte_carlo(model, x0, x_guess, P0, T=40, trials=200, seed=42)
 print("re-run is bit-identical:", stats.mse.tobytes() == stats_again.mse.tobytes())

@@ -9,8 +9,10 @@ Each new observation y(k-1) refines the running estimate of x0:
 where H~_k = H_k A(k,0) observes the evolved initial state.  The covariance
 is propagated in the Joseph form above (PSD-preserving under rounding); the
 algebraically equal short form (I - K H~) P is asserted against it in debug
-builds.  ``batch_wls`` solves the same weighted least-squares problem in one
-shot from the normal equations and serves as an independent cross-check.
+builds.  P_k, K_k and H~_k never depend on the observed values, so
+``gain_schedule`` computes them once for any number of observation streams.
+``batch_wls`` solves the same weighted least-squares problem in one shot
+from the normal equations and serves as an independent cross-check.
 
 Adjoints are written as transposes: all data is real, and a complex
 extension would only swap in conjugate transposes.
@@ -43,6 +45,15 @@ class EstimatorState:
     P: np.ndarray
     # None once the model's finite data horizon is exhausted.
     H_tilde_next: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class GainSchedule:
+    """Read-only observation-independent part of a T-step filter pass."""
+
+    h_tilde: np.ndarray       # (T, m, d): H~_k, k = 0..T-1
+    gain: np.ndarray          # (T, d, m): K_k+1, applied to y(k)
+    P: np.ndarray             # (T+1, d, d): P_k, k = 0..T
 
 
 @dataclass(frozen=True)
@@ -131,34 +142,37 @@ def gain(state, R_prev):
     return GainMatrix(value=readonly(value), innovation_cov=readonly(sigma))
 
 
-def step(state, y_prev, R_prev, model):
-    """Consume observation y(state.step) and return the refined state.
+def _update(P, h_tilde, R):
+    """Gain K and updated covariance for one observation through h_tilde.
 
     The covariance update is the Joseph form, evaluated as a sum of two
     Gram products so the result stays PSD at rounding level even when P
     spans many orders of magnitude.
     """
-    d = model.d
+    R = np.asarray(R, dtype=float)
+    k_gain, _, f = _gain_pieces(P, h_tilde, R)
+    mix = np.eye(P.shape[0]) - k_gain @ h_tilde
+    mf = mix @ f
+    kl = k_gain @ np.linalg.cholesky(symmetrize(R))
+    p_next = symmetrize(mf @ mf.T + kl @ kl.T)
+
+    if __debug__:
+        assert spectral_norm(p_next - symmetrize(mix @ P)) <= 1e-8 * (1.0 + spectral_norm(p_next)), \
+            "Joseph and short-form covariance updates disagree"
+    return k_gain, p_next
+
+
+def step(state, y_prev, R_prev, model):
+    """Consume observation y(state.step) and return the refined state."""
     if state.H_tilde_next is None:
         raise HorizonError(f"no observation available at step {state.step}")
     y_prev = np.asarray(y_prev, dtype=float).reshape(-1)
     h_tilde = state.H_tilde_next
     if y_prev.shape != (h_tilde.shape[0],):
         raise ValueError(f"observation has length {y_prev.shape[0]}, expected {h_tilde.shape[0]}")
-    R_prev = np.asarray(R_prev, dtype=float)
 
-    k_gain, _, f = _gain_pieces(state.P, h_tilde, R_prev)
+    k_gain, p_next = _update(state.P, h_tilde, R_prev)
     x_next = state.x_hat + k_gain @ (y_prev - h_tilde @ state.x_hat)
-
-    mix = np.eye(d) - k_gain @ h_tilde
-    mf = mix @ f
-    kl = k_gain @ np.linalg.cholesky(symmetrize(R_prev))
-    p_next = symmetrize(mf @ mf.T + kl @ kl.T)
-
-    if __debug__:
-        p_short = mix @ state.P
-        assert spectral_norm(p_next - symmetrize(p_short)) <= 1e-8 * (1.0 + spectral_norm(p_next)), \
-            "Joseph and short-form covariance updates disagree"
 
     k_next = state.step + 1
     try:
@@ -194,14 +208,28 @@ def run(model, x_hat0, P0, observations):
     return states
 
 
-def covariance_sequence(model, P0, k_max):
-    """The deterministic covariance trajectory [P_0, ..., P_k_max].
+def gain_schedule(model, P0, T):
+    """Observers, gains and covariances of a T-step filter pass from P0.
 
-    P_k does not depend on the observed values, only on the model and P0,
-    so the recursion is run on zero observations.
+    One pass of the same recursion ``step`` runs, with the same checks at
+    every step; the result applies to every observation stream of the
+    model.
     """
-    zeros = np.zeros((k_max, model.m))
-    return [s.P for s in run(model, None, P0, zeros)]
+    h_tilde = np.empty((T, model.m, model.d))
+    gains = np.empty((T, model.d, model.m))
+    covs = np.empty((T + 1, model.d, model.d))
+    covs[0] = init(model, None, P0).P
+    for k, h in enumerate(observed_evolution_sequence(model, T)):
+        h_tilde[k] = h
+        gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k))
+    for arr in (h_tilde, gains, covs):
+        arr.flags.writeable = False
+    return GainSchedule(h_tilde=h_tilde, gain=gains, P=covs)
+
+
+def covariance_sequence(model, P0, k_max):
+    """The deterministic covariance trajectory [P_0, ..., P_k_max]."""
+    return list(gain_schedule(model, P0, k_max).P)
 
 
 def batch_wls(model, x_hat0, P0, observations):

@@ -2,26 +2,22 @@
 
 Reproducibility contract: all randomness flows through numpy's PCG64
 ``Generator``.  Trial t of an ensemble seeded with S uses the stream
-``default_rng(SeedSequence((S, t)))``, so results are identical regardless
-of execution order or thread count.  Within one trial the draws are
-consumed in a fixed order: first the initial-guess perturbation (when the
-ensemble is prior-calibrated), then one standard-normal m-vector per
-simulated step.
+``default_rng(SeedSequence((S, t)))``, so its values depend only on (S, t)
+up to rounding, and re-runs are byte-identical.  Within one trial the
+draws are consumed in a fixed order: first the initial-guess perturbation
+(when the ensemble is prior-calibrated), then one standard_normal((T, m))
+block whose row k drives the noise of step k.
 """
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import estimator
-from ._linalg import symmetrize
+from ._linalg import readonly, symmetrize
 from .model import SystemModel, observed_evolution_sequence
-
-THREADS_ENV = "ISOKAL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -80,38 +76,6 @@ def simulate(model, x0, T, seed, noiseless=False):
     return out
 
 
-def _thread_count():
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def _run_trial(model, x0, x_hat0, P0, T, master_seed, t, calibrated, noiseless):
-    rng = np.random.default_rng(trial_seed(master_seed, t))
-    guess = np.asarray(x_hat0, dtype=float)
-    if calibrated:
-        guess = guess + np.linalg.cholesky(symmetrize(P0)) @ rng.standard_normal(model.d)
-    obs = simulate(model, x0, T, rng, noiseless=noiseless)
-    states = estimator.run(model, guess, P0, obs)
-    err = np.stack([s.x_hat - x0 for s in states])
-    result = TrialResult(
-        trial_id=t,
-        seed_key=(int(master_seed), t),
-        err_sq=np.einsum("kd,kd->k", err, err),
-        err_inf=np.max(np.abs(err), axis=1),
-        trace_p=np.array([float(np.trace(s.P)) for s in states]),
-        p_eigs=np.stack([np.linalg.eigvalsh(s.P)[::-1] for s in states]),
-    )
-    return result, err
-
-
 def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
                 noiseless=False):
     """Run ``trials`` independent simulate+estimate pairs and aggregate.
@@ -123,33 +87,48 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
     measures the error conditional on that guess instead, for which the
     covariance comparison does not apply.
 
-    Parallelism across trials is capped by the ISOKAL_THREADS environment
-    variable (unset/1 = sequential, 0 = auto); aggregation is by trial
-    index, so the output never depends on scheduling.
+    The gain schedule is computed once and all trials are filtered together
+    as the rows of one (trials, d) array; trials share trace_p and p_eigs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape != (model.d,):
+        raise ValueError(f"x0 has length {x0.shape[0]}, model state dimension is {model.d}")
     x_hat0, P0 = estimator._prior(model, x_hat0, P0)
+    schedule = estimator.gain_schedule(model, P0, T)
 
-    def work(t):
-        return _run_trial(model, x0, x_hat0, P0, T, seed, t, calibrated, noiseless)
+    x_hat = np.tile(x_hat0, (trials, 1))
+    draws = np.zeros((trials, T, model.m))
+    guess_factor = np.linalg.cholesky(symmetrize(P0))
+    for t in range(trials):
+        rng = np.random.default_rng(trial_seed(seed, t))
+        if calibrated:
+            x_hat[t] = x_hat[t] + guess_factor @ rng.standard_normal(model.d)
+        if not noiseless:
+            draws[t] = rng.standard_normal((T, model.m))
 
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            pairs = list(pool.map(work, range(trials)))
-    else:
-        pairs = [work(t) for t in range(trials)]
+    r_seq = [model.R_at(0)] if model.isotropic else [model.R_at(k) for k in range(T)]
+    noise_factors = np.stack([np.linalg.cholesky(symmetrize(r)) for r in r_seq])
+    obs = schedule.h_tilde @ x0 + (noise_factors @ draws[..., None])[..., 0]
 
-    results = [r for r, _ in pairs]
-    errors = np.stack([e for _, e in pairs])          # (trials, T+1, d)
-    stats = EnsembleStats(
-        n_trials=trials,
-        mse=np.stack([r.err_sq for r in results]).mean(axis=0),
-        bias=errors.mean(axis=0),
-        mean_trace_p=np.stack([r.trace_p for r in results]).mean(axis=0),
-    )
+    errors = np.empty((trials, T + 1, model.d))
+    errors[:, 0] = x_hat - x0
+    for k in range(T):
+        innovation = obs[:, k] - x_hat @ schedule.h_tilde[k].T
+        x_hat = x_hat + innovation @ schedule.gain[k].T
+        errors[:, k + 1] = x_hat - x0
+
+    err_sq = readonly(np.einsum("nkd,nkd->nk", errors, errors))
+    err_inf = readonly(np.max(np.abs(errors), axis=2))
+    trace_p = readonly(np.trace(schedule.P, axis1=1, axis2=2))
+    p_eigs = readonly(np.linalg.eigvalsh(schedule.P)[:, ::-1])
+    results = [TrialResult(t, (int(seed), t), err_sq[t], err_inf[t], trace_p, p_eigs)
+               for t in range(trials)]
+    stats = EnsembleStats(n_trials=trials, mse=err_sq.mean(axis=0),
+                          bias=errors.mean(axis=0), mean_trace_p=trace_p)
     return stats, results
 
 
@@ -231,8 +210,7 @@ def read_observations_csv(path):
             raise ValueError(f"{path}: expected an observations CSV with a 'k' first column")
         rows = [[float(v) for v in row[1:]] for row in reader if row]
     m = len(header) - 1
-    out = np.array(rows, dtype=float).reshape(-1, m)
-    return out
+    return np.array(rows, dtype=float).reshape(-1, m)
 
 
 def write_estimates_csv(path, states, truth=None):

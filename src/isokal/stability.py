@@ -76,12 +76,9 @@ def lyapunov_value(P_k, z):
 
 
 def error_dynamics(model, states):
-    """Per-step transitions I - K_k H~_{k-1} recovered from a filter run."""
-    d = model.d
-    psi_seq = []
-    for prev, _cur in zip(states[:-1], states[1:]):
-        k_gain = estimator.gain(prev, model.R_at(prev.step)).value
-        psi_seq.append(np.eye(d) - k_gain @ prev.H_tilde_next)
+    """Per-step transitions I - K_k H~_{k-1} of a filter run, from its gain schedule."""
+    schedule = estimator.gain_schedule(model, states[0].P, len(states) - 1)
+    psi_seq = list(np.eye(model.d) - schedule.gain @ schedule.h_tilde)
     return ErrorDynamics(psi_seq=psi_seq, covariances=[s.P for s in states])
 
 
@@ -172,18 +169,14 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None):
     Classification is attempted for observable LTI models and left None
     otherwise.
     """
-    d = model.d
-    if np.isscalar(P0):
-        P0 = float(P0) * np.eye(d)
-    P0 = symmetrize(np.asarray(P0, dtype=float))
-
+    P0 = symmetrize(estimator._prior(model, None, P0)[1])
     covs = estimator.covariance_sequence(model, P0, k_max)
     p0_inv = spd_inverse(P0, "P0")
     psi_norms = [spectral_norm(p @ p0_inv) for p in covs]
     p_norm_trace = np.array([spectral_norm(p) for p in covs])
 
     if z0 is None:
-        z0 = np.ones(d) / np.sqrt(d)
+        z0 = np.ones(model.d) / np.sqrt(model.d)
     z = np.asarray(z0, dtype=float)
     v_trace = [lyapunov_value(covs[0], z)]
     for k in range(1, k_max + 1):

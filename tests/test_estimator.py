@@ -220,6 +220,42 @@ class TestBatchWls:
         assert np.linalg.norm(states[-1].x_hat - xb) <= 1e-9 * (1.0 + np.linalg.norm(xb))
 
 
+class TestGainSchedule:
+    def test_matches_run_step_by_step(self, example1):
+        model, x0, x_hat0, p0, _ = example1
+        T = 15
+        sched = estimator.gain_schedule(model, p0, T)
+        assert sched.h_tilde.shape == (T, 2, 4)
+        assert sched.gain.shape == (T, 4, 2)
+        assert sched.P.shape == (T + 1, 4, 4)
+        states = run(model, x_hat0, p0, simulate(model, x0, T, 8))
+        for k in range(T):
+            np.testing.assert_array_equal(sched.h_tilde[k], states[k].H_tilde_next)
+            np.testing.assert_array_equal(sched.gain[k], gain(states[k], model.R_at(k)).value)
+        for k in range(T + 1):
+            np.testing.assert_array_equal(sched.P[k], states[k].P)
+
+    def test_arrays_are_read_only(self, example2):
+        sched = estimator.gain_schedule(example2[0], 1e-2, 3)
+        for arr in (sched.h_tilde, sched.gain, sched.P):
+            assert not arr.flags.writeable
+
+    def test_zero_steps_is_the_prior(self, example2):
+        sched = estimator.gain_schedule(example2[0], 0.25, 0)
+        assert sched.gain.shape == (0, 2, 1)
+        np.testing.assert_array_equal(sched.P, [0.25 * np.eye(2)])
+
+    def test_invalid_prior_rejected(self, example2):
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            estimator.gain_schedule(example2[0], -1.0, 5)
+
+    def test_ltv_horizon_enforced(self):
+        model = SystemModel(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 3), 0.1)
+        assert estimator.gain_schedule(model, 1.0, 3).P.shape == (4, 2, 2)
+        with pytest.raises(HorizonError):
+            estimator.gain_schedule(model, 1.0, 4)
+
+
 def test_covariance_sequence_matches_run(example2):
     model, x0, x_hat0, p0, _ = example2
     covs = estimator.covariance_sequence(model, p0, 10)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isokal import estimator
 from isokal.harness import (
     EXAMPLE_STEPS,
     example_system,
@@ -91,17 +92,22 @@ class TestMonteCarlo:
         # and the sample MSE can only undershoot the squared bias by noise
         assert np.all(stats.mse >= stats.bias_norm ** 2 - 1e-12)
 
-    def test_trial_results_are_deterministic_and_order_free(self, example2, monkeypatch):
+    def test_trial_results_are_deterministic_and_keyed_by_seed(self, example2):
         model, x0, x_hat0, p0, _ = example2
-        serial_stats, serial_results = monte_carlo(model, x0, x_hat0, p0, T=10,
-                                                   trials=8, seed=3)
-        monkeypatch.setenv("ISOKAL_THREADS", "4")
-        thr_stats, thr_results = monte_carlo(model, x0, x_hat0, p0, T=10,
-                                             trials=8, seed=3)
-        assert serial_stats.mse.tobytes() == thr_stats.mse.tobytes()
-        assert serial_stats.bias.tobytes() == thr_stats.bias.tobytes()
-        for a, b in zip(serial_results, thr_results):
+        stats, results = monte_carlo(model, x0, x_hat0, p0, T=10, trials=8, seed=3)
+        again_stats, again_results = monte_carlo(model, x0, x_hat0, p0, T=10,
+                                                 trials=8, seed=3)
+        assert stats.mse.tobytes() == again_stats.mse.tobytes()
+        assert stats.bias.tobytes() == again_stats.bias.tobytes()
+        for a, b in zip(results, again_results):
             assert a.err_sq.tobytes() == b.err_sq.tobytes()
+        # trial t depends only on (seed, t): smaller ensembles reproduce the
+        # leading trials up to rounding (the batched products may round
+        # differently at another trial count)
+        for n in (1, 3):
+            _stats, subset = monte_carlo(model, x0, x_hat0, p0, T=10, trials=n, seed=3)
+            for a, b in zip(subset, results[:n]):
+                np.testing.assert_allclose(a.err_sq, b.err_sq, rtol=1e-9)
 
     def test_trace_equals_eigenvalue_sum(self, example1):
         model, x0, x_hat0, p0, _ = example1
@@ -115,6 +121,55 @@ class TestMonteCarlo:
         model, x0, x_hat0, p0, _ = example2
         _stats, results = monte_carlo(model, x0, x_hat0, p0, T=5, trials=3, seed=17)
         assert [r.seed_key for r in results] == [(17, 0), (17, 1), (17, 2)]
+
+
+def per_step_noise_ltv(T=12):
+    """Seeded LTV model, d = 3, m = 2, with a different correlated R_k per step."""
+    rng = np.random.default_rng(2718)
+    a_seq = np.stack([np.eye(3) + 0.2 * rng.standard_normal((3, 3)) for _ in range(T)])
+    h_seq = rng.standard_normal((T, 2, 3))
+    r_seq = []
+    for _ in range(T):
+        g = rng.standard_normal((2, 2))
+        r_seq.append(0.01 * (g @ g.T + np.eye(2)))
+    model = SystemModel(a_seq, h_seq, np.stack(r_seq))
+    return model, rng.standard_normal(3), np.zeros(3), 0.5 * np.eye(3)
+
+
+def reference_trial(model, x0, x_hat0, p0, T, seed, t, calibrated, noiseless):
+    """One trial run the long way: simulate + estimator.run on its own stream."""
+    rng = np.random.default_rng(trial_seed(seed, t))
+    guess = np.asarray(x_hat0, dtype=float)
+    if calibrated:
+        guess = guess + np.linalg.cholesky(p0) @ rng.standard_normal(model.d)
+    obs = simulate(model, x0, T, rng, noiseless=noiseless)
+    states = estimator.run(model, guess, p0, obs)
+    err = np.stack([s.x_hat - x0 for s in states])
+    return np.einsum("kd,kd->k", err, err), states
+
+
+@pytest.mark.parametrize("system", ["example2", "ltv"])
+@pytest.mark.parametrize("calibrated, noiseless",
+                         [(True, False), (False, False), (True, True)])
+def test_batched_ensemble_matches_per_trial_reference(system, calibrated, noiseless,
+                                                      example2):
+    if system == "example2":
+        model, x0, x_hat0, p0, _ = example2
+        T = 20
+    else:
+        model, x0, x_hat0, p0 = per_step_noise_ltv()
+        T = 12
+    trials, seed = 5, 404
+    stats, results = monte_carlo(model, x0, x_hat0, p0, T=T, trials=trials, seed=seed,
+                                 calibrated=calibrated, noiseless=noiseless)
+    ref_sq = []
+    for t, r in enumerate(results):
+        err_sq, states = reference_trial(model, x0, x_hat0, p0, T, seed, t,
+                                         calibrated, noiseless)
+        np.testing.assert_allclose(r.err_sq, err_sq, rtol=1e-9)
+        np.testing.assert_allclose(r.trace_p, [np.trace(s.P) for s in states], rtol=1e-9)
+        ref_sq.append(err_sq)
+    np.testing.assert_allclose(stats.mse, np.mean(ref_sq, axis=0), rtol=1e-9)
 
 
 class TestReproduce:
