@@ -17,12 +17,13 @@ from .model import (
     observed_evolution,
     transition,
 )
-from .estimator import EstimatorState, GainMatrix, batch_wls, init, run, step
+from .estimator import EstimatorState, batch_wls, init, run, step, wls_prefixes
 from .observability import (
     ObservabilityReport,
     UnobservableModelError,
     check_observability,
     gramian,
+    information_prefixes,
     lambda_min_asymptotics,
 )
 from .stability import (
@@ -40,9 +41,9 @@ __all__ = [
     "__version__",
     "ConfigError", "HorizonError", "SystemModel", "TransitionMatrix",
     "load_model", "observed_evolution", "transition",
-    "EstimatorState", "GainMatrix", "batch_wls", "init", "run", "step",
+    "EstimatorState", "batch_wls", "init", "run", "step", "wls_prefixes",
     "ObservabilityReport", "UnobservableModelError", "check_observability",
-    "gramian", "lambda_min_asymptotics",
+    "gramian", "information_prefixes", "lambda_min_asymptotics",
     "StabilityReport", "analyze_stability", "classify", "exponential_fit",
     "gelfand_diagnostic", "lyapunov_value", "psi_transition",
     "EnsembleStats", "TrialResult", "monte_carlo", "reproduce_example", "simulate",

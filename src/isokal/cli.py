@@ -37,9 +37,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_vector(text, flag):
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        vec = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError:
         raise ConfigError(flag, f"expected comma-separated decimal literals, got {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(flag, f"entries must be finite, got {text!r}")
+    return vec
 
 
 def _load_config(path):
@@ -105,9 +108,8 @@ def _cmd_estimate(args):
 
     if args.batch_check:
         worst = 0.0
-        for k in range(len(obs) + 1):
-            xb = estimator.batch_wls(model, x_hat0, p0, obs[:k])
-            dev = np.linalg.norm(states[k].x_hat - xb) / (1.0 + np.linalg.norm(xb))
+        for state, xb in zip(states, estimator.wls_prefixes(model, x_hat0, p0, obs)):
+            dev = np.linalg.norm(state.x_hat - xb) / (1.0 + np.linalg.norm(xb))
             worst = max(worst, dev)
         if not args.quiet:
             print(f"batch-check max deviation: {worst:.3e}")

@@ -8,23 +8,26 @@ Each new observation y(k-1) refines the running estimate of x0:
 
 where H~_k = H_k A(k,0) observes the evolved initial state.  The covariance
 is propagated in the Joseph form above (PSD-preserving under rounding); the
-algebraically equal short form (I - K H~) P is asserted against it in debug
-builds.  P_k, K_k and H~_k never depend on the observed values, so
+algebraically equal short form (I - K H~) P is checked against it at every
+update.  P_k, K_k and H~_k never depend on the observed values, so
 ``gain_schedule`` computes them once for any number of observation streams.
-``batch_wls`` solves the same weighted least-squares problem in one shot
-from the normal equations and serves as an independent cross-check.
+``wls_prefixes`` solves the same weighted least-squares problem from the
+normal equations and serves as an independent cross-check.
 
 Adjoints are written as transposes: all data is real, and a complex
 extension would only swap in conjugate transposes.
 """
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import cho_solve
 
 from ._linalg import readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
 from .model import HorizonError, advance_observed_evolution, observed_evolution_sequence
+from .observability import information_prefixes
 
 # Stored covariances may carry rounding-level negative eigenvalues; anything
 # below -PSD_SLACK * trace(P) signals a genuinely corrupted state.
@@ -37,7 +40,8 @@ class EstimatorState:
 
     x_hat is the current estimate of the initial state, P its error
     covariance, and H_tilde_next the observer H~_step that applies to the
-    next observation y(step).
+    next observation y(step).  phi is the transition A(step,0) for
+    time-varying models; fully LTI models never advance it from I.
     """
 
     step: int
@@ -45,6 +49,7 @@ class EstimatorState:
     P: np.ndarray
     # None once the model's finite data horizon is exhausted.
     H_tilde_next: np.ndarray | None
+    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,14 +61,6 @@ class GainSchedule:
     P: np.ndarray             # (T+1, d, d): P_k, k = 0..T
 
 
-@dataclass(frozen=True)
-class GainMatrix:
-    """Gain K_step+1 together with the innovation covariance it inverts."""
-
-    value: np.ndarray
-    innovation_cov: np.ndarray
-
-
 def _prior(model, x_hat0, P0):
     """Normalize (x_hat0, P0) inputs: None -> zeros, scalar p -> p * I."""
     d = model.d
@@ -73,10 +70,13 @@ def _prior(model, x_hat0, P0):
     if x_hat0.shape != (d,):
         raise ValueError(f"x_hat0 has length {x_hat0.shape[0]}, model state dimension is {d}")
     if np.isscalar(P0):
-        P0 = float(P0) * np.eye(d)
+        P0 = np.diag(np.full(d, float(P0)))
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (d, d):
         raise ValueError(f"P0 has shape {P0.shape}, expected ({d}, {d})")
+    for name, value in (("x_hat0", x_hat0), ("P0", P0)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
     return x_hat0, P0
 
 
@@ -94,7 +94,7 @@ def init(model, x_hat0, P0):
         raise np.linalg.LinAlgError(
             f"P0 is not positive definite (lambda_min={lam[0]:.3e})")
     return EstimatorState(step=0, x_hat=readonly(x_hat0), P=readonly(symmetrize(P0)),
-                          H_tilde_next=readonly(model.H_at(0)))
+                          H_tilde_next=readonly(model.H_at(0)), phi=readonly(np.eye(model.d)))
 
 
 def _psd_split(P):
@@ -134,14 +134,6 @@ def _gain_pieces(P, h_tilde, R):
     return gain, sigma, f
 
 
-def gain(state, R_prev):
-    """Gain applied to the innovation from observation y(state.step)."""
-    if state.H_tilde_next is None:
-        raise HorizonError(f"no observation available at step {state.step}")
-    value, sigma, _ = _gain_pieces(state.P, state.H_tilde_next, R_prev)
-    return GainMatrix(value=readonly(value), innovation_cov=readonly(sigma))
-
-
 def _update(P, h_tilde, R):
     """Gain K and updated covariance for one observation through h_tilde.
 
@@ -156,9 +148,8 @@ def _update(P, h_tilde, R):
     kl = k_gain @ np.linalg.cholesky(symmetrize(R))
     p_next = symmetrize(mf @ mf.T + kl @ kl.T)
 
-    if __debug__:
-        assert spectral_norm(p_next - symmetrize(mix @ P)) <= 1e-8 * (1.0 + spectral_norm(p_next)), \
-            "Joseph and short-form covariance updates disagree"
+    if spectral_norm(p_next - symmetrize(mix @ P)) > 1e-8 * (1.0 + spectral_norm(p_next)):
+        raise np.linalg.LinAlgError("Joseph and short-form covariance updates disagree")
     return k_gain, p_next
 
 
@@ -176,11 +167,14 @@ def step(state, y_prev, R_prev, model):
 
     k_next = state.step + 1
     try:
-        h_next = readonly(advance_observed_evolution(model, h_tilde, k_next))
+        h_next, phi = advance_observed_evolution(model, k_next, h_tilde, state.phi)
+        h_next = readonly(h_next)
     except HorizonError:
-        h_next = None
+        h_next, phi = None, state.phi
+    # Frozen in place, not copied: LTI models hand back the previous phi.
+    phi.flags.writeable = False
     return EstimatorState(step=k_next, x_hat=readonly(x_next), P=readonly(p_next),
-                          H_tilde_next=h_next)
+                          H_tilde_next=h_next, phi=phi)
 
 
 def _as_observations(observations, m):
@@ -191,6 +185,9 @@ def _as_observations(observations, m):
         obs = obs.reshape(-1, 1) if m == 1 else obs.reshape(1, -1)
     if obs.ndim != 2 or obs.shape[1] != m:
         raise ValueError(f"observations must be rows of length m={m}, got shape {obs.shape}")
+    bad = np.flatnonzero(~np.isfinite(obs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"observations must be finite; row {bad[0]} is not")
     return obs
 
 
@@ -232,34 +229,33 @@ def covariance_sequence(model, P0, k_max):
     return list(gain_schedule(model, P0, k_max).P)
 
 
-def batch_wls(model, x_hat0, P0, observations):
-    """One-shot weighted least-squares estimate of x0 from all observations.
+def wls_prefixes(model, x_hat0, P0, observations):
+    """Yield the weighted least-squares estimate of x0 from y(0..k-1), k = 0..N.
 
-    Minimizes
+    Prefix k minimizes
 
         (x - x^_0)^T P0^-1 (x - x^_0)
-            + sum_j (y(j) - H~_j x)^T R_j^-1 (y(j) - H~_j x)
+            + sum_{j<k} (y(j) - H~_j x)^T R_j^-1 (y(j) - H~_j x)
 
-    by assembling the normal equations
-    (P0^-1 + O(N,0)) x = P0^-1 x^_0 + sum_j H~_j^T R_j^-1 y(j) and
-    factorizing the SPD left-hand side.  Observers H~_j are recomputed
-    incrementally; the observation history is consumed in one pass.
+    by factorizing the SPD normal matrix P0^-1 + O(k,0) and solving against
+    P0^-1 x^_0 + sum_{j<k} H~_j^T R_j^-1 y(j).  The sums are the running
+    information of ``information_prefixes``, consumed one step at a time.
     """
     x_hat0, P0 = _prior(model, x_hat0, P0)
     observations = _as_observations(observations, model.m)
-    n = observations.shape[0]
-
     p0_inv = spd_inverse(P0, "P0")
-    lhs = p0_inv.copy()
-    rhs = p0_inv @ x_hat0
-    for j, h_tilde in enumerate(observed_evolution_sequence(model, n)):
-        r_factor = spd_factor(model.R_at(j), f"R_{j}")
-        w = cho_solve(r_factor, h_tilde)
-        lhs = symmetrize(lhs + h_tilde.T @ w)
-        rhs = rhs + h_tilde.T @ cho_solve(r_factor, observations[j])
-    try:
-        factor = spd_factor(lhs, "normal matrix")
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "normal matrix is numerically singular; check that P0 is positive definite")
-    return cho_solve(factor, rhs)
+    p0_x = p0_inv @ x_hat0
+    prefixes = information_prefixes(model, observations.shape[0], observations=observations)
+    # The prior alone, then one more observation per prefix.
+    for info, score in chain([(0.0, 0.0)], prefixes):
+        try:
+            factor = spd_factor(p0_inv + info, "normal matrix")
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                "normal matrix is numerically singular; check that P0 is positive definite")
+        yield cho_solve(factor, p0_x + score)
+
+
+def batch_wls(model, x_hat0, P0, observations):
+    """Weighted least-squares estimate of x0 from all observations (last ``wls_prefixes`` item)."""
+    return deque(wls_prefixes(model, x_hat0, P0, observations), maxlen=1)[0]

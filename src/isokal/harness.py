@@ -64,6 +64,8 @@ def simulate(model, x0, T, seed, noiseless=False):
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (model.d,):
         raise ValueError(f"x0 has length {x0.shape[0]}, model state dimension is {model.d}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
     rng = np.random.default_rng(seed)
     out = np.empty((T, model.m))
     chol = None

@@ -250,41 +250,33 @@ def observed_evolution(model, k):
     return model.H_at(k) @ transition(model, k, 0).value
 
 
-def observed_evolution_sequence(model, count):
-    """Yield H_k A(k,0) for k = 0..count-1, one dynamics step at a time.
-
-    For fully LTI models this is the running product H, HA, HA^2, ...;
-    otherwise the transition A(k,0) is accumulated and applied to H_k.
-    """
+def observed_evolution_sequence(model, count, start=0):
+    """Yield H_j A(j,start) for j = start..start+count-1, one step at a time."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if count == 0:
         return
-    if model.is_lti:
-        h_tilde = model.H_at(0)
-        for k in range(count):
-            yield h_tilde
-            if k + 1 < count:
-                h_tilde = h_tilde @ model.A_at(k + 1)
-    else:
-        phi = np.eye(model.d)
-        for k in range(count):
-            yield model.H_at(k) @ phi
-            if k + 1 < count:
-                phi = model.A_at(k + 1) @ phi
+    h_tilde, phi = model.H_at(start), np.eye(model.d)
+    for j in range(start, start + count):
+        yield h_tilde
+        if j + 1 < start + count:
+            h_tilde, phi = advance_observed_evolution(model, j + 1, h_tilde, phi)
 
 
-def advance_observed_evolution(model, h_tilde_prev, k):
-    """H_k A(k,0) given H_{k-1} A(k-1,0).
+def advance_observed_evolution(model, k, h_tilde, phi):
+    """The next observer and transition: (H_k A(k,k0), A(k,k0)) from step k-1's.
 
-    Fully LTI models advance by one right-multiplication; anything
-    time-varying falls back to the direct product (the new dynamics factor
-    enters on the left of A(k-1,0), so no right-multiplication recurrence
-    exists).
+    Fully LTI models advance the observer by one right-multiplication and
+    leave ``phi`` unused.  Anything time-varying has no right-multiplication
+    recurrence (the new dynamics factor enters on the left), so the
+    transition is carried forward, phi <- A_k phi, in the product order of
+    ``transition``, and applied to H_k.
     """
     if model.is_lti:
-        return h_tilde_prev @ model.A_at(k)
-    return observed_evolution(model, k)
+        return h_tilde @ model.A_at(k), phi
+    model._check_horizon(k)
+    phi = model.A_at(k) @ phi
+    return model.H_at(k) @ phi, phi
 
 
 def _matrix_field(doc, path):

@@ -78,38 +78,42 @@ class GramianGrowth:
     log_intercept: float | None = None
 
 
+def information_prefixes(model, count, start=0, observations=None):
+    """Yield the running information of a window anchored at ``start``.
+
+    Item k (k = 1..count) is (O(start+k, start), b_k) with
+    b_k = sum_{j=start}^{start+k-1} H~_j^T R_j^-1 y(j), H~_j = H_j A(j,start),
+    and y(j) row j - start of ``observations``; b_k is None without
+    observations.  Each term weights the evolved observer by an SPD solve
+    against R_j, and the Gramian is symmetrized after every term.  The items
+    are new arrays, so a caller may keep them.
+    """
+    info = np.zeros((model.d, model.d))
+    score = None if observations is None else np.zeros(model.d)
+    for i, h_tilde in enumerate(observed_evolution_sequence(model, count, start)):
+        weighted = cho_solve(spd_factor(model.R_at(start + i), f"R_{start + i}"), h_tilde)
+        info = symmetrize(info + h_tilde.T @ weighted)
+        if observations is not None:
+            score = score + weighted.T @ observations[i]
+        yield info, score
+
+
 def gramian(model, k0, L):
     """Windowed observability Gramian O(k0+L, k0).
 
-    Accumulated term by term with symmetrization; each term weights the
-    evolved observer by an SPD solve against R_j.  L = 0 returns the zero
+    The last item of ``information_prefixes``; L = 0 returns the zero
     matrix (empty sum).
     """
     if L < 0:
         raise ValueError(f"window length must be non-negative, got {L}")
-    d = model.d
-    total = np.zeros((d, d))
-    phi = np.eye(d)
-    for j in range(k0, k0 + L):
-        w = model.H_at(j) @ phi
-        r_factor = spd_factor(model.R_at(j), f"R_{j}")
-        total = symmetrize(total + w.T @ cho_solve(r_factor, w))
-        if j + 1 < k0 + L:
-            phi = model.A_at(j + 1) @ phi
-    return total
+    info = np.zeros((model.d, model.d))
+    for info, _ in information_prefixes(model, L, start=k0):
+        pass
+    return info
 
 
-def _anchored_gramian_trace(model, k_max):
-    """lambda_min(O(k,0)) and the Gramians themselves for k = 1..k_max."""
-    d = model.d
-    total = np.zeros((d, d))
-    gramians, trace = [], []
-    for j, h_tilde in enumerate(observed_evolution_sequence(model, k_max)):
-        r_factor = spd_factor(model.R_at(j), f"R_{j}")
-        total = symmetrize(total + h_tilde.T @ cho_solve(r_factor, h_tilde))
-        gramians.append(total)
-        trace.append(float(np.linalg.eigvalsh(total)[0]))
-    return gramians, np.asarray(trace)
+def _lambda_min(info):
+    return float(np.linalg.eigvalsh(info)[0])
 
 
 def check_observability(model, L_max, rho_tol=1e-9):
@@ -124,7 +128,8 @@ def check_observability(model, L_max, rho_tol=1e-9):
         raise ValueError(f"L_max must be >= 1, got {L_max}")
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
-    gramians, trace = _anchored_gramian_trace(model, k_max)
+    gramians = [info for info, _ in information_prefixes(model, k_max)]
+    trace = np.array([_lambda_min(info) for info in gramians])
 
     if model.is_lti and model.isotropic:
         for L in range(1, k_max + 1):
@@ -135,12 +140,12 @@ def check_observability(model, L_max, rho_tol=1e-9):
         return ObservabilityReport(verdict="NotObservableUpTo", L=k_max, rho=None,
                                    gramians=gramians, lambda_min_trace=trace)
 
-    # Time-varying: certify every window of length L inside the horizon.
+    # Time-varying (a finite horizon): certify every window of length L
+    # inside the horizon.  Anchor k0's windows grow by one term per L.
+    windows = [information_prefixes(model, min(k_max, horizon - k0), start=k0)
+               for k0 in range(horizon)]
     for L in range(1, k_max + 1):
-        anchors = range(0, (horizon - L if horizon is not None else 0) + 1)
-        window_min = min(
-            float(np.linalg.eigvalsh(gramian(model, k0, L))[0]) for k0 in anchors
-        )
+        window_min = min(_lambda_min(next(w)[0]) for w in windows[:horizon - L + 1])
         if window_min >= rho_tol:
             return ObservabilityReport(verdict="Observable", L=L, rho=window_min,
                                        gramians=gramians, lambda_min_trace=trace)
@@ -165,7 +170,7 @@ def lambda_min_asymptotics(model, K, rho_tol=1e-9):
         raise UnobservableModelError(
             f"model is not observable up to window length {model.d}")
 
-    _, trace = _anchored_gramian_trace(model, K)
+    trace = np.array([_lambda_min(info) for info, _ in information_prefixes(model, K)])
     lam_min = float(eig_abs_sorted(model.A_at(1))[-1])
 
     if lam_min > 1.0 + SPECTRAL_BAND_TOL:

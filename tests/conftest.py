@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isokal import harness
+from isokal import estimator, harness
 from isokal._linalg import spd_inverse, symmetrize
 from isokal.model import SystemModel
 from isokal.observability import check_observability
@@ -56,6 +56,18 @@ def random_observable_system(master_seed, index, T=30, cond_cap=COND_CAP):
         x0 = rng.standard_normal(d)
         x_hat0 = rng.standard_normal(d)
         return model, x0, x_hat0, p0
+
+
+@pytest.fixture()
+def scaled_gain(monkeypatch):
+    """Scale every gain by 1.5, so the Joseph and short-form updates disagree."""
+    real = estimator._gain_pieces
+
+    def scaled(P, h_tilde, R):
+        k_gain, sigma, f = real(P, h_tilde, R)
+        return 1.5 * k_gain, sigma, f
+
+    monkeypatch.setattr(estimator, "_gain_pieces", scaled)
 
 
 @pytest.fixture(scope="session")

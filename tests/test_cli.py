@@ -59,6 +59,14 @@ class TestSimulate:
         assert code == 1
         assert "m" in capsys.readouterr().err
 
+    def test_non_finite_x0_exits_1(self, tmp_path, example2_config, capsys):
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "obs.csv"
+        code = run_cli("simulate", "--config", cfg, "--x0=nan,1", "--steps", "2", "--out", out)
+        assert code == 1
+        assert "--x0: entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         code = run_cli("simulate", "--config", tmp_path / "nope.json", "--x0", "1,2",
                        "--steps", "2", "--out", tmp_path / "x.csv")
@@ -129,12 +137,38 @@ class TestEstimate:
     def test_batch_check_failure_exits_3(self, tmp_path, example2_config, monkeypatch):
         cfg = write_config(tmp_path, example2_config)
         obs = self._simulate(tmp_path, cfg)
-        monkeypatch.setattr(estimator, "batch_wls",
-                            lambda model, xh, p0, o: np.array([100.0, 100.0]))
+        monkeypatch.setattr(estimator, "wls_prefixes",
+                            lambda model, xh, p0, o: [np.array([100.0, 100.0])] * (len(o) + 1))
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--x0-guess", "1,0",
                        "--p0", "0.01", "--out", tmp_path / "est.csv",
                        "--batch-check", "--quiet")
         assert code == 3
+
+    def test_joseph_disagreement_exits_1(self, tmp_path, example2_config, capsys, scaled_gain):
+        cfg = write_config(tmp_path, example2_config)
+        obs = self._simulate(tmp_path, cfg)
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", tmp_path / "est.csv", "--quiet")
+        assert code == 1
+        assert "Joseph and short-form" in capsys.readouterr().err
+
+    def test_non_finite_observations_exit_1(self, tmp_path, example2_config, capsys):
+        cfg = write_config(tmp_path, example2_config)
+        obs = tmp_path / "obs.csv"
+        obs.write_text("k,y_0\n0,0.5\n1,nan\n")
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", tmp_path / "est.csv", "--quiet")
+        assert code == 1
+        assert "observations must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--x0-guess", "--truth"])
+    def test_non_finite_vector_flag_exits_1(self, tmp_path, example2_config, capsys, flag):
+        cfg = write_config(tmp_path, example2_config)
+        obs = self._simulate(tmp_path, cfg)
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", tmp_path / "est.csv", f"{flag}=inf,0", "--quiet")
+        assert code == 1
+        assert f"{flag}: entries must be finite" in capsys.readouterr().err
 
     def test_default_guess_is_zero(self, tmp_path, example2_config):
         cfg = write_config(tmp_path, example2_config)

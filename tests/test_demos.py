@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -15,7 +17,17 @@ def run_demo(name):
                           text=True, env=env, timeout=300)
 
 
-def test_monte_carlo_demo():
-    proc = run_demo("04_monte_carlo_ensembles.py")
+#: One line each demo must print, keyed by file name.
+KEY_LINES = {
+    "01_recover_initial_state.py": "recursive vs batch:",
+    "02_observability_analysis.py": "verdict: Observable, window L = 2",
+    "03_error_dynamics_stability.py": "Lyapunov trace monotone: True",
+    "04_monte_carlo_ensembles.py": "re-run is bit-identical: True",
+}
+
+
+@pytest.mark.parametrize("name", KEY_LINES)
+def test_demo_runs(name):
+    proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr
-    assert "re-run is bit-identical: True" in proc.stdout
+    assert KEY_LINES[name] in proc.stdout

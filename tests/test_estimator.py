@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from isokal import estimator
 from isokal._linalg import spd_inverse, spectral_norm, symmetrize
-from isokal.estimator import EstimatorState, batch_wls, gain, init, run, step
+from isokal.estimator import batch_wls, gain_schedule, init, run, step, wls_prefixes
 from isokal.harness import simulate, trial_seed
-from isokal.model import HorizonError, SystemModel
+from isokal.model import HorizonError, SystemModel, observed_evolution, transition
 from isokal.observability import gramian
+from test_harness import per_step_noise_ltv
 
 
 def scalar_model(a=2.0, h=1.0, sigma2=1.0):
@@ -46,44 +49,49 @@ class TestInit:
 
 class TestGain:
     def test_scalar_half(self):
-        s = init(scalar_model(), [0.0], 1.0)
-        g = gain(s, np.array([[1.0]]))
-        np.testing.assert_allclose(g.value, [[0.5]], rtol=1e-15)
-        np.testing.assert_allclose(g.innovation_cov, [[2.0]], rtol=1e-15)
+        g = gain_schedule(scalar_model(), 1.0, 1).gain[0]
+        np.testing.assert_allclose(g, [[0.5]], rtol=1e-15)
 
     def test_zero_covariance_gives_zero_gain(self):
         # bypasses init's strict-PD check on purpose: a zero P is a valid
-        # internal limit for the gain formula
-        s = EstimatorState(step=0, x_hat=np.zeros(1), P=np.zeros((1, 1)),
-                           H_tilde_next=np.array([[1.0]]))
-        g = gain(s, np.array([[1.0]]))
-        np.testing.assert_array_equal(g.value, [[0.0]])
+        # internal limit of the update and gives a zero gain
+        model = scalar_model()
+        s = dataclasses.replace(init(model, [0.3], 1.0), P=np.zeros((1, 1)))
+        s1 = step(s, [1.0], model.R_at(0), model)
+        np.testing.assert_array_equal(s1.x_hat, [0.3])
+        np.testing.assert_array_equal(s1.P, [[0.0]])
 
     def test_example2_first_gain(self, example2):
-        model, _x0, x_hat0, p0, _ = example2
-        g = gain(init(model, x_hat0, p0), model.R_at(0))
+        model, _x0, _x_hat0, p0, _ = example2
+        g = gain_schedule(model, p0, 1).gain[0]
         # scalar evaluation: K_1 = [0, p/(p + sigma^2)] with p = 1e-2
         expected = np.array([[0.0], [1e-2 / (1e-2 + 1e-6)]])
-        assert g.value[0, 0] == 0.0
-        np.testing.assert_allclose(g.value, expected, rtol=1e-12)
+        assert g[0, 0] == 0.0
+        np.testing.assert_allclose(g, expected, rtol=1e-12)
 
     def test_defining_identity(self, make_system):
         for i in range(5):
             model, x0, x_hat0, p0, = make_system(424, i)
             obs = simulate(model, x0, 10, trial_seed(424, 100 + i))
             states = run(model, x_hat0, p0, obs)
+            sched = gain_schedule(model, p0, 10)
             for s in states[:-1]:
                 r = model.R_at(s.step)
-                g = gain(s, r)
-                lhs = g.value @ (s.H_tilde_next @ s.P @ s.H_tilde_next.T + r)
+                lhs = sched.gain[s.step] @ (s.H_tilde_next @ s.P @ s.H_tilde_next.T + r)
                 rhs = s.P @ s.H_tilde_next.T
                 assert spectral_norm(lhs - rhs) <= 1e-10 * max(spectral_norm(rhs), 1e-12)
 
     def test_corrupted_covariance_detected(self):
-        s = EstimatorState(step=0, x_hat=np.zeros(2), P=np.diag([1.0, -1.0]),
-                           H_tilde_next=np.eye(2))
+        model = SystemModel(np.eye(2), np.eye(2), 1.0)
+        s = dataclasses.replace(init(model, None, 1.0), P=np.diag([1.0, -1.0]))
         with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
-            gain(s, np.eye(2))
+            step(s, np.zeros(2), np.eye(2), model)
+
+    def test_joseph_short_form_disagreement_raises(self, example2, scaled_gain):
+        # a gain that is not the minimizer makes the two covariance forms differ
+        model, _x0, x_hat0, p0, _ = example2
+        with pytest.raises(np.linalg.LinAlgError, match="Joseph and short-form"):
+            step(init(model, x_hat0, p0), [0.1], model.R_at(0), model)
 
 
 class TestStep:
@@ -119,6 +127,28 @@ class TestStep:
                 w = np.linalg.eigvalsh(np.eye(model.d) + symmetrize(g))
                 if k >= model.d and w[-1] / w[0] <= 1e8:
                     assert np.linalg.norm(states[k].x_hat - x0) <= 1e-6
+
+    def test_ltv_observers_match_direct_products(self):
+        # the carried A(k,0) multiplies in the order transition() does, so
+        # the observers agree with the from-scratch products bit for bit
+        model, x0, x_hat0, p0 = per_step_noise_ltv()
+        states = run(model, x_hat0, p0, simulate(model, x0, model.horizon, 4))
+        for k, s in enumerate(states[:-1]):
+            np.testing.assert_array_equal(s.H_tilde_next, observed_evolution(model, k))
+            np.testing.assert_array_equal(s.phi, transition(model, k, 0).value)
+        assert states[-1].H_tilde_next is None
+
+    def test_non_finite_inputs_rejected(self, example2):
+        model, _x0, x_hat0, p0, _ = example2
+        with pytest.raises(ValueError, match="x_hat0 must be finite"):
+            init(model, [np.nan, 0.0], p0)
+        with pytest.raises(ValueError, match="P0 must be finite"):
+            init(model, x_hat0, np.inf)
+        obs = np.array([[0.1], [np.nan], [0.2]])
+        with pytest.raises(ValueError, match="observations must be finite; row 1"):
+            run(model, x_hat0, p0, obs)
+        with pytest.raises(ValueError, match="observations must be finite"):
+            batch_wls(model, x_hat0, p0, obs)
 
     def test_beyond_horizon_rejected(self):
         m = SystemModel(np.stack([np.eye(2)]), np.stack([np.eye(2), np.eye(2)]),
@@ -182,8 +212,9 @@ class TestCovarianceAlgebra:
             model, x0, x_hat0, p0 = make_system(47, i)
             obs = simulate(model, x0, 20, trial_seed(47, i))
             states = run(model, x_hat0, p0, obs)
+            sched = gain_schedule(model, p0, 20)
             for prev, cur in zip(states[:-1], states[1:]):
-                k_gain = gain(prev, model.R_at(prev.step)).value
+                k_gain = sched.gain[prev.step]
                 short = symmetrize((np.eye(model.d) - k_gain @ prev.H_tilde_next) @ prev.P)
                 assert spectral_norm(cur.P - short) <= 1e-8 * spectral_norm(cur.P)
 
@@ -207,6 +238,24 @@ class TestBatchWls:
                 dev = np.linalg.norm(states[k].x_hat - xb)
                 assert dev <= 1e-8 * (1.0 + np.linalg.norm(xb))
 
+    def test_prefixes_match_normal_equations(self, make_system):
+        # every prefix against the normal equations assembled with numpy
+        cases = [make_system(515, i) for i in range(6)] + [per_step_noise_ltv()]
+        for model, x0, x_hat0, p0 in cases:
+            n = min(20, model.horizon or 20)
+            obs = simulate(model, x0, n, 6)
+            lhs, rhs = np.linalg.inv(p0), np.linalg.solve(p0, x_hat0)
+            prefixes = list(wls_prefixes(model, x_hat0, p0, obs))
+            assert len(prefixes) == n + 1
+            for k, x in enumerate(prefixes):
+                expected = np.linalg.solve(lhs, rhs)
+                assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+                if k < n:
+                    h, r_inv = observed_evolution(model, k), np.linalg.inv(model.R_at(k))
+                    lhs = lhs + h.T @ r_inv @ h
+                    rhs = rhs + h.T @ r_inv @ obs[k]
+            np.testing.assert_array_equal(batch_wls(model, x_hat0, p0, obs), prefixes[-1])
+
     def test_ltv_matches_recursion(self):
         rng = np.random.default_rng(5)
         a_seq = np.stack([np.eye(2) + 0.3 * rng.standard_normal((2, 2)) for _ in range(8)])
@@ -228,10 +277,14 @@ class TestGainSchedule:
         assert sched.h_tilde.shape == (T, 2, 4)
         assert sched.gain.shape == (T, 4, 2)
         assert sched.P.shape == (T + 1, 4, 4)
-        states = run(model, x_hat0, p0, simulate(model, x0, T, 8))
+        obs = simulate(model, x0, T, 8)
+        states = run(model, x_hat0, p0, obs)
         for k in range(T):
             np.testing.assert_array_equal(sched.h_tilde[k], states[k].H_tilde_next)
-            np.testing.assert_array_equal(sched.gain[k], gain(states[k], model.R_at(k)).value)
+            # step's update x + K (y - H~ x), with the schedule's gain
+            x = states[k].x_hat
+            innovation = obs[k] - states[k].H_tilde_next @ x
+            np.testing.assert_array_equal(x + sched.gain[k] @ innovation, states[k + 1].x_hat)
         for k in range(T + 1):
             np.testing.assert_array_equal(sched.P[k], states[k].P)
 

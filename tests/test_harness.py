@@ -53,6 +53,8 @@ class TestSimulate:
             simulate(model, x0, 0, seed=1)
         with pytest.raises(ValueError):
             simulate(model, np.zeros(3), 5, seed=1)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate(model, [np.nan, 1.0], 5, seed=1)
 
 
 class TestMonteCarlo:

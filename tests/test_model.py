@@ -108,6 +108,22 @@ class TestObservedEvolution:
         with pytest.raises(HorizonError):
             observed_evolution(m, 7)
 
+    def test_anchored_sequence_matches_transitions(self, example1):
+        # H_j A(j,k0) for windows anchored past 0: the LTV recurrence
+        # multiplies in transition()'s order, the LTI one by right-multiplication
+        rng = np.random.default_rng(29)
+        ltv = random_ltv(rng, 3, horizon=8)
+        for model, exact in ((ltv, True), (example1[0], False)):
+            for k0 in (0, 2, 5):
+                seq = list(observed_evolution_sequence(model, 4, start=k0))
+                assert len(seq) == 4
+                for j, h in enumerate(seq, start=k0):
+                    direct = model.H_at(j) @ transition(model, j, k0).value
+                    if exact:
+                        np.testing.assert_array_equal(h, direct)
+                    else:
+                        np.testing.assert_allclose(h, direct, rtol=1e-12)
+
 
 class TestModelValidation:
     def test_singular_dynamics_rejected(self):

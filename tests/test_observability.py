@@ -9,6 +9,7 @@ from isokal.observability import (
     gramian,
     lambda_min_asymptotics,
 )
+from test_harness import per_step_noise_ltv
 
 
 def lti(a, h, sigma2=1.0):
@@ -98,6 +99,38 @@ class TestCheckObservability:
         m = SystemModel(np.stack([np.eye(2)] * 5), h_seq, 1.0)
         rep = check_observability(m, L_max=4)
         assert rep.verdict == "NotObservableUpTo"
+
+    @staticmethod
+    def brute_force(model, L_max, rho_tol):
+        """Verdict, L and rho from one from-scratch Gramian per (anchor, L)."""
+        horizon = model.horizon
+        k_max = min(L_max, horizon)
+        for L in range(1, k_max + 1):
+            rho = min(float(np.linalg.eigvalsh(gramian(model, k0, L))[0])
+                      for k0 in range(horizon - L + 1))
+            if rho >= rho_tol:
+                return "Observable", L, rho
+        return "NotObservableUpTo", k_max, None
+
+    @pytest.mark.parametrize("case, rho_tol", [
+        ("ltv", 1e-9), ("ltv", 40.0), ("lti_per_step_r", 1e-9), ("lti_per_step_r", 0.05),
+        ("ltv_blind", 1e-9), ("ltv_blind_tail", 1e-9),
+    ])
+    def test_windowed_certificate_matches_brute_force(self, case, rho_tol):
+        rng = np.random.default_rng(606)
+        if case == "ltv":
+            model = per_step_noise_ltv()[0]
+        elif case == "lti_per_step_r":
+            g = rng.standard_normal((10, 1, 1))
+            model = SystemModel(np.eye(3) + 0.3 * rng.standard_normal((3, 3)),
+                                rng.standard_normal((1, 3)), 0.05 + g @ g.transpose(0, 2, 1))
+        else:
+            # blind after step 0, or alternating until a blind last window
+            rows = ([[0.0, 1.0]] + [[1.0, 0.0]] * 7 if case == "ltv_blind"
+                    else [[0.0, 1.0], [1.0, 0.0]] * 3 + [[1.0, 0.0]] * 2)
+            model = SystemModel(np.stack([np.eye(2)] * 7), np.array(rows)[:, None, :], 1.0)
+        rep = check_observability(model, L_max=6, rho_tol=rho_tol)
+        assert (rep.verdict, rep.L, rep.rho) == self.brute_force(model, 6, rho_tol)
 
     def test_json_keys(self, example2):
         doc = check_observability(example2[0], L_max=3).to_json_dict()
