@@ -4,16 +4,20 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 
+def _transpose(m):
+    return np.swapaxes(m, -1, -2)
+
+
 def symmetrize(m):
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (m + _transpose(m))
 
 
 def asymmetry(m):
-    """Max asymmetry of ``m`` relative to its largest entry."""
-    scale = np.max(np.abs(m))
-    if scale == 0.0:
-        return 0.0
-    return np.max(np.abs(m - m.T)) / scale
+    """Max asymmetry of each matrix relative to its largest entry (0 if all zero)."""
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    gap = np.max(np.abs(m - _transpose(m)), axis=(-2, -1))
+    return np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0)
 
 
 def spd_factor(m, what="matrix"):
@@ -50,16 +54,6 @@ def spectral_norm(m):
 def eig_abs_sorted(a):
     """Eigenvalue magnitudes of a general square matrix, descending."""
     return np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
-
-
-def sym_eigvalsh(m):
-    """Eigenvalues of a (numerically) symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(symmetrize(m))
-
-
-def min_max_singular(m):
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[-1]), float(s[0])
 
 
 def readonly(a):

@@ -245,7 +245,8 @@ def wls_prefixes(model, x_hat0, P0, observations):
     observations = _as_observations(observations, model.m)
     p0_inv = spd_inverse(P0, "P0")
     p0_x = p0_inv @ x_hat0
-    prefixes = information_prefixes(model, observations.shape[0], observations=observations)
+    prefixes = ((info[0], score[0]) for info, score in
+                information_prefixes(model, observations.shape[0], observations=observations))
     # The prior alone, then one more observation per prefix.
     for info, score in chain([(0.0, 0.0)], prefixes):
         try:

@@ -51,30 +51,43 @@ def trial_seed(master_seed, trial_id):
     return np.random.SeedSequence((int(master_seed), int(trial_id)))
 
 
+def _initial_state(model, x0):
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape != (model.d,):
+        raise ValueError(f"x0 has length {x0.shape[0]}, model state dimension is {model.d}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    return x0
+
+
 def simulate(model, x0, T, seed, noiseless=False):
     """Observations y(k) = H~_k x0 + v_k for k = 0..T-1, shape (T, m).
 
     Noise is drawn per step as L_k g with L_k the lower Cholesky factor of
     R_k and g standard normal; the sequence is fully determined by
     ``seed`` (an int, SeedSequence or Generator).  ``noiseless`` skips the
-    noise entirely and returns the exact evolved observations.
+    noise entirely and returns the exact evolved observations.  Dynamics
+    that overflow float64 within T steps raise ValueError naming the first
+    non-finite step.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (model.d,):
-        raise ValueError(f"x0 has length {x0.shape[0]}, model state dimension is {model.d}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+    x0 = _initial_state(model, x0)
     rng = np.random.default_rng(seed)
     out = np.empty((T, model.m))
     chol = None
-    for k, h_tilde in enumerate(observed_evolution_sequence(model, T)):
-        out[k] = h_tilde @ x0
-        if not noiseless:
-            if chol is None or not model.isotropic:
-                chol = np.linalg.cholesky(symmetrize(model.R_at(k)))
-            out[k] += chol @ rng.standard_normal(model.m)
+    # Overflow is reported by the check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, h_tilde in enumerate(observed_evolution_sequence(model, T)):
+            out[k] = h_tilde @ x0
+            if not noiseless:
+                if chol is None or not model.isotropic:
+                    chol = np.linalg.cholesky(symmetrize(model.R_at(k)))
+                out[k] += chol @ rng.standard_normal(model.m)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ValueError(f"simulated observation at step {bad[0]} is not finite: "
+                         f"the dynamics overflowed float64")
     return out
 
 
@@ -96,9 +109,7 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (model.d,):
-        raise ValueError(f"x0 has length {x0.shape[0]}, model state dimension is {model.d}")
+    x0 = _initial_state(model, x0)
     x_hat0, P0 = estimator._prior(model, x_hat0, P0)
     schedule = estimator.gain_schedule(model, P0, T)
 
@@ -112,8 +123,8 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
         if not noiseless:
             draws[t] = rng.standard_normal((T, model.m))
 
-    r_seq = [model.R_at(0)] if model.isotropic else [model.R_at(k) for k in range(T)]
-    noise_factors = np.stack([np.linalg.cholesky(symmetrize(r)) for r in r_seq])
+    r_seq = model.R_at(0)[None] if model.isotropic else model.R_seq[:T]
+    noise_factors = np.linalg.cholesky(symmetrize(r_seq))
     obs = schedule.h_tilde @ x0 + (noise_factors @ draws[..., None])[..., 0]
 
     errors = np.empty((trials, T + 1, model.d))

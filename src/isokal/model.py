@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import asymmetry, min_max_singular, readonly, sym_eigvalsh
+from ._linalg import asymmetry, readonly, symmetrize
 
 # A_k invertibility: smallest singular value must exceed this fraction of the
 # largest (condition estimate below 1e12).
@@ -43,32 +43,54 @@ def _as_array(value, path):
         raise ConfigError(path, f"not a numeric array: {exc}") from None
 
 
-def _as_square(a, path):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigError(path, f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(path, "entries must be finite")
-    return a
+def _as_stack(value, field, symbol, what):
+    """A field given as one matrix or a non-empty sequence of them, as a stack.
+
+    Returns the (n, rows, cols) stack, whether one matrix was given, and a
+    function naming entry t's config path: ``field.symbol`` for one matrix,
+    ``field.symbol_seq[t]`` for a sequence.
+    """
+    a = _as_array(value, field)
+    if a.ndim == 2:
+        return a[None], True, lambda t: f"{field}.{symbol}"
+    if a.ndim != 3 or a.shape[0] == 0:
+        raise ConfigError(field, f"pass {what} or a non-empty sequence of them")
+    return a, False, lambda t: f"{field}.{symbol}_seq[{t}]"
 
 
-def _check_invertible(a, path):
-    smin, smax = min_max_singular(a)
-    if smax == 0.0 or smin <= _INVERTIBILITY_RTOL * smax:
-        raise ConfigError(path, "matrix is numerically singular (condition estimate > 1e12)")
+def _reject_first(bad, name, message):
+    """Raise ConfigError naming the first stack entry flagged in ``bad``."""
+    first = np.flatnonzero(bad)
+    if first.size:
+        t = int(first[0])
+        raise ConfigError(name(t), message(t) if callable(message) else message)
 
 
-def _check_noise_cov(r, m, floor, path):
-    r = _as_square(r, path)
-    if r.shape[0] != m:
-        raise ConfigError(path, f"expected {m}x{m}, got {r.shape[0]}x{r.shape[0]}")
-    if asymmetry(r) > _SYMMETRY_RTOL:
-        raise ConfigError(path, "covariance is not symmetric")
-    lam_min = sym_eigvalsh(r)[0]
-    if lam_min < floor:
-        raise ConfigError(path, f"covariance not positive definite above the floor "
-                                f"(lambda_min={lam_min:.3e} < {floor:.1e})")
-    return r
+def _check_finite(stack, name):
+    _reject_first(~np.isfinite(stack).all(axis=(1, 2)), name, "entries must be finite")
+
+
+def _check_square(stack, name):
+    if stack.shape[1] != stack.shape[2]:
+        raise ConfigError(name(0), f"expected a square matrix, got shape {stack.shape[1:]}")
+
+
+def _check_invertible(stack, name):
+    s = np.linalg.svd(stack, compute_uv=False)
+    _reject_first(s[:, -1] <= _INVERTIBILITY_RTOL * s[:, 0], name,
+                  "matrix is numerically singular (condition estimate > 1e12)")
+
+
+def _check_noise_cov(stack, m, floor, name):
+    _check_square(stack, name)
+    if stack.shape[1] != m:
+        raise ConfigError(name(0), f"expected {m}x{m}, got {stack.shape[1]}x{stack.shape[1]}")
+    _check_finite(stack, name)
+    _reject_first(asymmetry(stack) > _SYMMETRY_RTOL, name, "covariance is not symmetric")
+    lam_min = np.linalg.eigvalsh(symmetrize(stack))[:, 0]
+    _reject_first(lam_min < floor, name,
+                  lambda t: f"covariance not positive definite above the floor "
+                            f"(lambda_min={lam_min[t]:.3e} < {floor:.1e})")
 
 
 class SystemModel:
@@ -87,72 +109,47 @@ class SystemModel:
     sigma2_floor : float
         Models whose noise covariances have eigenvalues below this are
         rejected.
+
+    Each sequence is held as one read-only stack, ``A_seq`` (n, d, d),
+    ``H_seq`` (n, m, d) and ``R_seq`` (n, m, m); a constant field's stack
+    is None.  Every sequence is validated as a whole, and a bad entry is
+    reported by the config path of the first one.
     """
 
     def __init__(self, dynamics, observation, noise, sigma2_floor=DEFAULT_SIGMA2_FLOOR):
-        dyn = _as_array(dynamics, "dynamics")
-        self.lti_dynamics = dyn.ndim == 2
-        if self.lti_dynamics:
-            a = _as_square(dyn, "dynamics.A")
-            _check_invertible(a, "dynamics.A")
-            self._a = readonly(a)
-            self._a_seq = None
-        else:
-            if dyn.ndim != 3 or dyn.shape[0] == 0:
-                raise ConfigError("dynamics", "pass one d x d matrix or a non-empty sequence of them")
-            seq = [_as_square(m, f"dynamics.A_seq[{t}]") for t, m in enumerate(dyn)]
-            for t, m in enumerate(seq):
-                _check_invertible(m, f"dynamics.A_seq[{t}]")
-            self._a = None
-            self._a_seq = tuple(readonly(m) for m in seq)
+        a, self.lti_dynamics, name = _as_stack(dynamics, "dynamics", "A", "one d x d matrix")
+        _check_square(a, name)
+        _check_finite(a, name)
+        _check_invertible(a, name)
+        self._a, self.A_seq = (readonly(a[0]), None) if self.lti_dynamics else (None, readonly(a))
+        self.d = int(a.shape[1])
 
-        d = (self._a if self.lti_dynamics else self._a_seq[0]).shape[0]
-        self.d = int(d)
-
-        obs = _as_array(observation, "observation")
-        self.lti_observation = obs.ndim == 2
-        if self.lti_observation:
-            self._h = readonly(self._check_obs(obs, "observation.H"))
-            self._h_seq = None
-        else:
-            if obs.ndim != 3 or obs.shape[0] == 0:
-                raise ConfigError("observation", "pass one m x d matrix or a non-empty sequence of them")
-            seq = [self._check_obs(m, f"observation.H_seq[{t}]") for t, m in enumerate(obs)]
-            self._h = None
-            self._h_seq = tuple(readonly(m) for m in seq)
-        self.m = int((self._h if self.lti_observation else self._h_seq[0]).shape[0])
+        h, self.lti_observation, name = _as_stack(observation, "observation", "H",
+                                                  "one m x d matrix")
+        m, d = h.shape[1:]
+        if d != self.d:
+            raise ConfigError(name(0), f"expected {m}x{self.d}, got {m}x{d}")
+        if m > d:
+            raise ConfigError(name(0), f"observation dimension m={m} exceeds state dimension d={d}")
+        _check_finite(h, name)
+        self._h, self.H_seq = (readonly(h[0]), None) if self.lti_observation else (None, readonly(h))
+        self.m = int(m)
 
         self.sigma2_floor = float(sigma2_floor)
-        if np.isscalar(noise):
+        self.isotropic = bool(np.isscalar(noise))
+        self.sigma2, self.R_seq = None, None
+        if self.isotropic:
             sigma2 = float(noise)
             if not np.isfinite(sigma2) or sigma2 < self.sigma2_floor:
                 raise ConfigError("noise.sigma2",
                                   f"must be >= {self.sigma2_floor:.1e}, got {sigma2!r}")
-            self.isotropic = True
             self.sigma2 = sigma2
-            self._r_seq = None
         else:
             rs = _as_array(noise, "noise")
             if rs.ndim != 3 or rs.shape[0] == 0:
                 raise ConfigError("noise", "pass a scalar sigma2 or a non-empty sequence of R matrices")
-            seq = [_check_noise_cov(r, self.m, self.sigma2_floor, f"noise.R_seq[{t}]")
-                   for t, r in enumerate(rs)]
-            self.isotropic = False
-            self.sigma2 = None
-            self._r_seq = tuple(readonly(r) for r in seq)
-
-    def _check_obs(self, h, path):
-        h = np.asarray(h, dtype=float)
-        if h.ndim != 2:
-            raise ConfigError(path, f"expected a 2-d matrix, got shape {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise ConfigError(path, "entries must be finite")
-        m, d = h.shape
-        if d != self.d:
-            raise ConfigError(path, f"expected {m}x{self.d}, got {m}x{d}")
-        if m > d:
-            raise ConfigError(path, f"observation dimension m={m} exceeds state dimension d={d}")
-        return h
+            _check_noise_cov(rs, self.m, self.sigma2_floor, lambda t: f"noise.R_seq[{t}]")
+            self.R_seq = readonly(rs)
 
     @property
     def is_lti(self):
@@ -165,13 +162,9 @@ class SystemModel:
 
         Step k is usable when H_k, R_k and the transitions A_1..A_k exist.
         """
-        limits = []
-        if not self.lti_dynamics:
-            limits.append(len(self._a_seq) + 1)
-        if not self.lti_observation:
-            limits.append(len(self._h_seq))
-        if not self.isotropic:
-            limits.append(len(self._r_seq))
+        limits = [len(seq) + shift
+                  for seq, shift in ((self.A_seq, 1), (self.H_seq, 0), (self.R_seq, 0))
+                  if seq is not None]
         return min(limits) if limits else None
 
     def _check_horizon(self, k):
@@ -182,24 +175,24 @@ class SystemModel:
             raise HorizonError(f"step {k} exceeds the model horizon ({h} observation steps)")
 
     def A_at(self, k):
-        """Dynamics matrix advancing step k-1 -> k (k >= 1)."""
+        """Dynamics matrix advancing step k-1 -> k (k >= 1), read-only."""
         if k < 1:
             raise ValueError(f"dynamics index must be >= 1, got {k}")
         if self.lti_dynamics:
             return self._a
-        if k > len(self._a_seq):
-            raise HorizonError(f"dynamics step {k} exceeds the LTV horizon ({len(self._a_seq)})")
-        return self._a_seq[k - 1]
+        if k > len(self.A_seq):
+            raise HorizonError(f"dynamics step {k} exceeds the LTV horizon ({len(self.A_seq)})")
+        return self.A_seq[k - 1]
 
     def H_at(self, k):
-        """Observation operator at step k >= 0."""
+        """Observation operator at step k >= 0, read-only."""
         if k < 0:
             raise ValueError(f"observation index must be non-negative, got {k}")
         if self.lti_observation:
             return self._h
-        if k >= len(self._h_seq):
-            raise HorizonError(f"observation step {k} exceeds the LTV horizon ({len(self._h_seq)})")
-        return self._h_seq[k]
+        if k >= len(self.H_seq):
+            raise HorizonError(f"observation step {k} exceeds the LTV horizon ({len(self.H_seq)})")
+        return self.H_seq[k]
 
     def R_at(self, k):
         """Noise covariance at step k >= 0."""
@@ -207,9 +200,9 @@ class SystemModel:
             raise ValueError(f"noise index must be non-negative, got {k}")
         if self.isotropic:
             return self.sigma2 * np.eye(self.m)
-        if k >= len(self._r_seq):
-            raise HorizonError(f"noise step {k} exceeds the LTV horizon ({len(self._r_seq)})")
-        return self._r_seq[k]
+        if k >= len(self.R_seq):
+            raise HorizonError(f"noise step {k} exceeds the LTV horizon ({len(self.R_seq)})")
+        return self.R_seq[k]
 
     def __repr__(self):
         kind = "LTI" if self.is_lti else "LTV"
@@ -271,12 +264,23 @@ def advance_observed_evolution(model, k, h_tilde, phi):
     recurrence (the new dynamics factor enters on the left), so the
     transition is carried forward, phi <- A_k phi, in the product order of
     ``transition``, and applied to H_k.
+
+    ``h_tilde`` (n, m, d) and ``phi`` (n, d, d) may also be stacks of
+    consecutive anchors: row i then advances to step k + i.  Each row gets
+    the same bits as the one-matrix call would.
     """
     if model.is_lti:
         return h_tilde @ model.A_at(k), phi
-    model._check_horizon(k)
-    phi = model.A_at(k) @ phi
-    return model.H_at(k) @ phi, phi
+    if phi.ndim == 2:
+        model._check_horizon(k)
+        phi = model.A_at(k) @ phi
+        return model.H_at(k) @ phi, phi
+    last = k + phi.shape[0] - 1
+    model._check_horizon(last)
+    a = model.A_at(k) if model.lti_dynamics else model.A_seq[k - 1:last]
+    h = model.H_at(k) if model.lti_observation else model.H_seq[k:last + 1]
+    phi = a @ phi
+    return h @ phi, phi
 
 
 def _matrix_field(doc, path):

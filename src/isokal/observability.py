@@ -13,10 +13,9 @@ reduces to observability of a single window anchored at 0.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from ._linalg import eig_abs_sorted, spd_factor, symmetrize
-from .model import observed_evolution_sequence
+from ._linalg import eig_abs_sorted, symmetrize
+from .model import advance_observed_evolution
 
 #: Half-width of the |lambda| = 1 band inside which the growth of
 #: lambda_min(O(k,0)) is not classified.
@@ -78,42 +77,72 @@ class GramianGrowth:
     log_intercept: float | None = None
 
 
-def information_prefixes(model, count, start=0, observations=None):
-    """Yield the running information of a window anchored at ``start``.
+def information_prefixes(model, count, start=0, anchors=1, observations=None):
+    """Yield the running information of windows anchored at start, start+1, ...
 
-    Item k (k = 1..count) is (O(start+k, start), b_k) with
-    b_k = sum_{j=start}^{start+k-1} H~_j^T R_j^-1 y(j), H~_j = H_j A(j,start),
-    and y(j) row j - start of ``observations``; b_k is None without
-    observations.  Each term weights the evolved observer by an SPD solve
-    against R_j, and the Gramian is symmetrized after every term.  The items
-    are new arrays, so a caller may keep them.
+    Item k (k = 1..count) stacks (O(a+k, a), b_k(a)) over the anchors
+    a = start..start+anchors-1 whose window still ends inside the horizon:
+    anchors drop off the end of the stack as the windows grow, and row 0 is
+    the window anchored at ``start``.  b_k(a) = sum_{j=a}^{a+k-1}
+    H~_j^T R_j^-1 y(j), with H~_j = H_j A(j,a) and y(j) row j - start of
+    ``observations``; the scores are None without observations.
+
+    Each R_j is Cholesky-factorized once per call, R_j = C_j C_j^T, and
+    every term adds the Gram product W^T W of the whitened observer
+    W = C_j^-1 H~_j (a linear solve against C_j; no inverse is formed).  The
+    Gramians are symmetrized after every term.  Only the current stack is
+    held; the items are new arrays, so a caller may keep them.
     """
-    info = np.zeros((model.d, model.d))
-    score = None if observations is None else np.zeros(model.d)
-    for i, h_tilde in enumerate(observed_evolution_sequence(model, count, start)):
-        weighted = cho_solve(spd_factor(model.R_at(start + i), f"R_{start + i}"), h_tilde)
-        info = symmetrize(info + h_tilde.T @ weighted)
+    if count < 0 or anchors < 1:
+        raise ValueError(f"need count >= 0 and anchors >= 1, got {count} and {anchors}")
+    d, horizon = model.d, model.horizon
+    steps = anchors + count - 1
+    if model.isotropic:
+        factors = np.broadcast_to(np.linalg.cholesky(model.R_at(0)), (steps, model.m, model.m))
+    else:
+        factors = np.linalg.cholesky(symmetrize(model.R_seq[start:start + steps]))
+    n = anchors
+    for j in range(count):
+        k = start + j
+        # Row 0's window must fit; anchors whose window would not fit drop off.
+        model._check_horizon(k)
+        if horizon is not None:
+            n = min(n, horizon - k)
+        if j == 0:
+            h_tilde = (np.broadcast_to(model.H_at(k), (n, model.m, d)) if model.lti_observation
+                       else model.H_seq[k:k + n])
+            phi = np.broadcast_to(np.eye(d), (n, d, d))
+            info = np.zeros((n, d, d))
+            score = None if observations is None else np.zeros((n, d))
+        else:
+            h_tilde, phi = advance_observed_evolution(model, k, h_tilde[:n], phi[:n])
+        rhs = h_tilde if observations is None else np.concatenate(
+            [h_tilde, observations[j:j + n, :, None]], axis=2)
+        whitened = np.linalg.solve(factors[j:j + n], rhs)
+        w_t = np.swapaxes(whitened[..., :d], 1, 2)
+        info = symmetrize(info[:n] + w_t @ whitened[..., :d])
         if observations is not None:
-            score = score + weighted.T @ observations[i]
+            score = score[:n] + (w_t @ whitened[..., d:])[..., 0]
         yield info, score
 
 
 def gramian(model, k0, L):
     """Windowed observability Gramian O(k0+L, k0).
 
-    The last item of ``information_prefixes``; L = 0 returns the zero
-    matrix (empty sum).
+    Row 0 of the last item of ``information_prefixes``; L = 0 returns the
+    zero matrix (empty sum).
     """
     if L < 0:
         raise ValueError(f"window length must be non-negative, got {L}")
-    info = np.zeros((model.d, model.d))
+    info = np.zeros((1, model.d, model.d))
     for info, _ in information_prefixes(model, L, start=k0):
         pass
-    return info
+    return info[0]
 
 
-def _lambda_min(info):
-    return float(np.linalg.eigvalsh(info)[0])
+def _lambda_min(gramians):
+    """Smallest eigenvalue of a Gramian, or of each Gramian in a stack."""
+    return np.linalg.eigvalsh(gramians)[..., 0]
 
 
 def check_observability(model, L_max, rho_tol=1e-9):
@@ -122,35 +151,37 @@ def check_observability(model, L_max, rho_tol=1e-9):
     LTI systems need a single window anchored at 0.  For LTV models every
     anchor inside the finite data horizon is verified; nothing is
     extrapolated beyond the data.  Not finding a window is a verdict
-    ("NotObservableUpTo"), not an error.
+    ("NotObservableUpTo"), not an error.  ``rho_tol`` must be finite and
+    positive.
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
+    if not (np.isfinite(rho_tol) and rho_tol > 0.0):
+        raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
-    gramians = [info for info, _ in information_prefixes(model, k_max)]
-    trace = np.array([_lambda_min(info) for info in gramians])
+    gramians = [info[0] for info, _ in information_prefixes(model, k_max)]
+    trace = np.array([_lambda_min(g) for g in gramians])
+
+    def report(L, rho):
+        verdict = "NotObservableUpTo" if rho is None else "Observable"
+        return ObservabilityReport(verdict=verdict, L=L, rho=rho, gramians=gramians,
+                                   lambda_min_trace=trace)
 
     if model.is_lti and model.isotropic:
-        for L in range(1, k_max + 1):
-            if trace[L - 1] >= rho_tol:
-                return ObservabilityReport(verdict="Observable", L=L,
-                                           rho=trace[L - 1], gramians=gramians,
-                                           lambda_min_trace=trace)
-        return ObservabilityReport(verdict="NotObservableUpTo", L=k_max, rho=None,
-                                   gramians=gramians, lambda_min_trace=trace)
+        passing = np.flatnonzero(trace >= rho_tol)
+        if passing.size:
+            return report(int(passing[0]) + 1, float(trace[passing[0]]))
+        return report(k_max, None)
 
     # Time-varying (a finite horizon): certify every window of length L
-    # inside the horizon.  Anchor k0's windows grow by one term per L.
-    windows = [information_prefixes(model, min(k_max, horizon - k0), start=k0)
-               for k0 in range(horizon)]
-    for L in range(1, k_max + 1):
-        window_min = min(_lambda_min(next(w)[0]) for w in windows[:horizon - L + 1])
+    # inside the horizon, growing the windows of all anchors together.
+    windows = information_prefixes(model, k_max, anchors=horizon)
+    for L, (stack, _) in enumerate(windows, start=1):
+        window_min = _lambda_min(stack).min()
         if window_min >= rho_tol:
-            return ObservabilityReport(verdict="Observable", L=L, rho=window_min,
-                                       gramians=gramians, lambda_min_trace=trace)
-    return ObservabilityReport(verdict="NotObservableUpTo", L=k_max, rho=None,
-                               gramians=gramians, lambda_min_trace=trace)
+            return report(L, float(window_min))
+    return report(k_max, None)
 
 
 def lambda_min_asymptotics(model, K, rho_tol=1e-9):
@@ -170,7 +201,7 @@ def lambda_min_asymptotics(model, K, rho_tol=1e-9):
         raise UnobservableModelError(
             f"model is not observable up to window length {model.d}")
 
-    trace = np.array([_lambda_min(info) for info, _ in information_prefixes(model, K)])
+    trace = np.array([_lambda_min(info[0]) for info, _ in information_prefixes(model, K)])
     lam_min = float(eig_abs_sorted(model.A_at(1))[-1])
 
     if lam_min > 1.0 + SPECTRAL_BAND_TOL:

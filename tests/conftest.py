@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from isokal import estimator, harness
 from isokal._linalg import spd_inverse, symmetrize
 from isokal.model import SystemModel
 from isokal.observability import check_observability
+
+# Property tests draw the same examples on every run and keep no database.
+settings.register_profile("isokal", derandomize=True, deadline=None, database=None,
+                          max_examples=60)
+settings.load_profile("isokal")
 
 #: Conditioning cap for the full-information normal matrix P0^-1 + O(T,0).
 #: Above ~1e6 the float64 identities under test (batch agreement, P_k^-1

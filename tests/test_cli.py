@@ -67,6 +67,15 @@ class TestSimulate:
         assert "--x0: entries must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_dynamics_exit_1(self, tmp_path, example2_config, capsys):
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "obs.csv"
+        code = run_cli("simulate", "--config", cfg, "--x0", "0.83053274,0.35472554",
+                       "--steps", "3000", "--out", out)
+        assert code == 1
+        assert "step 1753 is not finite: the dynamics overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         code = run_cli("simulate", "--config", tmp_path / "nope.json", "--x0", "1,2",
                        "--steps", "2", "--out", tmp_path / "x.csv")
@@ -229,6 +238,17 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "NotObservableUpTo"
         assert doc["classification"] is None
+
+
+    @pytest.mark.parametrize("rho_tol", ["nan", "inf", "-1", "0"])
+    def test_bad_rho_tol_exits_1(self, tmp_path, example2_config, capsys, rho_tol):
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "report.json"
+        code = run_cli("analyze", "--config", cfg, "--horizon", "5", "--k-max", "20",
+                       f"--rho-tol={rho_tol}", "--out", out)
+        assert code == 1
+        assert "rho_tol must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproduce:

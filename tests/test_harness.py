@@ -56,8 +56,22 @@ class TestSimulate:
         with pytest.raises(ValueError, match="x0 must be finite"):
             simulate(model, [np.nan, 1.0], 5, seed=1)
 
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_overflow_raises_at_first_non_finite_step(self, example2, noiseless):
+        # |eig| = 1.5: the observer row passes float64's range at step 1753
+        model, x0, _xh, _p0, _ = example2
+        with pytest.raises(ValueError, match="step 1753 is not finite: the dynamics overflowed"):
+            simulate(model, x0, 3000, seed=1, noiseless=noiseless)
+        assert np.all(np.isfinite(simulate(model, x0, 1753, seed=1, noiseless=noiseless)))
+
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x0_rejected(self, example2, bad):
+        model, _x0, x_hat0, p0, _ = example2
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            monte_carlo(model, [bad, 1.0], x_hat0, p0, T=5, trials=3, seed=1)
+
     def test_single_noiseless_trial_recovers(self):
         model = lti(np.diag([1.1, 0.9]), np.eye(2), sigma2=1e-8)
         stats, results = monte_carlo(model, np.array([0.3, -0.4]), np.zeros(2),

@@ -3,6 +3,7 @@ import pytest
 
 from isokal.model import (
     ConfigError,
+    advance_observed_evolution,
     HorizonError,
     SystemModel,
     load_model,
@@ -108,6 +109,22 @@ class TestObservedEvolution:
         with pytest.raises(HorizonError):
             observed_evolution(m, 7)
 
+    def test_stacked_advance_matches_one_matrix_calls(self, example1):
+        # row i of a stack advances to step k + i, bit for bit as one call would
+        rng = np.random.default_rng(31)
+        ltv = random_ltv(rng, 3, horizon=8)
+        for model in (ltv, example1[0]):
+            h = rng.standard_normal((4, model.m, model.d))
+            phi = rng.standard_normal((4, model.d, model.d))
+            h_next, phi_next = advance_observed_evolution(model, 3, h, phi)
+            for i in range(4):
+                h_one, phi_one = advance_observed_evolution(model, 3 + i, h[i], phi[i])
+                np.testing.assert_array_equal(h_next[i], h_one)
+                np.testing.assert_array_equal(phi_next[i], phi_one)
+        # rows at steps 6..9 of a horizon-9 model: the last one does not exist
+        with pytest.raises(HorizonError):
+            advance_observed_evolution(ltv, 6, np.zeros((4, 1, 3)), np.zeros((4, 3, 3)))
+
     def test_anchored_sequence_matches_transitions(self, example1):
         # H_j A(j,k0) for windows anchored past 0: the LTV recurrence
         # multiplies in transition()'s order, the LTI one by right-multiplication
@@ -153,9 +170,41 @@ class TestModelValidation:
         model = example2[0]
         with pytest.raises(ValueError):
             model.A_at(1)[0, 0] = 5.0
+        ltv = SystemModel(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 4),
+                          np.stack([np.eye(2)] * 4))
+        for view in (ltv.A_at(2), ltv.H_at(1), ltv.R_at(3)):
+            with pytest.raises(ValueError):
+                view[0, 0] = 5.0
+        assert ltv.A_seq.shape == (3, 2, 2) and not ltv.A_seq.flags.writeable
+
+
+def ltv_doc(n=6):
+    """LTV config with n dynamics, observation and noise matrices (d = m = 2)."""
+    return {
+        "d": 2, "m": 2,
+        "dynamics": {"kind": "ltv", "A_seq": [[[1.0, 0.1 * t], [0.0, 1.0]] for t in range(n)]},
+        "observation": {"kind": "ltv", "H_seq": [[[1.0, 0.0], [0.0, 1.0 + t]] for t in range(n)]},
+        "noise": {"kind": "per_step", "R_seq": [[[1.0, 0.2], [0.2, 0.5]] for _ in range(n)]},
+    }
 
 
 class TestLoadModel:
+    @pytest.mark.parametrize("field, key, bad, message", [
+        ("dynamics", "A_seq", [[np.nan, 0.0], [0.0, 1.0]], "entries must be finite"),
+        ("dynamics", "A_seq", [[1.0, 2.0], [0.5, 1.0]], "numerically singular"),
+        ("observation", "H_seq", [[1.0, 0.0], [0.0, np.inf]], "entries must be finite"),
+        ("noise", "R_seq", [[1.0, 0.2], [0.3, 0.5]], "not symmetric"),
+        ("noise", "R_seq", [[1.0, 0.0], [0.0, 1e-20]], "lambda_min=1.000e-20"),
+        ("noise", "R_seq", [[1.0, np.nan], [np.nan, 0.5]], "entries must be finite"),
+    ])
+    def test_first_bad_sequence_entry_is_named(self, field, key, bad, message):
+        doc = ltv_doc()
+        doc[field][key][3] = bad
+        assert load_model(ltv_doc()).horizon == 6
+        with pytest.raises(ConfigError, match=message) as exc:
+            load_model(doc)
+        assert exc.value.path == f"{field}.{key}[3]"
+
     def test_example1_config(self, example1_config):
         m = load_model(example1_config)
         assert (m.d, m.m) == (4, 2)

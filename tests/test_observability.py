@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from isokal._linalg import spectral_norm, symmetrize
-from isokal.model import SystemModel, observed_evolution_sequence
+from isokal.harness import simulate
+from isokal.model import HorizonError, SystemModel, observed_evolution_sequence
 from isokal.observability import (
     UnobservableModelError,
     check_observability,
     gramian,
+    information_prefixes,
     lambda_min_asymptotics,
 )
+from isokal.stability import classify
 from test_harness import per_step_noise_ltv
 
 
@@ -52,7 +56,42 @@ class TestGramian:
             assert spectral_norm(got - expected) <= 1e-9 * spectral_norm(expected)
 
 
+class TestInformationPrefixes:
+    def test_anchor_stack_matches_one_anchor_calls(self):
+        # anchors 2..10 of a horizon-12 model: a window of length k fits
+        # while anchor + k <= 12, so anchors drop off the end of the stack
+        model, x0, _xh, _p0 = per_step_noise_ltv()
+        obs = simulate(model, x0, 12, seed=3)
+        items = list(information_prefixes(model, 5, start=2, anchors=9, observations=obs[2:]))
+        assert [len(info) for info, _ in items] == [9, 9, 8, 7, 6]
+        for i in range(9):
+            one = information_prefixes(model, min(5, 10 - i), start=2 + i,
+                                       observations=obs[2 + i:])
+            for (info, score), (info_1, score_1) in zip(items, one):
+                assert len(info_1) == 1
+                np.testing.assert_array_equal(info[i], info_1[0])
+                np.testing.assert_array_equal(score[i], score_1[0])
+
+    def test_window_past_the_horizon_raises(self):
+        model = per_step_noise_ltv()[0]
+        assert gramian(model, 4, 8).shape == (3, 3)
+        with pytest.raises(HorizonError):
+            gramian(model, 4, 9)
+        with pytest.raises(HorizonError):
+            gramian(model, 12, 1)
+
+
 class TestCheckObservability:
+    @pytest.mark.parametrize("rho_tol", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("analysis", [
+        lambda model, tol: check_observability(model, 3, rho_tol=tol),
+        lambda model, tol: lambda_min_asymptotics(model, 10, rho_tol=tol),
+        lambda model, tol: classify(model, rho_tol=tol),
+    ], ids=["check_observability", "lambda_min_asymptotics", "classify"])
+    def test_rho_tol_must_be_finite_and_positive(self, example2, analysis, rho_tol):
+        with pytest.raises(ValueError, match="rho_tol must be finite and > 0"):
+            analysis(example2[0], rho_tol)
+
     def test_full_observation_needs_one_step(self):
         rng = np.random.default_rng(1)
         a = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
@@ -131,6 +170,64 @@ class TestCheckObservability:
             model = SystemModel(np.stack([np.eye(2)] * 7), np.array(rows)[:, None, :], 1.0)
         rep = check_observability(model, L_max=6, rho_tol=rho_tol)
         assert (rep.verdict, rep.L, rep.rho) == self.brute_force(model, 6, rho_tol)
+
+    @staticmethod
+    def oracle_window_minima(a_seq, h_seq, r_seq, horizon, k_max):
+        """min over anchors of lambda_min(O(k0+L, k0)), L = 1..k_max, in numpy alone.
+
+        Every Gramian is summed from explicit transition products and
+        inv(R_j); a_seq[j-1] advances step j-1 -> j.
+        """
+        minima = []
+        for L in range(1, k_max + 1):
+            lams = []
+            for k0 in range(horizon - L + 1):
+                gram = np.zeros((a_seq.shape[1],) * 2)
+                for j in range(k0, k0 + L):
+                    phi = np.eye(a_seq.shape[1])
+                    for i in range(k0 + 1, j + 1):
+                        phi = a_seq[i - 1] @ phi
+                    h_tilde = h_seq[j] @ phi
+                    gram += h_tilde.T @ np.linalg.inv(r_seq[j]) @ h_tilde
+                lams.append(np.linalg.eigvalsh(0.5 * (gram + gram.T))[0])
+            minima.append(min(lams))
+        return minima
+
+    @given(data=st.data(), kind=st.sampled_from(["ltv", "lti_per_step_r"]),
+           d=st.integers(1, 4), horizon=st.integers(2, 8), L_max=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1), log_tol=st.floats(-1.0, 1.0))
+    def test_certificate_matches_numpy_oracle(self, data, kind, d, horizon, L_max, seed,
+                                              log_tol):
+        m = data.draw(st.integers(1, d), label="m")
+        rng = np.random.default_rng(seed)
+
+        def frame():
+            q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+            return q1 @ np.diag(rng.uniform(0.8, 1.25, d)) @ q2.T
+
+        g = rng.standard_normal((horizon, m, m))
+        r_seq = 0.1 * (g @ g.transpose(0, 2, 1) + np.eye(m))
+        if kind == "ltv":
+            a_seq = np.stack([frame() for _ in range(horizon)])
+            h_seq = rng.standard_normal((horizon, m, d))
+            model = SystemModel(a_seq, h_seq, r_seq)
+        else:
+            a, h = frame(), rng.standard_normal((m, d))
+            a_seq, h_seq = np.broadcast_to(a, (horizon, d, d)), np.broadcast_to(h, (horizon, m, d))
+            model = SystemModel(a, h, r_seq)
+        assert model.horizon == horizon
+        rho_tol = 10.0 ** log_tol
+        k_max = min(L_max, horizon)
+        minima = self.oracle_window_minima(a_seq, h_seq, r_seq, horizon, k_max)
+        assume(all(abs(lam - rho_tol) > 1e-6 * rho_tol for lam in minima))
+
+        rep = check_observability(model, L_max, rho_tol=rho_tol)
+        passing = [L for L, lam in enumerate(minima, start=1) if lam >= rho_tol]
+        if passing:
+            assert (rep.verdict, rep.L) == ("Observable", passing[0])
+            assert rep.rho == pytest.approx(minima[passing[0] - 1], rel=1e-9)
+        else:
+            assert (rep.verdict, rep.L, rep.rho) == ("NotObservableUpTo", k_max, None)
 
     def test_json_keys(self, example2):
         doc = check_observability(example2[0], L_max=3).to_json_dict()
