@@ -5,7 +5,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 
 def _transpose(m):
-    return np.swapaxes(m, -1, -2)
+    return np.asarray(m).swapaxes(-1, -2)
 
 
 def symmetrize(m):

@@ -126,7 +126,8 @@ def _cmd_analyze(args):
     obs_report = check_observability(model, L_max=args.horizon, rho_tol=args.rho_tol)
 
     if model.is_lti and obs_report.observable:
-        growth = lambda_min_asymptotics(model, K=args.k_max, rho_tol=args.rho_tol)
+        growth = lambda_min_asymptotics(model, K=args.k_max, rho_tol=args.rho_tol,
+                                        report=obs_report)
         obs_report.growth_class = growth.growth_class
         obs_report.growth_limit = growth.limit
         obs_report.beta_fit = growth.beta
@@ -134,7 +135,8 @@ def _cmd_analyze(args):
 
     doc = obs_report.to_json_dict()
     if model.is_lti and obs_report.observable:
-        report = stability.analyze_stability(model, P0=args.p0, k_max=args.k_max)
+        report = stability.analyze_stability(model, P0=args.p0, k_max=args.k_max,
+                                             report=obs_report)
         doc.update(report.to_json_dict())
     else:
         doc.update({"eigs_abs": None, "classification": None, "alpha": None,

@@ -37,12 +37,15 @@ class ObservabilityReport:
     verdict is "Observable" (with window length L and bound rho) or
     "NotObservableUpTo" (no window length up to L carried a Gramian bounded
     below by rho_tol).  lambda_min_trace holds lambda_min(O(k,0)) for
-    k = 1..len(gramians).
+    k = 1..len(gramians).  L_max and rho_tol record the search that was
+    made; they are not part of the JSON form.
     """
 
     verdict: str
     L: int
     rho: float | None
+    L_max: int
+    rho_tol: float
     gramians: list = field(repr=False, default_factory=list)
     lambda_min_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     growth_class: str | None = None
@@ -165,8 +168,8 @@ def check_observability(model, L_max, rho_tol=1e-9):
 
     def report(L, rho):
         verdict = "NotObservableUpTo" if rho is None else "Observable"
-        return ObservabilityReport(verdict=verdict, L=L, rho=rho, gramians=gramians,
-                                   lambda_min_trace=trace)
+        return ObservabilityReport(verdict=verdict, L=L, rho=rho, L_max=L_max,
+                                   rho_tol=rho_tol, gramians=gramians, lambda_min_trace=trace)
 
     if model.is_lti and model.isotropic:
         passing = np.flatnonzero(trace >= rho_tol)
@@ -184,22 +187,37 @@ def check_observability(model, L_max, rho_tol=1e-9):
     return report(k_max, None)
 
 
-def lambda_min_asymptotics(model, K, rho_tol=1e-9):
+def _require_observable(model, rho_tol, report):
+    """Raise UnobservableModelError unless a window of length <= d certifies the model.
+
+    ``report``, a ``check_observability`` result for the same model, is
+    reused when its search covered L_max >= d at the same ``rho_tol``: the
+    search stops at the first certifying window length, so its verdict up
+    to d is read off L.  Any other report is ignored and the model is
+    certified afresh.
+    """
+    d = model.d
+    if report is None or report.rho_tol != rho_tol or report.L_max < d:
+        report = check_observability(model, L_max=d, rho_tol=rho_tol)
+    if not (report.observable and report.L <= d):
+        raise UnobservableModelError(f"model is not observable up to window length {d}")
+
+
+def lambda_min_asymptotics(model, K, rho_tol=1e-9, report=None):
     """Classify the growth of lambda_min(O(k,0)) for k = 1..K (LTI only).
 
     Unbounded when min |eig(A)| > 1, with a log-linear fit of the trace's
     tail half (supporting a lower bound rho * exp(beta k)); convergent to a
     positive limit when min |eig(A)| < 1.  Within the 1e-9 band around 1 the
-    class is Undetermined.
+    class is Undetermined.  A ``check_observability`` ``report`` of the
+    model that covers window lengths up to d at ``rho_tol`` stands in for a
+    fresh certificate.
     """
     if not model.is_lti:
         raise ValueError("growth classification is defined for LTI models only")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    report = check_observability(model, L_max=model.d, rho_tol=rho_tol)
-    if not report.observable:
-        raise UnobservableModelError(
-            f"model is not observable up to window length {model.d}")
+    _require_observable(model, rho_tol, report)
 
     trace = np.array([_lambda_min(info[0]) for info, _ in information_prefixes(model, K)])
     lam_min = float(eig_abs_sorted(model.A_at(1))[-1])

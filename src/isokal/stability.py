@@ -16,11 +16,14 @@ from scipy.linalg import cho_solve
 
 from ._linalg import eig_abs_sorted, spd_factor, spectral_norm, spd_inverse, symmetrize
 from . import estimator
-from .observability import check_observability, UnobservableModelError
+from .observability import UnobservableModelError, _require_observable
 
 #: Band half-width around |lambda| = 1 inside which classification falls
 #: back to the normal-matrix criterion or Indeterminate.
 CLASSIFY_TOL = 1e-9
+
+#: Covariances per stacked SVD of the ||Psi(k,0)|| trace.
+_PSI_CHUNK = 16
 
 UNIFORMLY_ASYMPTOTICALLY_STABLE = "UniformlyAsymptoticallyStable"
 LYAPUNOV_STABLE_ONLY = "LyapunovStableOnly"
@@ -82,20 +85,19 @@ def error_dynamics(model, states):
     return ErrorDynamics(psi_seq=psi_seq, covariances=[s.P for s in states])
 
 
-def classify(model, rho_tol=1e-9):
+def classify(model, rho_tol=1e-9, report=None):
     """Stability class of the error dynamics for an observable LTI model.
 
     All eigenvalues of A outside the unit circle give uniform asymptotic
     stability; any eigenvalue inside leaves the dynamics Lyapunov stable
     only.  On the circle itself the question is settled only for normal A
-    (stable iff min |eig| >= 1); otherwise Indeterminate.
+    (stable iff min |eig| >= 1); otherwise Indeterminate.  A
+    ``check_observability`` ``report`` of the model that covers window
+    lengths up to d at ``rho_tol`` stands in for a fresh certificate.
     """
     if not model.is_lti:
         raise ValueError("classification is defined for LTI models only")
-    report = check_observability(model, L_max=model.d, rho_tol=rho_tol)
-    if not report.observable:
-        raise UnobservableModelError(
-            f"model is not observable up to window length {model.d}")
+    _require_observable(model, rho_tol, report)
     a = model.A_at(1)
     lam_min = float(eig_abs_sorted(a)[-1])
     if lam_min > 1.0 + CLASSIFY_TOL:
@@ -161,27 +163,34 @@ def gelfand_diagnostic(a, n_max):
     return out
 
 
-def analyze_stability(model, P0=1.0, k_max=40, z0=None):
+def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     """Assemble a StabilityReport from the deterministic covariance run.
 
     P0 may be a scalar p (meaning p * I).  The Lyapunov trace follows
     z(k) = Psi_k z(k-1) from z0 (default: the normalized all-ones vector).
     Classification is attempted for observable LTI models and left None
-    otherwise.
+    otherwise; ``report`` is passed to ``classify``.
     """
     P0 = symmetrize(estimator._prior(model, None, P0)[1])
     covs = estimator.covariance_sequence(model, P0, k_max)
     p0_inv = spd_inverse(P0, "P0")
-    psi_norms = [spectral_norm(p @ p0_inv) for p in covs]
-    p_norm_trace = np.array([spectral_norm(p) for p in covs])
+    # _PSI_CHUNK products per stacked SVD: one (k_max+1, d, d) product stack
+    # would add its size (3.3 MB at d = 64, k_max = 100) to the peak memory.
+    chunks = np.split(covs, range(_PSI_CHUNK, len(covs), _PSI_CHUNK))
+    psi_norms = np.concatenate([np.linalg.norm(c @ p0_inv, 2, axis=(1, 2)) for c in chunks])
+    p_norm_trace = np.linalg.norm(covs, 2, axis=(1, 2))
 
     if z0 is None:
         z0 = np.ones(model.d) / np.sqrt(model.d)
     z = np.asarray(z0, dtype=float)
-    v_trace = [lyapunov_value(covs[0], z)]
-    for k in range(1, k_max + 1):
-        z = psi_transition(covs[k], covs[k - 1]) @ z
-        v_trace.append(lyapunov_value(covs[k], z))
+    # lyapunov_value and psi_transition, with each P_k factorized once:
+    # Psi_k = P_k P_{k-1}^-1 reuses the factor of the previous V(k-1, z).
+    factor = spd_factor(covs[0], "P_k")
+    v_trace = [float(z @ cho_solve(factor, z))]
+    for p in covs[1:]:
+        z = cho_solve(factor, p.T).T @ z
+        factor = spd_factor(p, "P_k")
+        v_trace.append(float(z @ cho_solve(factor, z)))
     v_trace = np.asarray(v_trace)
     monotone = bool(np.max(np.diff(v_trace)) <= 1e-12 * v_trace[0]) if k_max >= 1 else True
 
@@ -194,7 +203,7 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None):
         lam_min, lam_max = float(eigs[-1]), float(eigs[0])
         hint = lam_max < 1.0
         try:
-            classification = classify(model)
+            classification = classify(model, report=report)
         except UnobservableModelError:
             classification = None
 

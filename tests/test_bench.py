@@ -1,0 +1,27 @@
+"""Smoke test of the kernel bench: a --tiny run writes the documented JSON."""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench" / "kernel.py"
+
+
+def test_tiny_run_writes_valid_json(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(BENCH), "--tiny", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["tiny"] is True and doc["unit"] == "us"
+    machine = doc["machine"]
+    for key in ("cpu", "nproc", "python", "numpy", "scipy", "openblas", "blas_threads"):
+        assert key in machine
+    assert machine["OPENBLAS_NUM_THREADS"] == "1"
+    assert set(doc["layers"]) == {"_update", "step", "gain_schedule_per_step",
+                                  "analyze_stability"}
+    for by_dim in doc["layers"].values():
+        assert set(by_dim) == {"2", "8"}
+        assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())

@@ -228,6 +228,35 @@ class TestAnalyze:
         assert doc["beta_fit"] > 0
         assert doc["beta"] > 0
 
+    def test_lti_model_is_certified_once(self, tmp_path, example1_config, monkeypatch):
+        # lambda_min_asymptotics and classify reuse the command's report; the
+        # report equals the one assembled from separately certified pieces
+        from isokal import observability, stability
+
+        calls = []
+        real = observability.check_observability
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(observability, "check_observability", counted)
+        monkeypatch.setattr(cli, "check_observability", counted)
+        cfg = write_config(tmp_path, example1_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "6", "--k-max", "30",
+                       "--out", out, "--quiet") == 0
+        assert len(calls) == 1
+
+        model = load_model(example1_config)
+        expected = real(model, L_max=6).to_json_dict()
+        growth = observability.lambda_min_asymptotics(model, K=30)
+        expected.update(growth_class=growth.growth_class, growth_limit=growth.limit,
+                        beta_fit=growth.beta,
+                        lambda_min_trace=[float(v) for v in growth.lambda_min_trace])
+        expected.update(stability.analyze_stability(model, P0=1.0, k_max=30).to_json_dict())
+        assert json.loads(out.read_text()) == expected
+
     def test_unobservable_is_a_verdict_not_an_error(self, tmp_path, example2_config):
         example2_config["observation"]["H"] = [[1.0, 0.0]]
         example2_config["dynamics"]["A"] = [[1.0, 0.0], [0.0, 1.0]]

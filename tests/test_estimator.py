@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from isokal import estimator
 from isokal._linalg import spd_inverse, spectral_norm, symmetrize
@@ -14,6 +16,42 @@ from test_harness import per_step_noise_ltv
 
 def scalar_model(a=2.0, h=1.0, sigma2=1.0):
     return SystemModel(np.array([[a]]), np.array([[h]]), sigma2)
+
+
+def wide_lti(d=64, m=8):
+    """Seeded LTI model with orthogonal dynamics, so H~_k stays O(1) at any k."""
+    rng = np.random.default_rng(6464)
+    a = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    model = SystemModel(a, rng.standard_normal((m, d)), 0.1)
+    return model, rng.standard_normal(d), np.zeros(d), 1.0
+
+
+def reference_update(P, h_tilde, R):
+    """The update kernel as first written, kept as a bitwise oracle.
+
+    eigh PSD split with np.clip, scipy's cho_factor/cho_solve on the
+    innovation covariance, an explicit I - K H~ and the two-SVD
+    Joseph/short-form check on every update.
+    """
+    def sym(m):
+        return 0.5 * (m + m.T)
+
+    R = np.asarray(R, dtype=float)
+    w, u = np.linalg.eigh(sym(P))
+    assert w[0] >= -estimator.PSD_SLACK * max(float(np.trace(P)), 1e-300)
+    w = np.clip(w, 0.0, None)
+    f = u * np.sqrt(w)
+    hf = h_tilde @ f
+    sigma = sym(hf @ hf.T + R)
+    p_ht = (u * w) @ (h_tilde @ u).T
+    gain = cho_solve(cho_factor(sym(sigma), lower=True), p_ht.T).T
+    mix = np.eye(P.shape[0]) - gain @ h_tilde
+    mf = mix @ f
+    kl = gain @ np.linalg.cholesky(sym(R))
+    p_next = sym(mf @ mf.T + kl @ kl.T)
+    gap = np.linalg.norm(p_next - sym(mix @ P), 2)
+    assert gap <= 1e-8 * (1.0 + np.linalg.norm(p_next, 2))
+    return gain, p_next
 
 
 class TestInit:
@@ -92,6 +130,149 @@ class TestGain:
         model, _x0, x_hat0, p0, _ = example2
         with pytest.raises(np.linalg.LinAlgError, match="Joseph and short-form"):
             step(init(model, x_hat0, p0), [0.1], model.R_at(0), model)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_innovation_covariance_raises(self, example2):
+        model, _x0, x_hat0, p0, _ = example2
+        s = dataclasses.replace(init(model, x_hat0, p0), H_tilde_next=np.array([[np.inf, 1.0]]))
+        with pytest.raises(ValueError, match="innovation covariance is not finite"):
+            step(s, [0.1], model.R_at(0), model)
+
+    def test_indefinite_innovation_covariance_raises(self, example2):
+        model, _x0, x_hat0, _p0, _ = example2
+        s = init(model, x_hat0, 1e-6)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="innovation covariance is not positive definite"):
+            step(s, [0.1], -np.eye(1), model)
+
+
+def spectral_check_fails(p_joseph, p_short):
+    """The Joseph/short-form bound evaluated with two SVDs, as an oracle."""
+    gap = np.linalg.norm(p_joseph - p_short, 2)
+    return bool(gap > estimator.JOSEPH_TOL * (1.0 + np.linalg.norm(p_joseph, 2)))
+
+
+class TestJosephCheck:
+    """The Frobenius screen of ``_check_joseph`` never changes the spectral decision.
+
+    With P = I at d = 64 and a gap c I, ||gap||_2 = c and ||gap||_F = 8c:
+    the spectral bound is c <= 2e-8, the screen passes only c <= 1.25e-9.
+    """
+
+    @pytest.fixture()
+    def svd_calls(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return spectral_norm(m)
+
+        monkeypatch.setattr(estimator, "spectral_norm", counted)
+        return calls
+
+    def test_screen_passes_without_svd(self, svd_calls):
+        p = np.eye(64)
+        estimator._check_joseph(p, p - 1e-9 * np.eye(64))
+        assert svd_calls == []
+
+    def test_just_below_the_spectral_bound_passes_the_exact_test(self, svd_calls):
+        p = np.eye(64)
+        p_short = p - 1.9e-8 * np.eye(64)
+        assert not spectral_check_fails(p, p_short)
+        estimator._check_joseph(p, p_short)
+        assert len(svd_calls) == 2
+
+    def test_just_above_the_spectral_bound_raises(self, svd_calls):
+        p = np.eye(64)
+        p_short = p - 2.1e-8 * np.eye(64)
+        assert spectral_check_fails(p, p_short)
+        with pytest.raises(np.linalg.LinAlgError, match="Joseph and short-form"):
+            estimator._check_joseph(p, p_short)
+
+    def test_screen_divides_the_covariance_norm_by_sqrt_d(self):
+        # ||P||_2 = 1e4, ||P||_F = 8e4: a rank-one gap of 2e-4 breaks the
+        # spectral bound of about 1e-4 while staying under 0.5e-8 ||P||_F
+        p = 1e4 * np.eye(64)
+        for c, fails in ((2e-4, True), (0.5e-4, False)):
+            p_short = p.copy()
+            p_short[0, 0] -= c
+            assert spectral_check_fails(p, p_short) == fails
+            if fails:
+                with pytest.raises(np.linalg.LinAlgError, match="Joseph and short-form"):
+                    estimator._check_joseph(p, p_short)
+            else:
+                estimator._check_joseph(p, p_short)
+
+    def test_overflowing_norms_fall_back_to_the_exact_test(self):
+        # ||P||_F^2 and ||gap||_F^2 overflow to inf; the screen must not pass
+        p = 1e160 * np.eye(4)
+        p_short = p - 1e157 * np.eye(4)
+        assert spectral_check_fails(p, p_short)
+        with pytest.raises(np.linalg.LinAlgError, match="Joseph and short-form"):
+            estimator._check_joseph(p, p_short)
+
+    def test_non_finite_gap_raises(self):
+        p = np.eye(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            estimator._check_joseph(p, np.full((3, 3), np.nan))
+
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           log_p=st.floats(-12.0, 8.0), log_ratio=st.floats(-2.0, 2.0),
+           low_rank=st.booleans())
+    def test_decision_equals_the_spectral_oracle(self, d, seed, log_p, log_ratio, low_rank):
+        # gaps drawn around the spectral bound, for covariances of any scale
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        p = symmetrize(q @ np.diag(10.0 ** log_p * rng.uniform(0.0, 1.0, size=d)) @ q.T)
+        cols = 1 if low_rank else d
+        g = rng.standard_normal((d, cols)) @ rng.standard_normal((cols, d))
+        bound = estimator.JOSEPH_TOL * (1.0 + np.linalg.norm(p, 2))
+        p_short = p - g * (10.0 ** log_ratio * bound / np.linalg.norm(g, 2))
+        try:
+            estimator._check_joseph(p, p_short)
+            raised = False
+        except np.linalg.LinAlgError:
+            raised = True
+        assert raised == spectral_check_fails(p, p_short)
+
+
+class TestKernelBitwise:
+    """gain_schedule and run carry the bits of the reference kernel."""
+
+    def test_rounding_level_negative_eigenvalue_is_clipped(self):
+        # lambda_min = -1e-14 is inside the PSD_SLACK budget and is clipped to 0
+        q = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+        p = symmetrize(q @ np.diag([-1e-14, 0.5, 1.0]) @ q.T)
+        assert np.linalg.eigvalsh(p)[0] < 0.0
+        h, r = np.array([[1.0, 0.5, -0.2]]), np.array([[0.1]])
+        gain, p_next = estimator._update(p, h, r)
+        ref_gain, ref_p = reference_update(p, h, r)
+        np.testing.assert_array_equal(gain, ref_gain)
+        np.testing.assert_array_equal(p_next, ref_p)
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "per_step_ltv", "lti_d64"])
+    def test_fold_equals_reference(self, case, example1, example2):
+        if case == "example1":
+            (model, x0, x_hat0, p0, _), T = example1, 40
+        elif case == "example2":
+            (model, x0, x_hat0, p0, _), T = example2, 40
+        elif case == "per_step_ltv":
+            (model, x0, x_hat0, p0), T = per_step_noise_ltv(), 12
+        else:
+            (model, x0, x_hat0, p0), T = wide_lti(), 20
+        sched = gain_schedule(model, p0, T)
+        obs = simulate(model, x0, T, 12)
+        states = run(model, x_hat0, p0, obs)
+        P = states[0].P
+        for k in range(T):
+            h = states[k].H_tilde_next
+            gain, P = reference_update(P, h, model.R_at(k))
+            np.testing.assert_array_equal(sched.h_tilde[k], h)
+            np.testing.assert_array_equal(sched.gain[k], gain)
+            np.testing.assert_array_equal(sched.P[k + 1], P)
+            np.testing.assert_array_equal(states[k + 1].P, P)
+            x = states[k].x_hat + gain @ (obs[k] - h @ states[k].x_hat)
+            np.testing.assert_array_equal(states[k + 1].x_hat, x)
 
 
 class TestStep:

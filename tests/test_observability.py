@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from isokal import observability
 from isokal._linalg import spectral_norm, symmetrize
 from isokal.harness import simulate
 from isokal.model import HorizonError, SystemModel, observed_evolution_sequence
@@ -300,3 +301,71 @@ class TestGrowthClassification:
                              for k in ks])
             expected = sums.min(axis=1)
             np.testing.assert_allclose(growth_trace[:10], expected, rtol=1e-8)
+
+
+REPORT_READERS = pytest.mark.parametrize("analysis", [
+    lambda model, tol, report: lambda_min_asymptotics(model, 10, rho_tol=tol, report=report),
+    lambda model, tol, report: classify(model, rho_tol=tol, report=report),
+], ids=["lambda_min_asymptotics", "classify"])
+
+
+class TestReportReuse:
+    """classify and lambda_min_asymptotics read a covering report instead of re-certifying."""
+
+    @pytest.fixture()
+    def certified(self, monkeypatch):
+        calls = []
+        real = observability.check_observability
+
+        def counted(model, L_max, rho_tol=1e-9):
+            calls.append((L_max, rho_tol))
+            return real(model, L_max, rho_tol)
+
+        monkeypatch.setattr(observability, "check_observability", counted)
+        return calls
+
+    @REPORT_READERS
+    def test_covering_report_is_reused(self, example1, certified, analysis):
+        model = example1[0]
+        for L_max in (model.d, model.d + 3):
+            report = check_observability(model, L_max=L_max)
+            certified.clear()
+            analysis(model, 1e-9, report)
+            assert certified == []
+
+    @REPORT_READERS
+    def test_other_reports_recertify(self, example1, certified, analysis):
+        model = example1[0]
+        for report in (check_observability(model, L_max=model.d - 1),
+                       check_observability(model, L_max=model.d, rho_tol=1e-6)):
+            certified.clear()
+            analysis(model, 1e-9, report)
+            assert certified == [(model.d, 1e-9)]
+
+    def test_window_longer_than_d_is_not_a_certificate(self, example1, certified):
+        # a rho_tol met first by a window longer than d: the report says
+        # Observable, the d-window certificate does not
+        model = example1[0]
+        trace = check_observability(model, L_max=model.d + 2).lambda_min_trace
+        assert 0.0 < trace[model.d - 1] < trace[model.d]
+        tol = float(np.sqrt(trace[model.d - 1] * trace[model.d]))
+        report = check_observability(model, L_max=model.d + 2, rho_tol=tol)
+        assert report.observable and report.L == model.d + 1
+        certified.clear()
+        for analysis in (lambda r: classify(model, rho_tol=tol, report=r),
+                         lambda r: lambda_min_asymptotics(model, 10, rho_tol=tol, report=r)):
+            for r in (report, None):
+                with pytest.raises(UnobservableModelError):
+                    analysis(r)
+        assert len(certified) == 2
+
+    def test_unobservable_report_raises(self, certified):
+        m = lti(np.eye(2), np.array([[1.0, 0.0]]))
+        report = check_observability(m, L_max=5)
+        assert not report.observable
+        certified.clear()
+        with pytest.raises(UnobservableModelError):
+            classify(m, report=report)
+        with pytest.raises(UnobservableModelError):
+            lambda_min_asymptotics(m, 10, report=report)
+        assert certified == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isokal import estimator
+from isokal import estimator, stability
 from isokal._linalg import spd_inverse, spectral_norm, symmetrize
 from isokal.harness import simulate, trial_seed
 from isokal.model import SystemModel
@@ -261,3 +261,27 @@ class TestAnalyzeStability:
         report = analyze_stability(example1[0], P0=1e-2, k_max=40)
         assert report.classification == UNIFORMLY_ASYMPTOTICALLY_STABLE
         assert report.exp_fit is not None and report.exp_fit[1] > 0
+
+    @pytest.mark.parametrize("which", ["example1", "example2"])
+    def test_traces_equal_the_per_matrix_formulas(self, which, request, monkeypatch):
+        # stacked norms and a once-factorized P_k carry the bits of the
+        # one-matrix-at-a-time formulas
+        model = request.getfixturevalue(which)[0]
+        factored = []
+        real_factor = stability.spd_factor
+        monkeypatch.setattr(stability, "spd_factor",
+                            lambda m, what: factored.append(what) or real_factor(m, what))
+        report = analyze_stability(model, P0=1e-2, k_max=40)
+        assert len(factored) == 41
+
+        covs = estimator.covariance_sequence(model, 1e-2 * np.eye(model.d), 40)
+        z = np.ones(model.d) / np.sqrt(model.d)
+        v_trace = [lyapunov_value(covs[0], z)]
+        for k in range(1, 41):
+            z = psi_transition(covs[k], covs[k - 1]) @ z
+            v_trace.append(lyapunov_value(covs[k], z))
+        np.testing.assert_array_equal(report.lyapunov_trace, v_trace)
+        np.testing.assert_array_equal(report.covariance_norm_trace,
+                                      [spectral_norm(p) for p in covs])
+        p0_inv = spd_inverse(1e-2 * np.eye(model.d))
+        assert report.exp_fit == exponential_fit([spectral_norm(p @ p0_inv) for p in covs])
