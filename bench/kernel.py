@@ -2,14 +2,15 @@
 
     python3 bench/kernel.py [--tiny] [--out BENCH.json]
 
-Times ``estimator._update``, ``estimator.step``, ``estimator.gain_schedule``
-(per step) and ``stability.analyze_stability`` at d = 2, 8, 32 and 128 on
-seeded random LTI systems and writes the perf_counter medians, in
-microseconds per call, as JSON together with the machine: CPU, numpy, scipy
-and OpenBLAS versions and the BLAS thread count, which is pinned to 1 before
-numpy loads.  isokal is imported from ``src/`` next to this directory.
-``--tiny`` is a smoke run (d = 2 and 8, three short repeats) of well under
-two seconds.
+Times ``estimator._update`` (on a positive definite P, the Cholesky path,
+and on a rank-deficient P, the eigen-split fallback), ``estimator.step``,
+``estimator.gain_schedule`` (per step) and ``stability.analyze_stability``
+at d = 2, 8, 32 and 128 on seeded random LTI systems and writes the
+perf_counter medians, in microseconds per call, as JSON together with the
+machine: CPU, numpy, scipy and OpenBLAS versions and the BLAS thread
+count, which is pinned to 1 before numpy loads.  isokal is imported from
+``src/`` next to this directory.  ``--tiny`` is a smoke run (d = 2 and 8,
+three short repeats) of well under two seconds.
 """
 
 import os
@@ -33,11 +34,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from scipy.linalg.lapack import dpotrf  # noqa: E402
 
 from isokal import estimator, stability  # noqa: E402
 from isokal.model import SystemModel  # noqa: E402
 
-LAYERS = ("_update", "step", "gain_schedule_per_step", "analyze_stability")
+LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step", "analyze_stability")
 
 
 def machine():
@@ -103,8 +105,16 @@ def measure(d, tiny):
     P, h, R = sched.P[T // 2], sched.h_tilde[T // 2], model.R_at(T // 2)
     state = estimator.run(model, None, 1.0, np.zeros((T // 2, model.m)))[-1]
     y = np.ones(model.m)
+    # P with its trailing half of rows and columns zeroed: PSD, rank d/2,
+    # and Cholesky meets a zero pivot, so the update takes the eigen-split
+    singular = P.copy()
+    singular[d // 2:] = 0.0
+    singular[:, d // 2:] = 0.0
+    assert dpotrf(singular, lower=1)[1] > 0
     return {
         "_update": median_us(lambda: estimator._update(P, h, R), repeats, target_s),
+        "_update_fallback": median_us(lambda: estimator._update(singular, h, R),
+                                      repeats, target_s),
         "step": median_us(lambda: estimator.step(state, y, R, model), repeats, target_s),
         "gain_schedule_per_step": median_us(
             lambda: estimator.gain_schedule(model, 1.0, T), repeats, target_s) / T,

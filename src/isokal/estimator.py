@@ -106,9 +106,11 @@ def init(model, x_hat0, P0):
 def _psd_split(P):
     """Eigendecomposition-based PSD factor F with P = F F^T (up to clipping).
 
-    Rounding can leave slightly negative eigenvalues in a propagated
-    covariance; they are clipped to zero.  Eigenvalues below the PSD_SLACK
-    budget mean the state is corrupted and raise instead.
+    The fallback of ``_gain_pieces`` for a P that Cholesky cannot factor:
+    zero, rank-deficient or rounding-level indefinite.  Rounding can leave
+    slightly negative eigenvalues in a propagated covariance; they are
+    clipped to zero.  Eigenvalues below the PSD_SLACK budget mean the state
+    is corrupted and raise instead.
     """
     w, u = np.linalg.eigh(symmetrize(P))
     scale = max(float(P.trace()), 1e-300)
@@ -121,7 +123,17 @@ def _psd_split(P):
 
 
 def _gain_pieces(P, h_tilde, R):
-    """Gain, innovation covariance and the PSD factor of P used to build them.
+    """Gain, innovation covariance and the PSD factor F of P used to build them.
+
+    F is the Cholesky factor L of P (LAPACK ``dpotrf``), and P H~^T is
+    taken from the stored P.  A successful factorization means P is
+    numerically positive definite: Cholesky is backward stable, so L L^T is
+    P plus a perturbation of order d eps ||P||, and lambda_min(P) >=
+    -O(d eps ||P||), far inside the PSD_SLACK * trace(P) budget.  No P that
+    the eigenvalue test would reject therefore passes here.  Only when the
+    factorization fails (P zero, rank-deficient, rounding-level indefinite
+    or corrupted) or its factor is not finite does the eigen-split of
+    ``_psd_split`` take over, with its clipping and its PSD_SLACK error.
 
     The innovation covariance is assembled as a Gram product
     (H~ F)(H~ F)^T + R so it cannot drop below R through cancellation, and
@@ -132,14 +144,18 @@ def _gain_pieces(P, h_tilde, R):
     m = h_tilde.shape[0]
     if R.shape != (m, m):
         raise ValueError(f"noise covariance has shape {R.shape}, expected ({m}, {m})")
-    w, u, f = _psd_split(P)
+    f, info = dpotrf(P, lower=1, clean=1)
+    if info == 0 and np.isfinite(f).all():
+        p_ht = P @ h_tilde.T
+    else:
+        w, u, f = _psd_split(P)
+        # P H~^T of the clipped P from the eigenpairs: (U W)(H~ U)^T skips
+        # the square roots that F (H~ F)^T would multiply back together.
+        p_ht = (u * w) @ (h_tilde @ u).T
     hf = h_tilde @ f
     sigma = symmetrize(hf @ hf.T + R)
     if not np.isfinite(sigma).all():
         raise ValueError("innovation covariance is not finite")
-    # P H~^T from the eigenpairs: (U W)(H~ U)^T keeps example1's
-    # ill-conditioned P_k more accurate than F (H~ F)^T does.
-    p_ht = (u * w) @ (h_tilde @ u).T
     factor, info = dpotrf(sigma, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError("innovation covariance is not positive definite")
@@ -164,12 +180,14 @@ def _check_joseph(p_joseph, p_short):
         raise np.linalg.LinAlgError("Joseph and short-form covariance updates disagree")
 
 
-def _update(P, h_tilde, R):
+def _update(P, h_tilde, R, r_factor=None):
     """Gain K and updated covariance for one observation through h_tilde.
 
     The covariance update is the Joseph form, evaluated as a sum of two
     Gram products so the result stays PSD at rounding level even when P
-    spans many orders of magnitude.
+    spans many orders of magnitude.  ``r_factor`` is the lower Cholesky
+    factor of R when the caller already holds it; otherwise R is
+    factorized here.
     """
     R = np.asarray(R, dtype=float)
     k_gain, _, f = _gain_pieces(P, h_tilde, R)
@@ -179,7 +197,9 @@ def _update(P, h_tilde, R):
     mix = np.subtract(0.0, kh, out=kh)
     mix.reshape(-1)[:: P.shape[0] + 1] += 1.0
     mf = mix @ f
-    kl = k_gain @ np.linalg.cholesky(symmetrize(R))
+    if r_factor is None:
+        r_factor = np.linalg.cholesky(symmetrize(R))
+    kl = k_gain @ r_factor
     p_next = symmetrize(mf @ mf.T + kl @ kl.T)
     _check_joseph(p_next, symmetrize(mix @ P))
     return k_gain, p_next
@@ -242,15 +262,21 @@ def gain_schedule(model, P0, T):
 
     One pass of the same recursion ``step`` runs, with the same checks at
     every step; the result applies to every observation stream of the
-    model.
+    model.  Each distinct R_k is Cholesky-factorized once per pass: once for
+    isotropic noise, as one stack for per-step noise.
     """
     h_tilde = np.empty((T, model.m, model.d))
     gains = np.empty((T, model.d, model.m))
     covs = np.empty((T + 1, model.d, model.d))
     covs[0] = init(model, None, P0).P
+    if model.isotropic:
+        r_factors = np.broadcast_to(np.linalg.cholesky(symmetrize(model.R_at(0))),
+                                    (T, model.m, model.m))
+    else:
+        r_factors = np.linalg.cholesky(symmetrize(model.R_seq[:T]))
     for k, h in enumerate(observed_evolution_sequence(model, T)):
         h_tilde[k] = h
-        gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k))
+        gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k])
     for arr in (h_tilde, gains, covs):
         arr.flags.writeable = False
     return GainSchedule(h_tilde=h_tilde, gain=gains, P=covs)

@@ -37,8 +37,8 @@ class ObservabilityReport:
     verdict is "Observable" (with window length L and bound rho) or
     "NotObservableUpTo" (no window length up to L carried a Gramian bounded
     below by rho_tol).  lambda_min_trace holds lambda_min(O(k,0)) for
-    k = 1..len(gramians).  L_max and rho_tol record the search that was
-    made; they are not part of the JSON form.
+    k = 1..min(L_max, horizon).  L_max and rho_tol record the search that
+    was made; they are not part of the JSON form.
     """
 
     verdict: str
@@ -46,7 +46,6 @@ class ObservabilityReport:
     rho: float | None
     L_max: int
     rho_tol: float
-    gramians: list = field(repr=False, default_factory=list)
     lambda_min_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     growth_class: str | None = None
     growth_limit: float | None = None
@@ -148,6 +147,11 @@ def _lambda_min(gramians):
     return np.linalg.eigvalsh(gramians)[..., 0]
 
 
+def _check_rho_tol(rho_tol):
+    if not (np.isfinite(rho_tol) and rho_tol > 0.0):
+        raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
+
+
 def check_observability(model, L_max, rho_tol=1e-9):
     """Find the smallest window length certifying (uniform) observability.
 
@@ -159,17 +163,15 @@ def check_observability(model, L_max, rho_tol=1e-9):
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
-    if not (np.isfinite(rho_tol) and rho_tol > 0.0):
-        raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
+    _check_rho_tol(rho_tol)
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
-    gramians = [info[0] for info, _ in information_prefixes(model, k_max)]
-    trace = np.array([_lambda_min(g) for g in gramians])
+    trace = np.array([_lambda_min(info[0]) for info, _ in information_prefixes(model, k_max)])
 
     def report(L, rho):
         verdict = "NotObservableUpTo" if rho is None else "Observable"
         return ObservabilityReport(verdict=verdict, L=L, rho=rho, L_max=L_max,
-                                   rho_tol=rho_tol, gramians=gramians, lambda_min_trace=trace)
+                                   rho_tol=rho_tol, lambda_min_trace=trace)
 
     if model.is_lti and model.isotropic:
         passing = np.flatnonzero(trace >= rho_tol)
@@ -187,6 +189,16 @@ def check_observability(model, L_max, rho_tol=1e-9):
     return report(k_max, None)
 
 
+def _first_window_certifies(model, L_max, rho_tol):
+    """Whether some O(L,0) with L <= L_max has lambda_min >= rho_tol.
+
+    The single-window certificate of a fully LTI model, scanned only up to
+    the first certifying window.
+    """
+    _check_rho_tol(rho_tol)
+    return any(_lambda_min(info[0]) >= rho_tol for info, _ in information_prefixes(model, L_max))
+
+
 def _require_observable(model, rho_tol, report):
     """Raise UnobservableModelError unless a window of length <= d certifies the model.
 
@@ -194,12 +206,18 @@ def _require_observable(model, rho_tol, report):
     reused when its search covered L_max >= d at the same ``rho_tol``: the
     search stops at the first certifying window length, so its verdict up
     to d is read off L.  Any other report is ignored and the model is
-    certified afresh.
+    certified afresh, by ``check_observability`` or, for a fully LTI
+    model, by a scan that stops at the first certifying window.
     """
     d = model.d
-    if report is None or report.rho_tol != rho_tol or report.L_max < d:
+    if report is not None and report.rho_tol == rho_tol and report.L_max >= d:
+        observable = report.observable and report.L <= d
+    elif model.is_lti and model.isotropic:
+        observable = _first_window_certifies(model, d, rho_tol)
+    else:
         report = check_observability(model, L_max=d, rho_tol=rho_tol)
-    if not (report.observable and report.L <= d):
+        observable = report.observable and report.L <= d
+    if not observable:
         raise UnobservableModelError(f"model is not observable up to window length {d}")
 
 

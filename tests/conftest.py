@@ -1,5 +1,6 @@
-"""Shared fixtures: bundled example systems and a seeded random-system factory."""
+"""Shared fixtures: bundled example systems, a seeded random-system factory and an exact oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -64,6 +65,37 @@ def random_observable_system(master_seed, index, T=30, cond_cap=COND_CAP):
         return model, x0, x_hat0, p0
 
 
+def exact_posterior(model, P0, x_hat0, observations, dps=80):
+    """P_k = (P0^-1 + O(k,0))^-1 and the WLS estimate of x0 from y(0..k-1), in mpmath.
+
+    The model's float64 matrices, P0, x_hat0 and the observations are read
+    as exact numbers; the observers H~_k = H_k A(k,0), the information sums
+    and the inverses are carried at ``dps`` digits.  Returns float64 stacks
+    (T+1, d, d) and (T+1, d) for k = 0..T, T = len(observations).
+    """
+    def mat(a):
+        return mpmath.matrix(np.atleast_2d(np.asarray(a, dtype=float)).tolist())
+
+    with mpmath.workdps(dps):
+        info = mpmath.inverse(mat(P0))
+        score = info * mat(np.reshape(x_hat0, (-1, 1)))
+        phi = mpmath.eye(model.d)
+        covs, means = [], []
+        for k in range(len(observations) + 1):
+            cov = mpmath.inverse(info)
+            covs.append(np.array(cov.tolist(), dtype=float))
+            means.append(np.array((cov * score).tolist(), dtype=float)[:, 0])
+            if k == len(observations):
+                break
+            if k:
+                phi = mat(model.A_at(k)) * phi
+            h = mat(model.H_at(k)) * phi
+            r_inv = mpmath.inverse(mat(model.R_at(k)))
+            info = info + h.T * r_inv * h
+            score = score + h.T * r_inv * mat(np.reshape(observations[k], (-1, 1)))
+    return np.array(covs), np.array(means)
+
+
 @pytest.fixture()
 def scaled_gain(monkeypatch):
     """Scale every gain by 1.5, so the Joseph and short-form updates disagree."""
@@ -79,6 +111,11 @@ def scaled_gain(monkeypatch):
 @pytest.fixture(scope="session")
 def make_system():
     return random_observable_system
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    return exact_posterior
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from isokal import estimator
 from isokal._linalg import spd_inverse, spectral_norm, symmetrize
@@ -236,8 +237,12 @@ class TestJosephCheck:
         assert raised == spectral_check_fails(p, p_short)
 
 
+def relative_error(p, exact):
+    return np.linalg.norm(p - exact, 2) / np.linalg.norm(exact, 2)
+
+
 class TestKernelBitwise:
-    """gain_schedule and run carry the bits of the reference kernel."""
+    """A P that Cholesky cannot factor takes the eigen-split with the reference kernel's bits."""
 
     def test_rounding_level_negative_eigenvalue_is_clipped(self):
         # lambda_min = -1e-14 is inside the PSD_SLACK budget and is clipped to 0
@@ -250,29 +255,88 @@ class TestKernelBitwise:
         np.testing.assert_array_equal(gain, ref_gain)
         np.testing.assert_array_equal(p_next, ref_p)
 
-    @pytest.mark.parametrize("case", ["example1", "example2", "per_step_ltv", "lti_d64"])
-    def test_fold_equals_reference(self, case, example1, example2):
+    @pytest.mark.parametrize("p", [np.zeros((3, 3)), np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])],
+                             ids=["zero", "rank_one"])
+    def test_singular_covariance_equals_reference(self, p):
+        # v v^T with v = (1, 2, 3) factors exactly up to a zero second pivot
+        assert dpotrf(p, lower=1)[1] > 0
+        h, r = np.array([[1.0, 0.5, -0.2]]), np.array([[0.1]])
+        gain, p_next = estimator._update(p, h, r)
+        ref_gain, ref_p = reference_update(p, h, r)
+        np.testing.assert_array_equal(gain, ref_gain)
+        np.testing.assert_array_equal(p_next, ref_p)
+
+    @pytest.mark.parametrize("p", [np.full((3, 3), np.nan), np.diag([1.0, np.nan, 1.0])],
+                             ids=["all_nan", "one_nan"])
+    def test_nan_covariance_raises_a_typed_error(self, p):
+        with pytest.raises((np.linalg.LinAlgError, ValueError)):
+            estimator._update(p, np.array([[1.0, 0.5, -0.2]]), np.array([[0.1]]))
+
+
+class TestKernelAccuracy:
+    """gain_schedule and run against the exact posterior covariance.
+
+    Each case is also folded through ``reference_update`` (the eigen-split
+    kernel): the filter's worst relative error must be no larger, and its
+    covariances at k <= 10 must be exact to 1e-12.  On these runs P_k stays
+    positive definite, so the eigen-split fallback never runs.
+    """
+
+    @pytest.fixture()
+    def fallbacks(self, monkeypatch):
+        calls = []
+        real = estimator._psd_split
+
+        def counted(P):
+            calls.append(P.shape)
+            return real(P)
+
+        monkeypatch.setattr(estimator, "_psd_split", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "per_step_ltv"])
+    def test_covariances_match_the_exact_posterior(self, case, example1, example2, oracle,
+                                                   fallbacks):
         if case == "example1":
             (model, x0, x_hat0, p0, _), T = example1, 40
         elif case == "example2":
             (model, x0, x_hat0, p0, _), T = example2, 40
-        elif case == "per_step_ltv":
-            (model, x0, x_hat0, p0), T = per_step_noise_ltv(), 12
         else:
-            (model, x0, x_hat0, p0), T = wide_lti(), 20
+            (model, x0, x_hat0, p0), T = per_step_noise_ltv(), 12
         sched = gain_schedule(model, p0, T)
         obs = simulate(model, x0, T, 12)
         states = run(model, x_hat0, p0, obs)
-        P = states[0].P
+        assert fallbacks == []
+        exact_p, exact_x = oracle(model, p0, x_hat0, obs)
+        ref_p = [states[0].P]
         for k in range(T):
-            h = states[k].H_tilde_next
-            gain, P = reference_update(P, h, model.R_at(k))
-            np.testing.assert_array_equal(sched.h_tilde[k], h)
-            np.testing.assert_array_equal(sched.gain[k], gain)
-            np.testing.assert_array_equal(sched.P[k + 1], P)
-            np.testing.assert_array_equal(states[k + 1].P, P)
-            x = states[k].x_hat + gain @ (obs[k] - h @ states[k].x_hat)
-            np.testing.assert_array_equal(states[k + 1].x_hat, x)
+            ref_p.append(reference_update(ref_p[-1], states[k].H_tilde_next, model.R_at(k))[1])
+        errors = [relative_error(sched.P[k], exact_p[k]) for k in range(T + 1)]
+        ref_errors = [relative_error(ref_p[k], exact_p[k]) for k in range(T + 1)]
+        assert max(errors) <= max(ref_errors)
+        assert max(errors[:11]) <= 1e-12
+        for k, s in enumerate(states):
+            np.testing.assert_array_equal(s.P, sched.P[k])
+            # the estimate is off by a small fraction of the exact posterior std
+            std = np.sqrt(np.linalg.eigvalsh(exact_p[k])[-1])
+            assert np.linalg.norm(s.x_hat - exact_x[k]) <= 1e-3 * std
+
+    def test_wide_lti_matches_the_normal_equations(self, fallbacks):
+        # d = 64: orthogonal dynamics keep P_k well conditioned, so float64
+        # normal equations are an accurate reference
+        (model, x0, x_hat0, p0), T = wide_lti(), 20
+        sched = gain_schedule(model, p0, T)
+        obs = simulate(model, x0, T, 12)
+        states = run(model, x_hat0, p0, obs)
+        assert fallbacks == []
+        info, score = np.eye(model.d) / p0, x_hat0 / p0
+        r_inv = np.linalg.inv(model.R_at(0))
+        for k, h in enumerate(sched.h_tilde):
+            info = info + h.T @ r_inv @ h
+            score = score + h.T @ r_inv @ obs[k]
+            assert relative_error(sched.P[k + 1], np.linalg.inv(info)) <= 1e-10
+            exact_x = np.linalg.solve(info, score)
+            assert np.linalg.norm(states[k + 1].x_hat - exact_x) <= 1e-10 * np.linalg.norm(exact_x)
 
 
 class TestStep:

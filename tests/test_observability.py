@@ -314,14 +314,17 @@ class TestReportReuse:
 
     @pytest.fixture()
     def certified(self, monkeypatch):
+        # a fresh certificate goes through check_observability or, for a
+        # fully LTI model, the first-window scan; both are counted
         calls = []
-        real = observability.check_observability
+        for name in ("check_observability", "_first_window_certifies"):
+            real = getattr(observability, name)
 
-        def counted(model, L_max, rho_tol=1e-9):
-            calls.append((L_max, rho_tol))
-            return real(model, L_max, rho_tol)
+            def counted(model, L_max, rho_tol=1e-9, real=real):
+                calls.append((L_max, rho_tol))
+                return real(model, L_max, rho_tol)
 
-        monkeypatch.setattr(observability, "check_observability", counted)
+            monkeypatch.setattr(observability, name, counted)
         return calls
 
     @REPORT_READERS
@@ -369,3 +372,49 @@ class TestReportReuse:
         with pytest.raises(UnobservableModelError):
             lambda_min_asymptotics(m, 10, report=report)
         assert certified == []
+
+
+class TestFirstWindowScan:
+    """A fully LTI model is certified afresh by a scan that stops at the first window."""
+
+    @staticmethod
+    def certifies(model, rho_tol):
+        try:
+            observability._require_observable(model, rho_tol, None)
+        except UnobservableModelError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "unobservable", "rotation",
+                                      "random"])
+    def test_verdict_equals_check_observability(self, case, example1, example2):
+        models = {
+            "example1": lambda: example1[0],
+            "example2": lambda: example2[0],
+            "unobservable": lambda: lti(np.diag([2.0, 0.5, 1.0]), [[1.0, 1.0, 0.0]]),
+            "rotation": lambda: lti([[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0]]),
+            "random": lambda: lti(np.random.default_rng(3).standard_normal((5, 5)),
+                                  np.random.default_rng(4).standard_normal((1, 5)), 1e-2),
+        }
+        model = models[case]()
+        trace = check_observability(model, L_max=model.d + 2).lambda_min_trace
+        # each window's lambda_min as the tolerance, met exactly at that window
+        tolerances = [1e-9, 1e-3, 1e3] + [float(t) for t in trace if t > 0.0]
+        for tol in tolerances:
+            rep = check_observability(model, L_max=model.d, rho_tol=tol)
+            assert self.certifies(model, tol) == (rep.observable and rep.L <= model.d)
+
+    def test_scan_stops_at_the_first_certifying_window(self, example1, monkeypatch):
+        model = example1[0]
+        rep = check_observability(model, L_max=model.d)
+        assert rep.observable and rep.L < model.d
+        calls = []
+        real = observability._lambda_min
+
+        def counted(g):
+            calls.append(g.shape)
+            return real(g)
+
+        monkeypatch.setattr(observability, "_lambda_min", counted)
+        assert self.certifies(model, 1e-9)
+        assert len(calls) == rep.L
