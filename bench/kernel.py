@@ -4,8 +4,10 @@
 
 Times ``estimator._update`` (on a positive definite P, the Cholesky path,
 and on a rank-deficient P, the eigen-split fallback), ``estimator.step``,
-``estimator.gain_schedule`` (per step) and ``stability.analyze_stability``
-at d = 2, 8, 32 and 128 on seeded random LTI systems and writes the
+``estimator.gain_schedule`` (per step), ``stability.analyze_stability``,
+``observability.check_observability`` (L_max = d) and
+``observability.lambda_min_asymptotics`` (K = 2d, given that report) at
+d = 2, 8, 32 and 128 on seeded random LTI systems and writes the
 perf_counter medians, in microseconds per call, as JSON together with the
 machine: CPU, numpy, scipy and OpenBLAS versions and the BLAS thread
 count, which is pinned to 1 before numpy loads.  isokal is imported from
@@ -36,10 +38,11 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.linalg.lapack import dpotrf  # noqa: E402
 
-from isokal import estimator, stability  # noqa: E402
+from isokal import estimator, observability, stability  # noqa: E402
 from isokal.model import SystemModel  # noqa: E402
 
-LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step", "analyze_stability")
+LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step", "analyze_stability",
+          "check_observability", "lambda_min_asymptotics")
 
 
 def machine():
@@ -111,6 +114,7 @@ def measure(d, tiny):
     singular[d // 2:] = 0.0
     singular[:, d // 2:] = 0.0
     assert dpotrf(singular, lower=1)[1] > 0
+    report = observability.check_observability(model, d)
     return {
         "_update": median_us(lambda: estimator._update(P, h, R), repeats, target_s),
         "_update_fallback": median_us(lambda: estimator._update(singular, h, R),
@@ -120,6 +124,11 @@ def measure(d, tiny):
             lambda: estimator.gain_schedule(model, 1.0, T), repeats, target_s) / T,
         "analyze_stability": median_us(
             lambda: stability.analyze_stability(model, 1.0, k_max), repeats, target_s),
+        "check_observability": median_us(
+            lambda: observability.check_observability(model, d), repeats, target_s),
+        "lambda_min_asymptotics": median_us(
+            lambda: observability.lambda_min_asymptotics(model, 2 * d, report=report),
+            repeats, target_s),
     }
 
 

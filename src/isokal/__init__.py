@@ -12,7 +12,6 @@ from .model import (
     ConfigError,
     HorizonError,
     SystemModel,
-    TransitionMatrix,
     load_model,
     observed_evolution,
     transition,
@@ -39,7 +38,7 @@ from .harness import EnsembleStats, TrialResult, monte_carlo, reproduce_example,
 
 __all__ = [
     "__version__",
-    "ConfigError", "HorizonError", "SystemModel", "TransitionMatrix",
+    "ConfigError", "HorizonError", "SystemModel",
     "load_model", "observed_evolution", "transition",
     "EstimatorState", "batch_wls", "init", "run", "step", "wls_prefixes",
     "ObservabilityReport", "UnobservableModelError", "check_observability",

@@ -133,7 +133,8 @@ def _gain_pieces(P, h_tilde, R):
     the eigenvalue test would reject therefore passes here.  Only when the
     factorization fails (P zero, rank-deficient, rounding-level indefinite
     or corrupted) or its factor is not finite does the eigen-split of
-    ``_psd_split`` take over, with its clipping and its PSD_SLACK error.
+    ``_psd_split`` take over, with its clipping and its PSD_SLACK error;
+    a P that is not finite raises ValueError first.
 
     The innovation covariance is assembled as a Gram product
     (H~ F)(H~ F)^T + R so it cannot drop below R through cancellation, and
@@ -148,6 +149,8 @@ def _gain_pieces(P, h_tilde, R):
     if info == 0 and np.isfinite(f).all():
         p_ht = P @ h_tilde.T
     else:
+        if not np.isfinite(P).all():
+            raise ValueError("covariance is not finite")
         w, u, f = _psd_split(P)
         # P H~^T of the clipped P from the eigenpairs: (U W)(H~ U)^T skips
         # the square roots that F (H~ F)^T would multiply back together.
@@ -169,13 +172,16 @@ def _check_joseph(p_joseph, p_short):
     ||X||_2 <= ||X||_F and ||P||_2 >= ||P||_F / sqrt(d), so a gap within
     half the Frobenius form of the bound passes the spectral test too (the
     half keeps rounding in either norm from flipping the decision); only
-    the remaining cases pay for the two SVDs.
+    the remaining cases pay for the two SVDs.  A non-finite form, such as
+    one from a NaN that the Cholesky factor of P did not read, raises.
     """
     gap = p_joseph - p_short
     gap_f = math.sqrt(np.vdot(gap, gap))
     p_f = math.sqrt(np.vdot(p_joseph, p_joseph))
     if math.isfinite(p_f) and gap_f <= 0.5 * JOSEPH_TOL * (1.0 + p_f / math.sqrt(len(p_joseph))):
         return
+    if not (np.isfinite(p_joseph).all() and np.isfinite(p_short).all()):
+        raise np.linalg.LinAlgError("covariance is not finite")
     if spectral_norm(gap) > JOSEPH_TOL * (1.0 + spectral_norm(p_joseph)):
         raise np.linalg.LinAlgError("Joseph and short-form covariance updates disagree")
 

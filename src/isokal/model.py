@@ -11,8 +11,6 @@ Dynamics/observation/noise may each be constant (LTI) or a finite explicit
 sequence (LTV).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import asymmetry, readonly, symmetrize
@@ -210,15 +208,6 @@ class SystemModel:
         return f"SystemModel({kind}, d={self.d}, m={self.m}, {noise})"
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Product of dynamics matrices carrying state from ``from_step`` to ``to_step``."""
-
-    value: np.ndarray
-    from_step: int
-    to_step: int
-
-
 def transition(model, k, j):
     """State transition from step j to step k.
 
@@ -234,13 +223,13 @@ def transition(model, k, j):
         value = model.A_at(i) @ value
     if k < j:
         value = np.linalg.solve(value, np.eye(model.d))
-    return TransitionMatrix(value=value, from_step=j, to_step=k)
+    return value
 
 
 def observed_evolution(model, k):
     """The operator H_k A(k,0) mapping the initial state to observation k."""
     model._check_horizon(k)
-    return model.H_at(k) @ transition(model, k, 0).value
+    return model.H_at(k) @ transition(model, k, 0)
 
 
 def observed_evolution_sequence(model, count, start=0):

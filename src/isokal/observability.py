@@ -11,6 +11,7 @@ reduces to observability of a single window anchored at 0.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -229,7 +230,8 @@ def lambda_min_asymptotics(model, K, rho_tol=1e-9, report=None):
     positive limit when min |eig(A)| < 1.  Within the 1e-9 band around 1 the
     class is Undetermined.  A ``check_observability`` ``report`` of the
     model that covers window lengths up to d at ``rho_tol`` stands in for a
-    fresh certificate.
+    fresh certificate, and any report's ``lambda_min_trace`` is the head of
+    the trace: only Gramians past it are decomposed.
     """
     if not model.is_lti:
         raise ValueError("growth classification is defined for LTI models only")
@@ -237,7 +239,11 @@ def lambda_min_asymptotics(model, K, rho_tol=1e-9, report=None):
         raise ValueError(f"K must be >= 2, got {K}")
     _require_observable(model, rho_tol, report)
 
-    trace = np.array([_lambda_min(info[0]) for info, _ in information_prefixes(model, K)])
+    # The report's trace is row 0 of the same accumulator through the same
+    # _lambda_min, so its entries carry the bits a recomputation would.
+    head = [] if report is None else list(report.lambda_min_trace[:K])
+    tail = islice(information_prefixes(model, K), len(head), None) if len(head) < K else ()
+    trace = np.array(head + [_lambda_min(info[0]) for info, _ in tail])
     lam_min = float(eig_abs_sorted(model.A_at(1))[-1])
 
     if lam_min > 1.0 + SPECTRAL_BAND_TOL:

@@ -22,7 +22,7 @@ from .observability import UnobservableModelError, _require_observable
 #: back to the normal-matrix criterion or Indeterminate.
 CLASSIFY_TOL = 1e-9
 
-#: Covariances per stacked SVD of the ||Psi(k,0)|| trace.
+#: Covariances per stacked eigvalsh of the norm traces.
 _PSI_CHUNK = 16
 
 UNIFORMLY_ASYMPTOTICALLY_STABLE = "UniformlyAsymptoticallyStable"
@@ -167,31 +167,30 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     """Assemble a StabilityReport from the deterministic covariance run.
 
     P0 may be a scalar p (meaning p * I).  The Lyapunov trace follows
-    z(k) = Psi_k z(k-1) from z0 (default: the normalized all-ones vector).
+    z(k) = Psi_k z(k-1) from z0 (default: the normalized all-ones vector);
+    by the covariance-inverse identity z(k) = P_k P0^-1 z0, so it is read
+    off the covariance stack without factorizing any P_k.
     Classification is attempted for observable LTI models and left None
     otherwise; ``report`` is passed to ``classify``.
     """
     P0 = symmetrize(estimator._prior(model, None, P0)[1])
     covs = estimator.covariance_sequence(model, P0, k_max)
     p0_inv = spd_inverse(P0, "P0")
-    # _PSI_CHUNK products per stacked SVD: one (k_max+1, d, d) product stack
-    # would add its size (3.3 MB at d = 64, k_max = 100) to the peak memory.
-    chunks = np.split(covs, range(_PSI_CHUNK, len(covs), _PSI_CHUNK))
-    psi_norms = np.concatenate([np.linalg.norm(c @ p0_inv, 2, axis=(1, 2)) for c in chunks])
-    p_norm_trace = np.linalg.norm(covs, 2, axis=(1, 2))
+    # ||P_k|| = max |eig(P_k)|, ||Psi(k,0)|| = sqrt(lambda_max(Psi^T Psi)) with
+    # Psi(k,0) = P_k P0^-1, in chunks: one (k_max+1, d, d) product stack would
+    # add its size (3.3 MB at d = 64, k_max = 100) to the peak memory.
+    p_norms, psi_norms = [], []
+    for c in np.split(covs, range(_PSI_CHUNK, len(covs), _PSI_CHUNK)):
+        psi = c @ p0_inv
+        p_norms.append(np.abs(np.linalg.eigvalsh(c)).max(axis=1))
+        psi_norms.append(np.linalg.eigvalsh(psi.swapaxes(1, 2) @ psi)[:, -1])
+    p_norm_trace, psi_norms = np.concatenate(p_norms), np.sqrt(np.concatenate(psi_norms))
 
     if z0 is None:
         z0 = np.ones(model.d) / np.sqrt(model.d)
-    z = np.asarray(z0, dtype=float)
-    # lyapunov_value and psi_transition, with each P_k factorized once:
-    # Psi_k = P_k P_{k-1}^-1 reuses the factor of the previous V(k-1, z).
-    factor = spd_factor(covs[0], "P_k")
-    v_trace = [float(z @ cho_solve(factor, z))]
-    for p in covs[1:]:
-        z = cho_solve(factor, p.T).T @ z
-        factor = spd_factor(p, "P_k")
-        v_trace.append(float(z @ cho_solve(factor, z)))
-    v_trace = np.asarray(v_trace)
+    # z(k) = Psi(k,0) z0 = P_k u with u = P0^-1 z0, so V(k, z(k)) = u^T P_k u.
+    u = p0_inv @ np.asarray(z0, dtype=float)
+    v_trace = np.einsum("i,kij,j->k", u, covs, u)
     monotone = bool(np.max(np.diff(v_trace)) <= 1e-12 * v_trace[0]) if k_max >= 1 else True
 
     classification = None

@@ -21,7 +21,8 @@ def test_tiny_run_writes_valid_json(tmp_path):
         assert key in machine
     assert machine["OPENBLAS_NUM_THREADS"] == "1"
     assert set(doc["layers"]) == {"_update", "_update_fallback", "step",
-                                  "gain_schedule_per_step", "analyze_stability"}
+                                  "gain_schedule_per_step", "analyze_stability",
+                                  "check_observability", "lambda_min_asymptotics"}
     for by_dim in doc["layers"].values():
         assert set(by_dim) == {"2", "8"}
         assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())

@@ -32,24 +32,21 @@ class TestTransition:
     def test_identity_dynamics(self):
         m = lti(np.eye(3), np.eye(3))
         for k, j in [(0, 0), (4, 1), (2, 7)]:
-            np.testing.assert_allclose(transition(m, k, j).value, np.eye(3), atol=1e-14)
+            np.testing.assert_allclose(transition(m, k, j), np.eye(3), atol=1e-14)
 
     def test_same_step_is_identity(self, example2):
-        model = example2[0]
-        t = transition(model, 5, 5)
-        np.testing.assert_array_equal(t.value, np.eye(2))
-        assert (t.from_step, t.to_step) == (5, 5)
+        np.testing.assert_array_equal(transition(example2[0], 5, 5), np.eye(2))
 
     def test_example2_square(self, example2):
         # [[1,-0.5],[-0.5,1]]^2 multiplied by hand
         model = example2[0]
-        np.testing.assert_allclose(transition(model, 2, 0).value,
+        np.testing.assert_allclose(transition(model, 2, 0),
                                    [[1.25, -1.0], [-1.0, 1.25]], rtol=1e-14)
 
     def test_backward_is_inverse(self, example2):
         model = example2[0]
-        fwd = transition(model, 3, 0).value
-        back = transition(model, 0, 3).value
+        fwd = transition(model, 3, 0)
+        back = transition(model, 0, 3)
         np.testing.assert_allclose(back @ fwd, np.eye(2), atol=1e-12)
 
     def test_negative_step_rejected(self, example2):
@@ -64,11 +61,11 @@ class TestTransition:
             m = random_ltv(rng, d, horizon)
             for _ in range(10):
                 i, j, k = sorted(rng.integers(0, horizon + 1, size=3))
-                lhs = transition(m, k, i).value
-                rhs = transition(m, k, j).value @ transition(m, j, i).value
+                lhs = transition(m, k, i)
+                rhs = transition(m, k, j) @ transition(m, j, i)
                 scale = max(np.linalg.norm(lhs), 1.0)
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * scale
-                prod = transition(m, i, k).value @ transition(m, k, i).value
+                prod = transition(m, i, k) @ transition(m, k, i)
                 assert np.linalg.norm(prod - np.eye(d)) <= 1e-9
 
     def test_horizon_exceeded(self):
@@ -135,7 +132,7 @@ class TestObservedEvolution:
                 seq = list(observed_evolution_sequence(model, 4, start=k0))
                 assert len(seq) == 4
                 for j, h in enumerate(seq, start=k0):
-                    direct = model.H_at(j) @ transition(model, j, k0).value
+                    direct = model.H_at(j) @ transition(model, j, k0)
                     if exact:
                         np.testing.assert_array_equal(h, direct)
                     else:

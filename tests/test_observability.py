@@ -362,6 +362,21 @@ class TestReportReuse:
                     analysis(r)
         assert len(certified) == 2
 
+    @pytest.mark.parametrize("which", ["example1", "example2"])
+    @pytest.mark.parametrize("L_max", [4, 8, 20, 30])
+    def test_report_trace_heads_the_growth_trace(self, which, L_max, request, monkeypatch):
+        # the report's lambda_min trace is reused bit for bit; only the
+        # Gramians past it are decomposed
+        model, K = request.getfixturevalue(which)[0], 20
+        fresh = lambda_min_asymptotics(model, K).lambda_min_trace
+        report = check_observability(model, L_max=L_max)
+        calls = []
+        real = observability._lambda_min
+        monkeypatch.setattr(observability, "_lambda_min", lambda g: calls.append(1) or real(g))
+        growth = lambda_min_asymptotics(model, K, report=report)
+        np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
+        assert len(calls) == max(K - len(report.lambda_min_trace), 0)
+
     def test_unobservable_report_raises(self, certified):
         m = lti(np.eye(2), np.array([[1.0, 0.0]]))
         report = check_observability(m, L_max=5)

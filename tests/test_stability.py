@@ -263,25 +263,41 @@ class TestAnalyzeStability:
         assert report.exp_fit is not None and report.exp_fit[1] > 0
 
     @pytest.mark.parametrize("which", ["example1", "example2"])
-    def test_traces_equal_the_per_matrix_formulas(self, which, request, monkeypatch):
-        # stacked norms and a once-factorized P_k carry the bits of the
-        # one-matrix-at-a-time formulas
+    def test_traces_match_the_exact_posterior(self, which, request, oracle, monkeypatch):
+        # V(k, z(k)) = u^T P_k u and the symmetric-eigenvalue norms are at
+        # least as accurate as the per-step psi_transition/lyapunov_value
+        # fold and the per-matrix SVD norms, and take no SVD and no
+        # factorization of a P_k
         model = request.getfixturevalue(which)[0]
-        factored = []
-        real_factor = stability.spd_factor
-        monkeypatch.setattr(stability, "spd_factor",
-                            lambda m, what: factored.append(what) or real_factor(m, what))
+        calls = []
+        for owner, name in ((stability, "spd_factor"), (stability, "cho_solve"),
+                            (np.linalg, "svd"), (np.linalg, "norm")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, real=real, name=name, **kw: calls.append(name)
+                                or real(*a, **kw))
         report = analyze_stability(model, P0=1e-2, k_max=40)
-        assert len(factored) == 41
+        assert calls == []
+        monkeypatch.undo()
 
-        covs = estimator.covariance_sequence(model, 1e-2 * np.eye(model.d), 40)
+        p0 = 1e-2 * np.eye(model.d)
+        covs = estimator.covariance_sequence(model, p0, 40)
         z = np.ones(model.d) / np.sqrt(model.d)
-        v_trace = [lyapunov_value(covs[0], z)]
+        fold = [lyapunov_value(covs[0], z)]
         for k in range(1, 41):
             z = psi_transition(covs[k], covs[k - 1]) @ z
-            v_trace.append(lyapunov_value(covs[k], z))
-        np.testing.assert_array_equal(report.lyapunov_trace, v_trace)
-        np.testing.assert_array_equal(report.covariance_norm_trace,
-                                      [spectral_norm(p) for p in covs])
-        p0_inv = spd_inverse(1e-2 * np.eye(model.d))
-        assert report.exp_fit == exponential_fit([spectral_norm(p @ p0_inv) for p in covs])
+            fold.append(lyapunov_value(covs[k], z))
+        exact_p = oracle(model, p0, np.zeros(model.d), np.zeros((40, model.m)))[0]
+        u = 100.0 * np.ones(model.d) / np.sqrt(model.d)
+        exact_v = np.array([u @ p @ u for p in exact_p])
+        exact_norm = np.array([np.linalg.eigvalsh(p)[-1] for p in exact_p])
+
+        def worst(trace, exact):
+            return np.max(np.abs(np.asarray(trace) - exact) / exact)
+
+        assert worst(report.lyapunov_trace, exact_v) <= worst(fold, exact_v)
+        assert worst(report.covariance_norm_trace, exact_norm) \
+            <= worst([spectral_norm(p) for p in covs], exact_norm)
+        p0_inv = spd_inverse(p0)
+        np.testing.assert_allclose(
+            report.exp_fit, exponential_fit([spectral_norm(p @ p0_inv) for p in covs]), rtol=1e-12)
