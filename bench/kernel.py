@@ -7,12 +7,16 @@ and on a rank-deficient P, the eigen-split fallback), ``estimator.step``,
 ``estimator.gain_schedule`` (per step), ``stability.analyze_stability``,
 ``observability.check_observability`` (L_max = d) and
 ``observability.lambda_min_asymptotics`` (K = 2d, given that report) at
-d = 2, 8, 32 and 128 on seeded random LTI systems and writes the
-perf_counter medians, in microseconds per call, as JSON together with the
-machine: CPU, numpy, scipy and OpenBLAS versions and the BLAS thread
-count, which is pinned to 1 before numpy loads.  isokal is imported from
-``src/`` next to this directory.  ``--tiny`` is a smoke run (d = 2 and 8,
-three short repeats) of well under two seconds.
+d = 2, 8, 32 and 128 on seeded random LTI systems.  It also times the
+layers of one long LTV record (d = 8, m = 1, T = 800, per-step A, H and R):
+``SystemModel`` validation, ``check_observability`` (L_max = 16, every
+anchor), and ``harness.simulate`` and ``estimator.run`` per step.  It
+writes the perf_counter medians, in microseconds per call, as JSON
+together with the machine: CPU, numpy, scipy and OpenBLAS versions and the
+BLAS thread count, which is pinned to 1 before numpy loads.  isokal is
+imported from ``src/`` next to this directory.  ``--tiny`` is a smoke run
+(d = 2 and 8, an LTV record of d = 4 and T = 40, three short repeats) of
+well under two seconds.
 """
 
 import os
@@ -25,6 +29,7 @@ import contextlib  # noqa: E402
 import ctypes  # noqa: E402
 import glob  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -38,11 +43,12 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.linalg.lapack import dpotrf  # noqa: E402
 
-from isokal import estimator, observability, stability  # noqa: E402
+from isokal import estimator, harness, observability, stability  # noqa: E402
 from isokal.model import SystemModel  # noqa: E402
 
 LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step", "analyze_stability",
           "check_observability", "lambda_min_asymptotics")
+LTV_LAYERS = ("model_validation", "check_observability", "simulate_per_step", "run_per_step")
 
 
 def machine():
@@ -80,6 +86,25 @@ def system(d):
     a = np.linalg.qr(rng.standard_normal((d, d)))[0]
     h = rng.standard_normal((max(1, d // 4), d))
     return SystemModel(a, h, 0.1)
+
+
+def ltv_record(d, m, T):
+    """Seeded LTV sequences (A_seq, H_seq, R_seq) that every window of ceil(d/m) steps observes.
+
+    A_k = U_k D_k U_{k-1}^T with random orthogonal frames U_k and a
+    near-identity diagonal D_k, and H_k = c_k^T U_k^T with rows c_k cycling
+    through a perturbed standard basis; R_k = 1e-2 (I + G_k G_k^T).
+    """
+    rng = np.random.default_rng((2026, d, m, T))
+    frames = [np.eye(d)] + [np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(T - 1)]
+    a_seq = np.stack([(frames[k] * np.exp(rng.uniform(-0.01, 0.01, d))) @ frames[k - 1].T
+                      for k in range(1, T)])
+    basis = np.eye(d)
+    h_seq = np.stack([(basis[[(k * m + i) % d for i in range(m)]]
+                       + 0.2 * rng.standard_normal((m, d)) / math.sqrt(d)) @ frames[k].T
+                      for k in range(T)])
+    g = 0.5 * rng.standard_normal((T, m, m))
+    return a_seq, h_seq, 1e-2 * (np.eye(m) + g @ np.swapaxes(g, 1, 2))
 
 
 def median_us(fn, repeats, target_s):
@@ -132,6 +157,26 @@ def measure(d, tiny):
     }
 
 
+def measure_ltv(tiny):
+    repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
+    d, m, T, horizon = (4, 1, 40, 8) if tiny else (8, 1, 800, 16)
+    a_seq, h_seq, r_seq = ltv_record(d, m, T)
+    model = SystemModel(a_seq, h_seq, r_seq)
+    x0 = np.ones(d)
+    obs = harness.simulate(model, x0, T, 1)
+    layers = {
+        "model_validation": median_us(lambda: SystemModel(a_seq, h_seq, r_seq),
+                                      repeats, target_s),
+        "check_observability": median_us(
+            lambda: observability.check_observability(model, horizon), repeats, target_s),
+        "simulate_per_step": median_us(lambda: harness.simulate(model, x0, T, 1),
+                                       repeats, target_s) / T,
+        "run_per_step": median_us(lambda: estimator.run(model, None, 1.0, obs),
+                                  repeats, target_s) / T,
+    }
+    return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="smoke run: d = 2, 8, short repeats")
@@ -140,6 +185,7 @@ def main(argv=None):
 
     dims = (2, 8) if args.tiny else (2, 8, 32, 128)
     by_dim = {d: measure(d, args.tiny) for d in dims}
+    ltv = measure_ltv(args.tiny)
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
@@ -147,12 +193,15 @@ def main(argv=None):
         "statistic": "median of perf_counter samples",
         "layers": {layer: {str(d): round(by_dim[d][layer], 3) for d in dims}
                    for layer in LAYERS},
+        "ltv": {**ltv, "layers": {layer: round(ltv["layers"][layer], 3) for layer in LTV_LAYERS}},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for layer in LAYERS:
         print(f"{layer:24s}" + "".join(f"  d={d}: {by_dim[d][layer]:10.1f}" for d in dims))
+    for layer in LTV_LAYERS:
+        print(f"ltv {layer:20s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
     return 0
 
 

@@ -122,7 +122,25 @@ def _psd_split(P):
     return w, u, u * np.sqrt(w)
 
 
-def _gain_pieces(P, h_tilde, R):
+def _indefinite_innovation(hf, R, k):
+    """Message for an innovation covariance (H~ F)(H~ F)^T + R that Cholesky rejects.
+
+    When the rounding of the Gram product, eps ||H~ F||_F^2, reaches
+    lambda_min(R) > 0, the sum cannot resolve R any more: the covariance of
+    the x0 parameterization has outgrown float64, and the message says so.
+    """
+    message = "innovation covariance is not positive definite"
+    if k is not None:
+        message += f" at step {k}"
+    rounding = np.finfo(float).eps * float(np.vdot(hf, hf))
+    lam_r = float(np.linalg.eigvalsh(symmetrize(R))[0])
+    if 0.0 < lam_r <= rounding:
+        message += (f": float64 precision is exhausted (eps ||H~ F||_F^2 = {rounding:.3e}"
+                    f" >= lambda_min(R) = {lam_r:.3e})")
+    return message
+
+
+def _gain_pieces(P, h_tilde, R, k=None):
     """Gain, innovation covariance and the PSD factor F of P used to build them.
 
     F is the Cholesky factor L of P (LAPACK ``dpotrf``), and P H~^T is
@@ -139,7 +157,8 @@ def _gain_pieces(P, h_tilde, R):
     The innovation covariance is assembled as a Gram product
     (H~ F)(H~ F)^T + R so it cannot drop below R through cancellation, and
     is then factorized (Cholesky, straight through LAPACK); its explicit
-    inverse is never formed.
+    inverse is never formed.  ``k``, the index of the observation, only
+    labels that factorization's failure.
     """
     R = np.asarray(R, dtype=float)
     m = h_tilde.shape[0]
@@ -161,7 +180,7 @@ def _gain_pieces(P, h_tilde, R):
         raise ValueError("innovation covariance is not finite")
     factor, info = dpotrf(sigma, lower=1, clean=0)
     if info > 0:
-        raise np.linalg.LinAlgError("innovation covariance is not positive definite")
+        raise np.linalg.LinAlgError(_indefinite_innovation(hf, R, k))
     gain, _ = dpotrs(factor, p_ht.T, lower=1)
     return gain.T, sigma, f
 
@@ -186,8 +205,8 @@ def _check_joseph(p_joseph, p_short):
         raise np.linalg.LinAlgError("Joseph and short-form covariance updates disagree")
 
 
-def _update(P, h_tilde, R, r_factor=None):
-    """Gain K and updated covariance for one observation through h_tilde.
+def _update(P, h_tilde, R, r_factor=None, k=None):
+    """Gain K and updated covariance for one observation y(k) through h_tilde.
 
     The covariance update is the Joseph form, evaluated as a sum of two
     Gram products so the result stays PSD at rounding level even when P
@@ -196,7 +215,7 @@ def _update(P, h_tilde, R, r_factor=None):
     factorized here.
     """
     R = np.asarray(R, dtype=float)
-    k_gain, _, f = _gain_pieces(P, h_tilde, R)
+    k_gain, _, f = _gain_pieces(P, h_tilde, R, k)
     # I - K H~ without an identity temporary: 0 - x, then 1 + (-x) on the
     # diagonal, carries the same bits as I - K H~.
     kh = k_gain @ h_tilde
@@ -213,6 +232,11 @@ def _update(P, h_tilde, R, r_factor=None):
 
 def step(state, y_prev, R_prev, model):
     """Consume observation y(state.step) and return the refined state."""
+    return _step(state, y_prev, R_prev, None, model)
+
+
+def _step(state, y_prev, R_prev, r_factor, model):
+    """``step``, given the lower Cholesky factor of R_prev when the caller holds it."""
     if state.H_tilde_next is None:
         raise HorizonError(f"no observation available at step {state.step}")
     y_prev = np.asarray(y_prev, dtype=float).reshape(-1)
@@ -220,7 +244,7 @@ def step(state, y_prev, R_prev, model):
     if y_prev.shape != (h_tilde.shape[0],):
         raise ValueError(f"observation has length {y_prev.shape[0]}, expected {h_tilde.shape[0]}")
 
-    k_gain, p_next = _update(state.P, h_tilde, R_prev)
+    k_gain, p_next = _update(state.P, h_tilde, R_prev, r_factor, state.step)
     x_next = state.x_hat + k_gain @ (y_prev - h_tilde @ state.x_hat)
 
     k_next = state.step + 1
@@ -254,12 +278,15 @@ def run(model, x_hat0, P0, observations):
 
     Returns the full list of states [state_0, ..., state_N] so every
     intermediate (real-time) estimate is available; an empty observation
-    sequence returns just the initial state.
+    sequence returns just the initial state.  Each step reads the model's
+    own factor of R_k instead of factorizing it again.
     """
     observations = _as_observations(observations, model.m)
     states = [init(model, x_hat0, P0)]
+    factors = model.noise_factors(len(observations))
     for t, y in enumerate(observations):
-        states.append(step(states[-1], y, model.R_at(t), model))
+        # R_at raises HorizonError past a per-step sequence, before factors[t] is read.
+        states.append(_step(states[-1], y, model.R_at(t), factors[t], model))
     return states
 
 
@@ -268,21 +295,16 @@ def gain_schedule(model, P0, T):
 
     One pass of the same recursion ``step`` runs, with the same checks at
     every step; the result applies to every observation stream of the
-    model.  Each distinct R_k is Cholesky-factorized once per pass: once for
-    isotropic noise, as one stack for per-step noise.
+    model.  The factors of R_k are the model's own.
     """
     h_tilde = np.empty((T, model.m, model.d))
     gains = np.empty((T, model.d, model.m))
     covs = np.empty((T + 1, model.d, model.d))
     covs[0] = init(model, None, P0).P
-    if model.isotropic:
-        r_factors = np.broadcast_to(np.linalg.cholesky(symmetrize(model.R_at(0))),
-                                    (T, model.m, model.m))
-    else:
-        r_factors = np.linalg.cholesky(symmetrize(model.R_seq[:T]))
+    r_factors = model.noise_factors(T)
     for k, h in enumerate(observed_evolution_sequence(model, T)):
         h_tilde[k] = h
-        gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k])
+        gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
     for arr in (h_tilde, gains, covs):
         arr.flags.writeable = False
     return GainSchedule(h_tilde=h_tilde, gain=gains, P=covs)

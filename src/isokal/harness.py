@@ -63,8 +63,8 @@ def _initial_state(model, x0):
 def simulate(model, x0, T, seed, noiseless=False):
     """Observations y(k) = H~_k x0 + v_k for k = 0..T-1, shape (T, m).
 
-    Noise is drawn per step as L_k g with L_k the lower Cholesky factor of
-    R_k and g standard normal; the sequence is fully determined by
+    Noise is drawn per step as L_k g with L_k the model's lower Cholesky
+    factor of R_k and g standard normal; the sequence is fully determined by
     ``seed`` (an int, SeedSequence or Generator).  ``noiseless`` skips the
     noise entirely and returns the exact evolved observations.  Dynamics
     that overflow float64 within T steps raise ValueError naming the first
@@ -75,15 +75,13 @@ def simulate(model, x0, T, seed, noiseless=False):
     x0 = _initial_state(model, x0)
     rng = np.random.default_rng(seed)
     out = np.empty((T, model.m))
-    chol = None
+    factors = model.noise_factors(T)
     # Overflow is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, h_tilde in enumerate(observed_evolution_sequence(model, T)):
             out[k] = h_tilde @ x0
             if not noiseless:
-                if chol is None or not model.isotropic:
-                    chol = np.linalg.cholesky(symmetrize(model.R_at(k)))
-                out[k] += chol @ rng.standard_normal(model.m)
+                out[k] += factors[k] @ rng.standard_normal(model.m)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise ValueError(f"simulated observation at step {bad[0]} is not finite: "
@@ -123,9 +121,7 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
         if not noiseless:
             draws[t] = rng.standard_normal((T, model.m))
 
-    r_seq = model.R_at(0)[None] if model.isotropic else model.R_seq[:T]
-    noise_factors = np.linalg.cholesky(symmetrize(r_seq))
-    obs = schedule.h_tilde @ x0 + (noise_factors @ draws[..., None])[..., 0]
+    obs = schedule.h_tilde @ x0 + (model.noise_factors(T) @ draws[..., None])[..., 0]
 
     errors = np.empty((trials, T + 1, model.d))
     errors[:, 0] = x_hat - x0

@@ -12,6 +12,7 @@ sequence (LTV).
 """
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from ._linalg import asymmetry, readonly, symmetrize
 
@@ -74,21 +75,60 @@ def _check_square(stack, name):
 
 
 def _check_invertible(stack, name):
-    s = np.linalg.svd(stack, compute_uv=False)
-    _reject_first(s[:, -1] <= _INVERTIBILITY_RTOL * s[:, 0], name,
-                  "matrix is numerically singular (condition estimate > 1e12)")
+    """Reject the first entry whose singular values s_min <= _INVERTIBILITY_RTOL s_max.
+
+    One batched inverse screens the stack first: an entry passes when
+    ||A||_F ||A^-1||_F <= 1e-2 / _INVERTIBILITY_RTOL.  That product bounds
+    cond_2 from above, and the factor 1e-2 covers the relative rounding of
+    the computed inverse, about d eps cond <= d 2.2e-6 at the screen's
+    bound, so a passing entry is one the SVD test accepts too.  Only the
+    other entries, or all of them when the inverse meets an exactly
+    singular entry, pay for the SVD.
+    """
+    undecided = np.ones(len(stack), dtype=bool)
+    try:
+        inverse = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond_f = np.sqrt(np.einsum("nij,nij->n", stack, stack)
+                             * np.einsum("nij,nij->n", inverse, inverse))
+        undecided = ~(cond_f <= 1e-2 / _INVERTIBILITY_RTOL)
+    bad = np.zeros(len(stack), dtype=bool)
+    if undecided.any():
+        s = np.linalg.svd(stack[undecided], compute_uv=False)
+        bad[undecided] = s[:, -1] <= _INVERTIBILITY_RTOL * s[:, 0]
+    _reject_first(bad, name, "matrix is numerically singular (condition estimate > 1e12)")
+
+
+def _noise_factors(stack, name):
+    """Lower Cholesky factors of a stack of symmetric noise covariances.
+
+    Raises ConfigError naming the first entry that Cholesky rejects, which
+    only an R conditioned past float64 can reach after the eigenvalue floor.
+    """
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        _reject_first([dpotrf(r, lower=1)[1] != 0 for r in stack], name,
+                      "covariance is not positive definite (Cholesky factorization failed)")
+        raise
 
 
 def _check_noise_cov(stack, m, floor, name):
+    """Validate a stack of noise covariances; return their Cholesky factors."""
     _check_square(stack, name)
     if stack.shape[1] != m:
         raise ConfigError(name(0), f"expected {m}x{m}, got {stack.shape[1]}x{stack.shape[1]}")
     _check_finite(stack, name)
     _reject_first(asymmetry(stack) > _SYMMETRY_RTOL, name, "covariance is not symmetric")
-    lam_min = np.linalg.eigvalsh(symmetrize(stack))[:, 0]
+    sym = symmetrize(stack)
+    lam_min = np.linalg.eigvalsh(sym)[:, 0]
     _reject_first(lam_min < floor, name,
                   lambda t: f"covariance not positive definite above the floor "
                             f"(lambda_min={lam_min[t]:.3e} < {floor:.1e})")
+    return _noise_factors(sym, name)
 
 
 class SystemModel:
@@ -111,7 +151,13 @@ class SystemModel:
     Each sequence is held as one read-only stack, ``A_seq`` (n, d, d),
     ``H_seq`` (n, m, d) and ``R_seq`` (n, m, m); a constant field's stack
     is None.  Every sequence is validated as a whole, and a bad entry is
-    reported by the config path of the first one.
+    reported by the config path of the first one.  The noise covariances
+    are Cholesky-factorized here, once; ``noise_factors`` hands the factors
+    out.
+
+    ``horizon`` is the number of usable observation steps, or None when
+    unlimited: step k is usable when H_k, R_k and the transitions A_1..A_k
+    exist.
     """
 
     def __init__(self, dynamics, observation, noise, sigma2_floor=DEFAULT_SIGMA2_FLOOR):
@@ -142,28 +188,24 @@ class SystemModel:
                 raise ConfigError("noise.sigma2",
                                   f"must be >= {self.sigma2_floor:.1e}, got {sigma2!r}")
             self.sigma2 = sigma2
+            self._r_factors = readonly(_noise_factors(self.R_at(0)[None], lambda t: "noise.sigma2"))
         else:
             rs = _as_array(noise, "noise")
             if rs.ndim != 3 or rs.shape[0] == 0:
                 raise ConfigError("noise", "pass a scalar sigma2 or a non-empty sequence of R matrices")
-            _check_noise_cov(rs, self.m, self.sigma2_floor, lambda t: f"noise.R_seq[{t}]")
+            self._r_factors = readonly(_check_noise_cov(rs, self.m, self.sigma2_floor,
+                                                        lambda t: f"noise.R_seq[{t}]"))
             self.R_seq = readonly(rs)
+
+        limits = [len(seq) + shift
+                  for seq, shift in ((self.A_seq, 1), (self.H_seq, 0), (self.R_seq, 0))
+                  if seq is not None]
+        self.horizon = min(limits) if limits else None
 
     @property
     def is_lti(self):
         """Constant dynamics and observation (noise may still vary per step)."""
         return self.lti_dynamics and self.lti_observation
-
-    @property
-    def horizon(self):
-        """Number of usable observation steps, or None when unlimited.
-
-        Step k is usable when H_k, R_k and the transitions A_1..A_k exist.
-        """
-        limits = [len(seq) + shift
-                  for seq, shift in ((self.A_seq, 1), (self.H_seq, 0), (self.R_seq, 0))
-                  if seq is not None]
-        return min(limits) if limits else None
 
     def _check_horizon(self, k):
         if k < 0:
@@ -201,6 +243,17 @@ class SystemModel:
         if k >= len(self.R_seq):
             raise HorizonError(f"noise step {k} exceeds the LTV horizon ({len(self.R_seq)})")
         return self.R_seq[k]
+
+    def noise_factors(self, count, start=0):
+        """Lower Cholesky factors C_k, R_k = C_k C_k^T, for k = start..start+count-1.
+
+        A read-only (n, m, m) stack of the factors taken when the model was
+        built.  A per-step sequence is cut off at its end, so n falls short
+        of ``count`` past it.
+        """
+        if self.isotropic:
+            return np.broadcast_to(self._r_factors[0], (count, self.m, self.m))
+        return self._r_factors[start:start + count]
 
     def __repr__(self):
         kind = "LTI" if self.is_lti else "LTV"

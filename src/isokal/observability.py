@@ -90,20 +90,16 @@ def information_prefixes(model, count, start=0, anchors=1, observations=None):
     H~_j^T R_j^-1 y(j), with H~_j = H_j A(j,a) and y(j) row j - start of
     ``observations``; the scores are None without observations.
 
-    Each R_j is Cholesky-factorized once per call, R_j = C_j C_j^T, and
-    every term adds the Gram product W^T W of the whitened observer
-    W = C_j^-1 H~_j (a linear solve against C_j; no inverse is formed).  The
-    Gramians are symmetrized after every term.  Only the current stack is
-    held; the items are new arrays, so a caller may keep them.
+    With the model's Cholesky factors R_j = C_j C_j^T, every term adds the
+    Gram product W^T W of the whitened observer W = C_j^-1 H~_j (a linear
+    solve against C_j; no inverse is formed).  The Gramians are symmetrized
+    after every term.  Only the current stack is held; the items are new
+    arrays, so a caller may keep them.
     """
     if count < 0 or anchors < 1:
         raise ValueError(f"need count >= 0 and anchors >= 1, got {count} and {anchors}")
     d, horizon = model.d, model.horizon
-    steps = anchors + count - 1
-    if model.isotropic:
-        factors = np.broadcast_to(np.linalg.cholesky(model.R_at(0)), (steps, model.m, model.m))
-    else:
-        factors = np.linalg.cholesky(symmetrize(model.R_seq[start:start + steps]))
+    factors = model.noise_factors(anchors + count - 1, start)
     n = anchors
     for j in range(count):
         k = start + j
@@ -181,9 +177,13 @@ def check_observability(model, L_max, rho_tol=1e-9):
         return report(k_max, None)
 
     # Time-varying (a finite horizon): certify every window of length L
-    # inside the horizon, growing the windows of all anchors together.
+    # inside the horizon, growing the windows of all anchors together.  Row
+    # 0 of the stack is the anchor-0 window, whose lambda_min is trace[L-1]
+    # with the same bits, so a window length it fails is not decomposed.
     windows = information_prefixes(model, k_max, anchors=horizon)
     for L, (stack, _) in enumerate(windows, start=1):
+        if trace[L - 1] < rho_tol:
+            continue
         window_min = _lambda_min(stack).min()
         if window_min >= rho_tol:
             return report(L, float(window_min))

@@ -101,8 +101,8 @@ def scaled_gain(monkeypatch):
     """Scale every gain by 1.5, so the Joseph and short-form updates disagree."""
     real = estimator._gain_pieces
 
-    def scaled(P, h_tilde, R):
-        k_gain, sigma, f = real(P, h_tilde, R)
+    def scaled(*args):
+        k_gain, sigma, f = real(*args)
         return 1.5 * k_gain, sigma, f
 
     monkeypatch.setattr(estimator, "_gain_pieces", scaled)

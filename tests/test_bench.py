@@ -26,3 +26,8 @@ def test_tiny_run_writes_valid_json(tmp_path):
     for by_dim in doc["layers"].values():
         assert set(by_dim) == {"2", "8"}
         assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())
+    ltv = doc["ltv"]
+    assert (ltv["d"], ltv["m"], ltv["T"], ltv["L_max"]) == (4, 1, 40, 8)
+    assert set(ltv["layers"]) == {"model_validation", "check_observability",
+                                  "simulate_per_step", "run_per_step"}
+    assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())

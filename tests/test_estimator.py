@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -140,11 +141,28 @@ class TestGain:
             step(s, [0.1], model.R_at(0), model)
 
     def test_indefinite_innovation_covariance_raises(self, example2):
+        # an indefinite R is no precision loss: the message names the step only
         model, _x0, x_hat0, _p0, _ = example2
         s = init(model, x_hat0, 1e-6)
         with pytest.raises(np.linalg.LinAlgError,
-                           match="innovation covariance is not positive definite"):
+                           match="^innovation covariance is not positive definite at step 0$"):
             step(s, [0.1], -np.eye(1), model)
+
+    def test_exhausted_precision_is_named(self, example1):
+        # example1 past about 100 steps: eps ||H~ F||_F^2 swamps R = 1e-4 I
+        model, x0, x_hat0, p0, _ = example1
+        pattern = (r"^innovation covariance is not positive definite at step (\d+): float64 "
+                   r"precision is exhausted \(eps \|\|H~ F\|\|_F\^2 = (\S+) >= "
+                   r"lambda_min\(R\) = 1\.000e-04\)$")
+        with pytest.raises(np.linalg.LinAlgError, match=pattern) as exc:
+            gain_schedule(model, p0, 300)
+        k, rounding = re.match(pattern, str(exc.value)).groups()
+        k = int(k)
+        assert 100 < k < 300 and float(rounding) >= 1e-4
+        # the step named is the first update that fails, and run fails there too
+        gain_schedule(model, p0, k)
+        with pytest.raises(np.linalg.LinAlgError, match=f"at step {k}: float64 precision"):
+            run(model, x_hat0, p0, simulate(model, x0, 300, 5))
 
 
 def spectral_check_fails(p_joseph, p_short):
@@ -409,6 +427,15 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("n_h, n_r", [(2, 2), (3, 3)], ids=["noise_ends", "dynamics_end"])
+    def test_past_the_horizon_raises(self, n_h, n_r):
+        # horizon 2 either way; the third observation has no R_2, or no A_2
+        m = SystemModel(np.stack([np.eye(2)]), np.stack([np.eye(2)] * n_h),
+                        np.stack([np.eye(2)] * n_r))
+        assert m.horizon == 2
+        with pytest.raises(HorizonError):
+            run(m, None, 1.0, np.zeros((3, 2)))
+
     def test_empty_observations(self, example1):
         model, _x0, x_hat0, p0, _ = example1
         states = run(model, x_hat0, p0, [])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isokal import estimator
+from isokal._linalg import symmetrize
 from isokal.harness import (
     EXAMPLE_STEPS,
     example_system,
@@ -15,7 +16,7 @@ from isokal.harness import (
     trial_seed,
     write_observations_csv,
 )
-from isokal.model import SystemModel, observed_evolution
+from isokal.model import SystemModel, observed_evolution, observed_evolution_sequence
 
 
 def lti(a, h, sigma2=1.0):
@@ -150,6 +151,34 @@ def per_step_noise_ltv(T=12):
         r_seq.append(0.01 * (g @ g.T + np.eye(2)))
     model = SystemModel(a_seq, h_seq, np.stack(r_seq))
     return model, rng.standard_normal(3), np.zeros(3), 0.5 * np.eye(3)
+
+
+@pytest.mark.parametrize("system", ["example1", "example2", "ltv"])
+def test_simulate_and_run_equal_per_step_factorization(system, request):
+    # simulate and run read the model's noise factors; the references
+    # factorize R_k at every step, simulate as it was first written and run
+    # as a fold of the public step, which factorizes its own R_prev
+    if system == "ltv":
+        (model, x0, x_hat0, p0), T = per_step_noise_ltv(), 12
+    else:
+        (model, x0, x_hat0, p0, _), T = request.getfixturevalue(system), EXAMPLE_STEPS
+    rng = np.random.default_rng(2024)
+    ref_obs = np.empty((T, model.m))
+    for k, h_tilde in enumerate(observed_evolution_sequence(model, T)):
+        noise = np.linalg.cholesky(symmetrize(model.R_at(k))) @ rng.standard_normal(model.m)
+        ref_obs[k] = h_tilde @ x0 + noise
+    obs = simulate(model, x0, T, 2024)
+    np.testing.assert_array_equal(obs, ref_obs)
+
+    ref_states = [estimator.init(model, x_hat0, p0)]
+    for t, y in enumerate(obs):
+        ref_states.append(estimator.step(ref_states[-1], y, model.R_at(t), model))
+    states = estimator.run(model, x_hat0, p0, obs)
+    assert len(states) == T + 1
+    for s, ref in zip(states, ref_states):
+        np.testing.assert_array_equal(s.x_hat, ref.x_hat)
+        np.testing.assert_array_equal(s.P, ref.P)
+        np.testing.assert_array_equal(s.H_tilde_next, ref.H_tilde_next)
 
 
 def reference_trial(model, x0, x_hat0, p0, T, seed, t, calibrated, noiseless):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from isokal._linalg import symmetrize
 from isokal.model import (
     ConfigError,
     advance_observed_evolution,
@@ -11,6 +13,7 @@ from isokal.model import (
     observed_evolution_sequence,
     transition,
 )
+from test_harness import per_step_noise_ltv
 
 
 def lti(a, h, sigma2=1.0):
@@ -246,6 +249,129 @@ class TestLoadModel:
         assert not m.is_lti
         assert m.horizon == 3
         np.testing.assert_allclose(m.R_at(2), [[0.25]])
+
+
+def with_condition(rng, d, cond):
+    """A d x d matrix with singular values spaced from 1 down to 1/cond, in random frames."""
+    u, v = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    return (u * np.geomspace(1.0, 1.0 / cond, d)) @ v.T
+
+
+def svd_first_singular(stack):
+    """Index of the first entry the unscreened SVD test rejects, or None."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    bad = np.flatnonzero(s[:, -1] <= 1e-12 * s[:, 0])
+    return int(bad[0]) if bad.size else None
+
+
+class TestInvertibilityScreen:
+    """The batched-inverse screen decides only entries the SVD test would accept."""
+
+    @pytest.fixture()
+    def svd_rows(self, monkeypatch):
+        rows = []
+        real = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            rows.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return rows
+
+    @staticmethod
+    def stack(*conds, d=3):
+        rng = np.random.default_rng(77)
+        return np.stack([np.zeros((d, d)) if c is None else with_condition(rng, d, c)
+                         for c in conds])
+
+    def test_well_conditioned_stack_takes_no_svd(self, svd_rows):
+        SystemModel(self.stack(1.0, 10.0, 1e6, 1e9), np.ones((1, 3)), 1.0)
+        assert svd_rows == []
+
+    def test_cond_1e11_is_accepted_through_the_svd(self, svd_rows):
+        a_seq = self.stack(1.0, 1e11, 10.0)
+        assert svd_first_singular(a_seq) is None
+        svd_rows.clear()
+        SystemModel(a_seq, np.ones((1, 3)), 1.0)
+        assert svd_rows == [1]
+
+    def test_cond_1e13_is_rejected_by_name(self, svd_rows):
+        a_seq = self.stack(1.0, 10.0, 1e13, 1e11)
+        with pytest.raises(ConfigError, match="numerically singular "
+                                              r"\(condition estimate > 1e12\)") as exc:
+            SystemModel(a_seq, np.ones((1, 3)), 1.0)
+        assert exc.value.path == "dynamics.A_seq[2]"
+        assert svd_rows == [2]
+
+    def test_exactly_singular_entry_falls_back_to_the_full_svd(self, svd_rows):
+        a_seq = self.stack(1.0, 1.0, 1.0)
+        a_seq[1] = [[1.0, 2.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(a_seq)
+        with pytest.raises(ConfigError) as exc:
+            SystemModel(a_seq, np.ones((1, 3)), 1.0)
+        assert exc.value.path == "dynamics.A_seq[1]"
+        assert svd_rows == [3]
+
+    @pytest.mark.parametrize("conds, first", [
+        ((1.0, 1e13, 1.0, 1e14), 1),
+        ((1.0, 1e11, None, 1e13), 2),
+        ((1e13, None), 0),
+    ], ids=["two_ill_conditioned", "singular_then_ill_conditioned", "ill_conditioned_then_zero"])
+    def test_two_bad_entries_name_the_first(self, conds, first):
+        a_seq = self.stack(*conds)
+        assert svd_first_singular(a_seq) == first
+        with pytest.raises(ConfigError) as exc:
+            SystemModel(a_seq, np.ones((1, 3)), 1.0)
+        assert exc.value.path == f"dynamics.A_seq[{first}]"
+
+    def test_lti_dynamics_named_without_index(self):
+        with pytest.raises(ConfigError) as exc:
+            lti(self.stack(1e13)[0], np.ones((1, 3)))
+        assert exc.value.path == "dynamics.A"
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8), n=st.integers(1, 12))
+    def test_decision_equals_the_unscreened_svd(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        a_seq = np.stack([with_condition(rng, d, 10.0 ** rng.uniform(0.0, 15.0))
+                          * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)])
+        first = svd_first_singular(a_seq)
+        if first is None:
+            SystemModel(a_seq, np.ones((1, d)), 1.0)
+        else:
+            with pytest.raises(ConfigError) as exc:
+                SystemModel(a_seq, np.ones((1, d)), 1.0)
+            assert exc.value.path == f"dynamics.A_seq[{first}]"
+
+
+class TestNoiseFactors:
+    def test_per_step_factors_equal_per_matrix_cholesky(self):
+        model = per_step_noise_ltv()[0]
+        n = len(model.R_seq)
+        factors = model.noise_factors(n)
+        assert factors.shape == (n, 2, 2) and not factors.flags.writeable
+        for r, factor in zip(model.R_seq, factors):
+            np.testing.assert_array_equal(factor, np.linalg.cholesky(symmetrize(r)))
+        np.testing.assert_array_equal(model.noise_factors(4, start=3), factors[3:7])
+        assert len(model.noise_factors(n, start=n - 2)) == 2
+
+    def test_isotropic_factor_is_shared(self, example1):
+        model = example1[0]
+        factors = model.noise_factors(7, start=5)
+        assert factors.shape == (7, 2, 2) and not factors.flags.writeable
+        for factor in factors:
+            np.testing.assert_array_equal(factor, np.linalg.cholesky(model.R_at(0)))
+
+    @pytest.mark.parametrize("noise, path", [
+        (np.stack([np.eye(2), np.ones((2, 2)), np.ones((2, 2))]), "noise.R_seq[1]"),
+        (0.0, "noise.sigma2"),
+    ], ids=["per_step", "isotropic"])
+    def test_unfactorable_noise_is_named(self, noise, path):
+        # only a floor at or below 0 lets a singular R past the eigenvalue check
+        with pytest.raises(ConfigError, match="Cholesky factorization failed") as exc:
+            SystemModel(np.eye(2), np.eye(2), noise, sigma2_floor=0.0)
+        assert exc.value.path == path
 
 
 class TestWeylBracketing:

@@ -82,6 +82,29 @@ class TestInformationPrefixes:
             gramian(model, 12, 1)
 
 
+def ltv_fixture(case):
+    """LTV models (and one LTI model with per-step R) for the certificate tests."""
+    rng = np.random.default_rng(606)
+    if case == "ltv":
+        return per_step_noise_ltv()[0]
+    if case == "lti_per_step_r":
+        g = rng.standard_normal((10, 1, 1))
+        return SystemModel(np.eye(3) + 0.3 * rng.standard_normal((3, 3)),
+                           rng.standard_normal((1, 3)), 0.05 + g @ g.transpose(0, 2, 1))
+    rows = {
+        # anchor 0 sees both coordinates by L = 2, every later anchor only one
+        "ltv_blind": [[0.0, 1.0]] + [[1.0, 0.0]] * 7,
+        # alternating until a blind last window
+        "ltv_blind_tail": [[0.0, 1.0], [1.0, 0.0]] * 3 + [[1.0, 0.0]] * 2,
+        # the second coordinate is never seen
+        "ltv_hidden": [[1.0, 0.0]] * 8,
+    }[case]
+    return SystemModel(np.stack([np.eye(2)] * 7), np.array(rows)[:, None, :], 1.0)
+
+
+LTV_FIXTURES = ["ltv", "lti_per_step_r", "ltv_blind", "ltv_blind_tail", "ltv_hidden"]
+
+
 class TestCheckObservability:
     @pytest.mark.parametrize("rho_tol", [np.nan, np.inf, -np.inf, -1.0, 0.0])
     @pytest.mark.parametrize("analysis", [
@@ -157,18 +180,7 @@ class TestCheckObservability:
         ("ltv_blind", 1e-9), ("ltv_blind_tail", 1e-9),
     ])
     def test_windowed_certificate_matches_brute_force(self, case, rho_tol):
-        rng = np.random.default_rng(606)
-        if case == "ltv":
-            model = per_step_noise_ltv()[0]
-        elif case == "lti_per_step_r":
-            g = rng.standard_normal((10, 1, 1))
-            model = SystemModel(np.eye(3) + 0.3 * rng.standard_normal((3, 3)),
-                                rng.standard_normal((1, 3)), 0.05 + g @ g.transpose(0, 2, 1))
-        else:
-            # blind after step 0, or alternating until a blind last window
-            rows = ([[0.0, 1.0]] + [[1.0, 0.0]] * 7 if case == "ltv_blind"
-                    else [[0.0, 1.0], [1.0, 0.0]] * 3 + [[1.0, 0.0]] * 2)
-            model = SystemModel(np.stack([np.eye(2)] * 7), np.array(rows)[:, None, :], 1.0)
+        model = ltv_fixture(case)
         rep = check_observability(model, L_max=6, rho_tol=rho_tol)
         assert (rep.verdict, rep.L, rep.rho) == self.brute_force(model, 6, rho_tol)
 
@@ -234,6 +246,96 @@ class TestCheckObservability:
         doc = check_observability(example2[0], L_max=3).to_json_dict()
         for key in ("verdict", "L", "rho", "lambda_min_trace", "growth_class", "beta_fit"):
             assert key in doc
+
+
+class TestCertificateScreen:
+    """Windows that anchor 0 already fails are not decomposed; the result keeps its bits."""
+
+    @staticmethod
+    def unscreened(model, L_max, rho_tol):
+        """Verdict, L, rho and trace with every window's anchor stack decomposed."""
+        k_max = min(L_max, model.horizon)
+        trace = np.array([np.linalg.eigvalsh(info[0])[0]
+                          for info, _ in information_prefixes(model, k_max)])
+        windows = information_prefixes(model, k_max, anchors=model.horizon)
+        for L, (stack, _) in enumerate(windows, start=1):
+            window_min = np.linalg.eigvalsh(stack)[:, 0].min()
+            if window_min >= rho_tol:
+                return "Observable", L, float(window_min), trace
+        return "NotObservableUpTo", k_max, None, trace
+
+    @staticmethod
+    def tolerances(model, L_max):
+        """1e-9 and every anchor-0 lambda_min as rho_tol, each met exactly at its window."""
+        trace = check_observability(model, L_max).lambda_min_trace
+        return [1e-9] + [float(t) for t in trace if t > 0.0]
+
+    def assert_unchanged(self, model, L_max, rho_tol, monkeypatch):
+        stacks = []
+        real = observability._lambda_min
+
+        def counted(gramians):
+            if gramians.ndim == 3:
+                stacks.append(len(gramians))
+            return real(gramians)
+
+        monkeypatch.setattr(observability, "_lambda_min", counted)
+        rep = check_observability(model, L_max, rho_tol=rho_tol)
+        monkeypatch.setattr(observability, "_lambda_min", real)
+        verdict, L, rho, trace = self.unscreened(model, L_max, rho_tol)
+        assert (rep.verdict, rep.L) == (verdict, L)
+        assert rep.rho == rho
+        np.testing.assert_array_equal(rep.lambda_min_trace, trace)
+        # one stacked decomposition per window length that anchor 0 passes
+        assert len(stacks) == int(np.sum(trace[:L] >= rho_tol))
+
+    @staticmethod
+    def assert_row0_is_the_anchor0_window(model, k_max):
+        stacked = information_prefixes(model, k_max, anchors=model.horizon)
+        for (stack, _), (one, _) in zip(stacked, information_prefixes(model, k_max),
+                                        strict=True):
+            np.testing.assert_array_equal(stack[0], one[0])
+
+    @pytest.mark.parametrize("case", LTV_FIXTURES)
+    def test_fixtures_match_the_unscreened_scan(self, case, monkeypatch):
+        model = ltv_fixture(case)
+        for L_max in (1, 3, 6, model.horizon):
+            for rho_tol in self.tolerances(model, L_max):
+                self.assert_unchanged(model, L_max, rho_tol, monkeypatch)
+        self.assert_row0_is_the_anchor0_window(model, model.horizon)
+
+    def test_anchor0_passes_where_a_later_anchor_fails(self, monkeypatch):
+        model = ltv_fixture("ltv_blind")
+        rep = check_observability(model, L_max=4)
+        assert rep.lambda_min_trace[1] >= 1e-9 and rep.verdict == "NotObservableUpTo"
+        self.assert_unchanged(model, 4, 1e-9, monkeypatch)
+
+    @given(kind=st.sampled_from(["ltv", "lti_per_step_r"]), d=st.integers(1, 4),
+           m=st.integers(1, 4), horizon=st.integers(2, 9), L_max=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1), blind=st.booleans())
+    def test_drawn_models_match_the_unscreened_scan(self, kind, d, m, horizon, L_max, seed,
+                                                    blind):
+        m = min(m, d)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((horizon, m, m))
+        r_seq = 0.1 * (g @ g.transpose(0, 2, 1) + np.eye(m))
+        if kind == "ltv":
+            h_seq = rng.standard_normal((horizon, m, d))
+            if blind:
+                # from step 1 on the last coordinate is hidden, so later anchors fail
+                h_seq[1:, :, -1] = 0.0
+            a_seq = np.stack([np.linalg.qr(rng.standard_normal((d, d)))[0]
+                              for _ in range(horizon)])
+            if blind:
+                a_seq[:] = np.eye(d)
+            model = SystemModel(a_seq, h_seq, r_seq)
+        else:
+            model = SystemModel(np.eye(d) + 0.3 * rng.standard_normal((d, d)),
+                                rng.standard_normal((m, d)), r_seq)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for rho_tol in self.tolerances(model, L_max):
+                self.assert_unchanged(model, L_max, rho_tol, monkeypatch)
+        self.assert_row0_is_the_anchor0_window(model, min(L_max, horizon))
 
 
 class TestGrowthClassification:
