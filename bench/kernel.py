@@ -4,14 +4,16 @@
 
 Times ``estimator._update`` (on a positive definite P, the Cholesky path,
 and on a rank-deficient P, the eigen-split fallback), ``estimator.step``,
-``estimator.gain_schedule`` (per step), ``stability.analyze_stability``,
+``estimator.gain_schedule`` (per step), ``estimator.wls_prefixes`` (per
+prefix), ``stability.analyze_stability``,
 ``observability.check_observability`` (L_max = d) and
 ``observability.lambda_min_asymptotics`` (K = 2d, given that report) at
 d = 2, 8, 32 and 128 on seeded random LTI systems.  It also times the
 layers of one long LTV record (d = 8, m = 1, T = 800, per-step A, H and R):
 ``SystemModel`` validation, ``check_observability`` (L_max = 16, every
-anchor), and ``harness.simulate`` and ``estimator.run`` per step.  It
-writes the perf_counter medians, in microseconds per call, as JSON
+anchor), and ``harness.simulate`` and ``estimator.run`` per step; and one
+``harness.monte_carlo`` ensemble of example1 (d = 4, T = 40, 100 trials).
+It writes the perf_counter medians, in microseconds per call, as JSON
 together with the machine: CPU, numpy, scipy and OpenBLAS versions and the
 BLAS thread count, which is pinned to 1 before numpy loads.  isokal is
 imported from ``src/`` next to this directory.  ``--tiny`` is a smoke run
@@ -25,6 +27,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import contextlib  # noqa: E402
 import ctypes  # noqa: E402
 import glob  # noqa: E402
@@ -46,8 +49,9 @@ from scipy.linalg.lapack import dpotrf  # noqa: E402
 from isokal import estimator, harness, observability, stability  # noqa: E402
 from isokal.model import SystemModel  # noqa: E402
 
-LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step", "analyze_stability",
-          "check_observability", "lambda_min_asymptotics")
+LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
+          "wls_prefixes_per_prefix", "analyze_stability", "check_observability",
+          "lambda_min_asymptotics")
 LTV_LAYERS = ("model_validation", "check_observability", "simulate_per_step", "run_per_step")
 
 
@@ -133,6 +137,7 @@ def measure(d, tiny):
     P, h, R = sched.P[T // 2], sched.h_tilde[T // 2], model.R_at(T // 2)
     state = estimator.run(model, None, 1.0, np.zeros((T // 2, model.m)))[-1]
     y = np.ones(model.m)
+    obs = harness.simulate(model, np.ones(d), T, 1)
     # P with its trailing half of rows and columns zeroed: PSD, rank d/2,
     # and Cholesky meets a zero pivot, so the update takes the eigen-split
     singular = P.copy()
@@ -147,6 +152,10 @@ def measure(d, tiny):
         "step": median_us(lambda: estimator.step(state, y, R, model), repeats, target_s),
         "gain_schedule_per_step": median_us(
             lambda: estimator.gain_schedule(model, 1.0, T), repeats, target_s) / T,
+        # T observations give T + 1 prefixes, the prior alone first
+        "wls_prefixes_per_prefix": median_us(
+            lambda: collections.deque(estimator.wls_prefixes(model, None, 1.0, obs), maxlen=0),
+            repeats, target_s) / (T + 1),
         "analyze_stability": median_us(
             lambda: stability.analyze_stability(model, 1.0, k_max), repeats, target_s),
         "check_observability": median_us(
@@ -177,6 +186,15 @@ def measure_ltv(tiny):
     return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers}
 
 
+def measure_ensemble(tiny):
+    repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
+    model, x0, x_hat0, p0, _ = harness.example_system("example1")
+    T, trials = harness.EXAMPLE_STEPS, 100
+    layers = {"monte_carlo": median_us(
+        lambda: harness.monte_carlo(model, x0, x_hat0, p0, T, trials, 42), repeats, target_s)}
+    return {"example": "example1", "T": T, "trials": trials, "layers": layers}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="smoke run: d = 2, 8, short repeats")
@@ -186,6 +204,7 @@ def main(argv=None):
     dims = (2, 8) if args.tiny else (2, 8, 32, 128)
     by_dim = {d: measure(d, args.tiny) for d in dims}
     ltv = measure_ltv(args.tiny)
+    ensemble = measure_ensemble(args.tiny)
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
@@ -194,6 +213,8 @@ def main(argv=None):
         "layers": {layer: {str(d): round(by_dim[d][layer], 3) for d in dims}
                    for layer in LAYERS},
         "ltv": {**ltv, "layers": {layer: round(ltv["layers"][layer], 3) for layer in LTV_LAYERS}},
+        "ensemble": {**ensemble, "layers": {layer: round(us, 3)
+                                            for layer, us in ensemble["layers"].items()}},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -202,6 +223,8 @@ def main(argv=None):
         print(f"{layer:24s}" + "".join(f"  d={d}: {by_dim[d][layer]:10.1f}" for d in dims))
     for layer in LTV_LAYERS:
         print(f"ltv {layer:20s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
+    print(f"ensemble monte_carlo      {ensemble['trials']} trials, T={ensemble['T']}: "
+          f"{ensemble['layers']['monte_carlo']:10.1f}")
     return 0
 
 

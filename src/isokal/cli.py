@@ -125,21 +125,19 @@ def _cmd_analyze(args):
     model = _load_config(args.config)
     obs_report = check_observability(model, L_max=args.horizon, rho_tol=args.rho_tol)
 
+    doc = obs_report.to_json_dict()
     if model.is_lti and obs_report.observable:
         growth = lambda_min_asymptotics(model, K=args.k_max, rho_tol=args.rho_tol,
                                         report=obs_report)
-        obs_report.growth_class = growth.growth_class
-        obs_report.growth_limit = growth.limit
-        obs_report.beta_fit = growth.beta
-        obs_report.lambda_min_trace = growth.lambda_min_trace
-
-    doc = obs_report.to_json_dict()
-    if model.is_lti and obs_report.observable:
+        doc.update({"lambda_min_trace": [float(v) for v in growth.lambda_min_trace],
+                    "growth_class": growth.growth_class, "growth_limit": growth.limit,
+                    "beta_fit": growth.beta})
         report = stability.analyze_stability(model, P0=args.p0, k_max=args.k_max,
                                              report=obs_report)
         doc.update(report.to_json_dict())
     else:
-        doc.update({"eigs_abs": None, "classification": None, "alpha": None,
+        doc.update({"growth_class": None, "growth_limit": None, "beta_fit": None,
+                    "eigs_abs": None, "classification": None, "alpha": None,
                     "beta": None, "lyapunov_monotone": None, "p_norm_trace": None,
                     "uniformly_stable_hint": None})
 

@@ -27,8 +27,9 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._linalg import readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
-from .model import HorizonError, advance_observed_evolution, observed_evolution_sequence
+from ._linalg import asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
+from .model import (_SYMMETRY_RTOL, HorizonError, advance_observed_evolution,
+                    observed_evolution_sequence)
 from .observability import information_prefixes
 
 # Stored covariances may carry rounding-level negative eigenvalues; anything
@@ -67,22 +68,40 @@ class GainSchedule:
     P: np.ndarray             # (T+1, d, d): P_k, k = 0..T
 
 
+def _state_vector(value, d, name):
+    """``value`` as a finite d-vector; ValueError naming ``name`` otherwise."""
+    value = np.asarray(value, dtype=float).reshape(-1)
+    if value.shape != (d,):
+        raise ValueError(f"{name} has length {value.shape[0]}, model state dimension is {d}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def _prior(model, x_hat0, P0):
-    """Normalize (x_hat0, P0) inputs: None -> zeros, scalar p -> p * I."""
+    """The prior (x_hat0, P0), checked; the one place its contract is enforced.
+
+    x_hat0=None means the zero vector and a scalar p means p * I.  x_hat0
+    must be a finite d-vector and P0 a finite (d, d) matrix (ValueError
+    otherwise), symmetric to within 1e-12 of its largest entry and positive
+    definite (LinAlgError otherwise).  Returns x_hat0 and the symmetric
+    part of P0.
+    """
     d = model.d
-    if x_hat0 is None:
-        x_hat0 = np.zeros(d)
-    x_hat0 = np.asarray(x_hat0, dtype=float).reshape(-1)
-    if x_hat0.shape != (d,):
-        raise ValueError(f"x_hat0 has length {x_hat0.shape[0]}, model state dimension is {d}")
+    x_hat0 = np.zeros(d) if x_hat0 is None else _state_vector(x_hat0, d, "x_hat0")
     if np.isscalar(P0):
         P0 = np.diag(np.full(d, float(P0)))
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (d, d):
         raise ValueError(f"P0 has shape {P0.shape}, expected ({d}, {d})")
-    for name, value in (("x_hat0", x_hat0), ("P0", P0)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
+    if not np.all(np.isfinite(P0)):
+        raise ValueError("P0 must be finite")
+    if asymmetry(P0) > _SYMMETRY_RTOL:
+        raise np.linalg.LinAlgError("P0 is not symmetric")
+    P0 = symmetrize(P0)
+    lam_min = np.linalg.eigvalsh(P0)[0]
+    if lam_min <= 0.0:
+        raise np.linalg.LinAlgError(f"P0 is not positive definite (lambda_min={lam_min:.3e})")
     return x_hat0, P0
 
 
@@ -93,13 +112,7 @@ def init(model, x_hat0, P0):
     p * I, and x_hat0=None for the zero vector.
     """
     x_hat0, P0 = _prior(model, x_hat0, P0)
-    if np.max(np.abs(P0 - P0.T)) > 1e-12 * max(np.max(np.abs(P0)), 1e-300):
-        raise np.linalg.LinAlgError("P0 is not symmetric")
-    lam = np.linalg.eigvalsh(symmetrize(P0))
-    if lam[0] <= 0.0:
-        raise np.linalg.LinAlgError(
-            f"P0 is not positive definite (lambda_min={lam[0]:.3e})")
-    return EstimatorState(step=0, x_hat=readonly(x_hat0), P=readonly(symmetrize(P0)),
+    return EstimatorState(step=0, x_hat=readonly(x_hat0), P=readonly(P0),
                           H_tilde_next=readonly(model.H_at(0)), phi=readonly(np.eye(model.d)))
 
 
@@ -300,7 +313,7 @@ def gain_schedule(model, P0, T):
     h_tilde = np.empty((T, model.m, model.d))
     gains = np.empty((T, model.d, model.m))
     covs = np.empty((T + 1, model.d, model.d))
-    covs[0] = init(model, None, P0).P
+    covs[0] = _prior(model, None, P0)[1]
     r_factors = model.noise_factors(T)
     for k, h in enumerate(observed_evolution_sequence(model, T)):
         h_tilde[k] = h
@@ -338,12 +351,7 @@ def wls_prefixes(model, x_hat0, P0, observations):
                 information_prefixes(model, observations.shape[0], observations=observations))
     # The prior alone, then one more observation per prefix.
     for info, score in chain([(0.0, 0.0)], prefixes):
-        try:
-            factor = spd_factor(p0_inv + info, "normal matrix")
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                "normal matrix is numerically singular; check that P0 is positive definite")
-        yield cho_solve(factor, p0_x + score)
+        yield cho_solve(spd_factor(p0_inv + info, "normal matrix"), p0_x + score)
 
 
 def batch_wls(model, x_hat0, P0, observations):

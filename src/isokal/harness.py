@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator
-from ._linalg import readonly, symmetrize
+from ._linalg import readonly
 from .model import SystemModel, observed_evolution_sequence
 
 
@@ -51,37 +51,40 @@ def trial_seed(master_seed, trial_id):
     return np.random.SeedSequence((int(master_seed), int(trial_id)))
 
 
-def _initial_state(model, x0):
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (model.d,):
-        raise ValueError(f"x0 has length {x0.shape[0]}, model state dimension is {model.d}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
-    return x0
+def _observations(h_tilde, x0, factors, draws):
+    """Observations H~_k x0 + C_k g_k, k = 0..T-1, of one or more noise streams.
+
+    ``h_tilde`` stacks the T observers and ``factors`` the lower Cholesky
+    factors C_k of R_k; ``draws`` (..., T, m) holds the standard normal g_k
+    of each stream.  ``draws=None`` adds no noise term at all.
+    """
+    obs = h_tilde @ x0
+    if draws is not None:
+        obs = obs + (factors @ draws[..., None])[..., 0]
+    return obs
 
 
 def simulate(model, x0, T, seed, noiseless=False):
     """Observations y(k) = H~_k x0 + v_k for k = 0..T-1, shape (T, m).
 
-    Noise is drawn per step as L_k g with L_k the model's lower Cholesky
-    factor of R_k and g standard normal; the sequence is fully determined by
-    ``seed`` (an int, SeedSequence or Generator).  ``noiseless`` skips the
-    noise entirely and returns the exact evolved observations.  Dynamics
-    that overflow float64 within T steps raise ValueError naming the first
-    non-finite step.
+    Noise is one standard_normal((T, m)) block whose row k, multiplied by
+    the model's lower Cholesky factor of R_k, is v_k; the sequence is fully
+    determined by ``seed`` (an int, SeedSequence or Generator).
+    ``noiseless`` skips the noise entirely and returns the exact evolved
+    observations.  Steps past the model's horizon raise HorizonError.
+    Dynamics that overflow float64 within T steps raise ValueError naming
+    the first non-finite step.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    x0 = _initial_state(model, x0)
+    x0 = estimator._state_vector(x0, model.d, "x0")
+    model._check_horizon(T - 1)
     rng = np.random.default_rng(seed)
-    out = np.empty((T, model.m))
-    factors = model.noise_factors(T)
+    draws = None if noiseless else rng.standard_normal((T, model.m))
     # Overflow is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, h_tilde in enumerate(observed_evolution_sequence(model, T)):
-            out[k] = h_tilde @ x0
-            if not noiseless:
-                out[k] += factors[k] @ rng.standard_normal(model.m)
+        h_tilde = np.array(list(observed_evolution_sequence(model, T)))
+        out = _observations(h_tilde, x0, model.noise_factors(T), draws)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise ValueError(f"simulated observation at step {bad[0]} is not finite: "
@@ -107,26 +110,26 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    x0 = _initial_state(model, x0)
+    x0 = estimator._state_vector(x0, model.d, "x0")
     x_hat0, P0 = estimator._prior(model, x_hat0, P0)
     schedule = estimator.gain_schedule(model, P0, T)
 
     x_hat = np.tile(x_hat0, (trials, 1))
-    draws = np.zeros((trials, T, model.m))
-    guess_factor = np.linalg.cholesky(symmetrize(P0))
+    draws = None if noiseless else np.empty((trials, T, model.m))
+    guess_factor = np.linalg.cholesky(P0)
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(seed, t))
         if calibrated:
             x_hat[t] = x_hat[t] + guess_factor @ rng.standard_normal(model.d)
-        if not noiseless:
+        if draws is not None:
             draws[t] = rng.standard_normal((T, model.m))
-
-    obs = schedule.h_tilde @ x0 + (model.noise_factors(T) @ draws[..., None])[..., 0]
+    # (trials, T, m), or (T, m) shared by every trial when noiseless.
+    obs = _observations(schedule.h_tilde, x0, model.noise_factors(T), draws)
 
     errors = np.empty((trials, T + 1, model.d))
     errors[:, 0] = x_hat - x0
     for k in range(T):
-        innovation = obs[:, k] - x_hat @ schedule.h_tilde[k].T
+        innovation = obs[..., k, :] - x_hat @ schedule.h_tilde[k].T
         x_hat = x_hat + innovation @ schedule.gain[k].T
         errors[:, k + 1] = x_hat - x0
 

@@ -69,11 +69,6 @@ def _check_finite(stack, name):
     _reject_first(~np.isfinite(stack).all(axis=(1, 2)), name, "entries must be finite")
 
 
-def _check_square(stack, name):
-    if stack.shape[1] != stack.shape[2]:
-        raise ConfigError(name(0), f"expected a square matrix, got shape {stack.shape[1:]}")
-
-
 def _check_invertible(stack, name):
     """Reject the first entry whose singular values s_min <= _INVERTIBILITY_RTOL s_max.
 
@@ -118,9 +113,8 @@ def _noise_factors(stack, name):
 
 def _check_noise_cov(stack, m, floor, name):
     """Validate a stack of noise covariances; return their Cholesky factors."""
-    _check_square(stack, name)
-    if stack.shape[1] != m:
-        raise ConfigError(name(0), f"expected {m}x{m}, got {stack.shape[1]}x{stack.shape[1]}")
+    if stack.shape[1:] != (m, m):
+        raise ConfigError(name(0), f"expected {m}x{m}, got {stack.shape[1]}x{stack.shape[2]}")
     _check_finite(stack, name)
     _reject_first(asymmetry(stack) > _SYMMETRY_RTOL, name, "covariance is not symmetric")
     sym = symmetrize(stack)
@@ -162,7 +156,8 @@ class SystemModel:
 
     def __init__(self, dynamics, observation, noise, sigma2_floor=DEFAULT_SIGMA2_FLOOR):
         a, self.lti_dynamics, name = _as_stack(dynamics, "dynamics", "A", "one d x d matrix")
-        _check_square(a, name)
+        if a.shape[1] != a.shape[2]:
+            raise ConfigError(name(0), f"expected a square matrix, got shape {a.shape[1:]}")
         _check_finite(a, name)
         _check_invertible(a, name)
         self._a, self.A_seq = (readonly(a[0]), None) if self.lti_dynamics else (None, readonly(a))
@@ -325,28 +320,58 @@ def advance_observed_evolution(model, k, h_tilde, phi):
     return h @ phi, phi
 
 
-def _matrix_field(doc, path):
-    cur = doc
-    for part in path.split("."):
+def _field(doc, path):
+    """The value at a dotted config path; ConfigError names its first missing part."""
+    cur, parts = doc, path.split(".")
+    for i, part in enumerate(parts):
         if not isinstance(cur, dict) or part not in cur:
-            raise ConfigError(path, "missing required field")
+            raise ConfigError(".".join(parts[:i + 1]), "missing required field")
         cur = cur[part]
     return cur
+
+
+# The kinds of each config section: the key that holds the value and its
+# form, 2 for one matrix, 3 for a sequence of matrices, 0 for a number.
+_SECTIONS = {
+    "dynamics": {"lti": ("A", 2), "ltv": ("A_seq", 3)},
+    "observation": {"lti": ("H", 2), "ltv": ("H_seq", 3)},
+    "noise": {"isotropic": ("sigma2", 0), "per_step": ("R_seq", 3)},
+}
+_FORMS = {2: "one matrix", 3: "a sequence of matrices"}
+
+
+def _read_section(doc, section):
+    """The value of a config section, in the form its ``kind`` names."""
+    kinds = _SECTIONS[section]
+    kind = _field(doc, f"{section}.kind")
+    if kind not in kinds:
+        raise ConfigError(f"{section}.kind",
+                          f"must be {' or '.join(map(repr, kinds))}, got {kind!r}")
+    key, rank = kinds[kind]
+    path = f"{section}.{key}"
+    value = _field(doc, path)
+    if rank == 0:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(path, f"must be a number, got {value!r}")
+        return float(value)
+    value = _as_array(value, path)
+    if value.ndim != rank:
+        raise ConfigError(path, f"{kind!r} expects {_FORMS[rank]}, got shape {value.shape}")
+    return value
 
 
 def load_model(doc):
     """Build a validated SystemModel from a parsed JSON config document.
 
     Expected top-level keys: ``d``, ``m``, ``dynamics``, ``observation``,
-    ``noise``; see the README for the full schema.  Violations raise
-    ConfigError carrying the offending field path.
+    ``noise``; see the README for the full schema.  Each section's ``kind``
+    fixes the form of its value (one matrix, a sequence of matrices or a
+    number).  Violations raise ConfigError carrying the offending field
+    path.
     """
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    for key in ("d", "m", "dynamics", "observation", "noise"):
-        if key not in doc:
-            raise ConfigError(key, "missing required field")
-    d, m = doc["d"], doc["m"]
+    d, m = _field(doc, "d"), _field(doc, "m")
     if not isinstance(d, int) or d < 1:
         raise ConfigError("d", f"must be a positive integer, got {d!r}")
     if not isinstance(m, int) or m < 1:
@@ -354,40 +379,7 @@ def load_model(doc):
     if m > d:
         raise ConfigError("m", f"observation dimension m={m} exceeds state dimension d={d}")
 
-    kind = _matrix_field(doc, "dynamics.kind")
-    if kind == "lti":
-        dynamics = _as_array(_matrix_field(doc, "dynamics.A"), "dynamics.A")
-    elif kind == "ltv":
-        dynamics = _as_array(_matrix_field(doc, "dynamics.A_seq"), "dynamics.A_seq")
-        if dynamics.ndim != 3:
-            raise ConfigError("dynamics.A_seq", f"expected a sequence of matrices, got shape {dynamics.shape}")
-    else:
-        raise ConfigError("dynamics.kind", f"must be 'lti' or 'ltv', got {kind!r}")
-
-    kind = _matrix_field(doc, "observation.kind")
-    if kind == "lti":
-        observation = _as_array(_matrix_field(doc, "observation.H"), "observation.H")
-    elif kind == "ltv":
-        observation = _as_array(_matrix_field(doc, "observation.H_seq"), "observation.H_seq")
-        if observation.ndim != 3:
-            raise ConfigError("observation.H_seq", f"expected a sequence of matrices, got shape {observation.shape}")
-    else:
-        raise ConfigError("observation.kind", f"must be 'lti' or 'ltv', got {kind!r}")
-
-    kind = _matrix_field(doc, "noise.kind")
-    if kind == "isotropic":
-        noise = _matrix_field(doc, "noise.sigma2")
-        if not isinstance(noise, (int, float)) or isinstance(noise, bool):
-            raise ConfigError("noise.sigma2", f"must be a number, got {noise!r}")
-        noise = float(noise)
-    elif kind == "per_step":
-        noise = _as_array(_matrix_field(doc, "noise.R_seq"), "noise.R_seq")
-        if noise.ndim != 3:
-            raise ConfigError("noise.R_seq", f"expected a sequence of matrices, got shape {noise.shape}")
-    else:
-        raise ConfigError("noise.kind", f"must be 'isotropic' or 'per_step', got {kind!r}")
-
-    model = SystemModel(dynamics, observation, noise)
+    model = SystemModel(*(_read_section(doc, section) for section in _SECTIONS))
     if model.d != d:
         raise ConfigError("d", f"declared d={d} but matrices have d={model.d}")
     if model.m != m:

@@ -48,9 +48,6 @@ class ObservabilityReport:
     L_max: int
     rho_tol: float
     lambda_min_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    growth_class: str | None = None
-    growth_limit: float | None = None
-    beta_fit: float | None = None
 
     @property
     def observable(self):
@@ -62,9 +59,6 @@ class ObservabilityReport:
             "L": self.L,
             "rho": self.rho,
             "lambda_min_trace": [float(v) for v in self.lambda_min_trace],
-            "growth_class": self.growth_class,
-            "growth_limit": self.growth_limit,
-            "beta_fit": self.beta_fit,
         }
 
 

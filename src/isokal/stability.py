@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from ._linalg import eig_abs_sorted, spd_factor, spectral_norm, spd_inverse, symmetrize
+from ._linalg import eig_abs_sorted, spd_factor, spectral_norm, spd_inverse
 from . import estimator
 from .observability import UnobservableModelError, _require_observable
 
@@ -166,16 +166,16 @@ def gelfand_diagnostic(a, n_max):
 def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     """Assemble a StabilityReport from the deterministic covariance run.
 
-    P0 may be a scalar p (meaning p * I).  The Lyapunov trace follows
+    P0 may be a scalar p (meaning p * I); it is checked as ``estimator.init``
+    checks it.  The Lyapunov trace follows
     z(k) = Psi_k z(k-1) from z0 (default: the normalized all-ones vector);
     by the covariance-inverse identity z(k) = P_k P0^-1 z0, so it is read
     off the covariance stack without factorizing any P_k.
     Classification is attempted for observable LTI models and left None
     otherwise; ``report`` is passed to ``classify``.
     """
-    P0 = symmetrize(estimator._prior(model, None, P0)[1])
     covs = estimator.covariance_sequence(model, P0, k_max)
-    p0_inv = spd_inverse(P0, "P0")
+    p0_inv = spd_inverse(covs[0], "P0")
     # ||P_k|| = max |eig(P_k)|, ||Psi(k,0)|| = sqrt(lambda_max(Psi^T Psi)) with
     # Psi(k,0) = P_k P0^-1, in chunks: one (k_max+1, d, d) product stack would
     # add its size (3.3 MB at d = 64, k_max = 100) to the peak memory.

@@ -21,8 +21,9 @@ def test_tiny_run_writes_valid_json(tmp_path):
         assert key in machine
     assert machine["OPENBLAS_NUM_THREADS"] == "1"
     assert set(doc["layers"]) == {"_update", "_update_fallback", "step",
-                                  "gain_schedule_per_step", "analyze_stability",
-                                  "check_observability", "lambda_min_asymptotics"}
+                                  "gain_schedule_per_step", "wls_prefixes_per_prefix",
+                                  "analyze_stability", "check_observability",
+                                  "lambda_min_asymptotics"}
     for by_dim in doc["layers"].values():
         assert set(by_dim) == {"2", "8"}
         assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())
@@ -31,3 +32,7 @@ def test_tiny_run_writes_valid_json(tmp_path):
     assert set(ltv["layers"]) == {"model_validation", "check_observability",
                                   "simulate_per_step", "run_per_step"}
     assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
+    ensemble = doc["ensemble"]
+    assert (ensemble["example"], ensemble["T"], ensemble["trials"]) == ("example1", 40, 100)
+    assert set(ensemble["layers"]) == {"monte_carlo"}
+    assert all(math.isfinite(v) and v > 0.0 for v in ensemble["layers"].values())

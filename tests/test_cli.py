@@ -59,6 +59,20 @@ class TestSimulate:
         assert code == 1
         assert "m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value, path", [
+        ("dynamics", {"kind": "lti", "A": [[[1.0, -0.5], [-0.5, 1.0]]] * 2}, "dynamics.A"),
+        ("noise", {"kind": "per_step", "R_seq": [[1e-6]]}, "noise.R_seq"),
+    ])
+    def test_kind_and_rank_mismatch_exits_1(self, tmp_path, example2_config, capsys,
+                                            section, value, path):
+        example2_config[section] = value
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "obs.csv"
+        code = run_cli("simulate", "--config", cfg, "--x0", "1,2", "--steps", "2", "--out", out)
+        assert code == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_x0_exits_1(self, tmp_path, example2_config, capsys):
         cfg = write_config(tmp_path, example2_config)
         out = tmp_path / "obs.csv"
@@ -213,6 +227,7 @@ class TestAnalyze:
         assert doc["verdict"] == "Observable" and doc["L"] == 2
         assert doc["classification"] == "LyapunovStableOnly"
         assert doc["growth_class"] == "BoundedLimit"
+        assert doc["growth_limit"] == doc["lambda_min_trace"][-1]
         assert doc["eigs_abs"] == pytest.approx([1.5, 0.5])
         assert len(doc["lambda_min_trace"]) == 20
         assert doc["lyapunov_monotone"] is True
@@ -267,6 +282,7 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "NotObservableUpTo"
         assert doc["classification"] is None
+        assert doc["growth_class"] is doc["growth_limit"] is doc["beta_fit"] is None
 
 
     @pytest.mark.parametrize("rho_tol", ["nan", "inf", "-1", "0"])

@@ -10,9 +10,10 @@ from scipy.linalg.lapack import dpotrf
 from isokal import estimator
 from isokal._linalg import spd_inverse, spectral_norm, symmetrize
 from isokal.estimator import batch_wls, gain_schedule, init, run, step, wls_prefixes
-from isokal.harness import simulate, trial_seed
+from isokal.harness import monte_carlo, simulate, trial_seed
 from isokal.model import HorizonError, SystemModel, observed_evolution, transition
 from isokal.observability import gramian
+from isokal.stability import analyze_stability
 from test_harness import per_step_noise_ltv
 
 
@@ -85,6 +86,47 @@ class TestInit:
         model = example2[0]
         with pytest.raises(np.linalg.LinAlgError, match="symmetric"):
             init(model, None, np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    # Every entry point that takes a prior reads it through one check.
+    PRIOR_ENTRY_POINTS = {
+        "init": lambda model, x0, x_hat0, p0, obs: init(model, x_hat0, p0),
+        "run": lambda model, x0, x_hat0, p0, obs: run(model, x_hat0, p0, obs),
+        "gain_schedule": lambda model, x0, x_hat0, p0, obs: gain_schedule(model, p0, 5),
+        "monte_carlo": lambda model, x0, x_hat0, p0, obs: monte_carlo(
+            model, x0, x_hat0, p0, T=5, trials=3, seed=1),
+        "batch_wls": lambda model, x0, x_hat0, p0, obs: batch_wls(model, x_hat0, p0, obs),
+        "analyze_stability": lambda model, x0, x_hat0, p0, obs: analyze_stability(
+            model, p0, k_max=5),
+    }
+    BAD_PRIORS = {
+        "asymmetric": ([[1e-2, 5e-3], [0.0, 1e-2]], np.linalg.LinAlgError,
+                       "P0 is not symmetric"),
+        "indefinite": ([[1e-2, 0.0], [0.0, -1e-2]], np.linalg.LinAlgError,
+                       "P0 is not positive definite (lambda_min=-1.000e-02)"),
+        "non_finite": ([[1e-2, 0.0], [0.0, np.nan]], ValueError, "P0 must be finite"),
+        "wrong_shape": (1e-2 * np.eye(3), ValueError, "P0 has shape (3, 3), expected (2, 2)"),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD_PRIORS))
+    @pytest.mark.parametrize("entry", list(PRIOR_ENTRY_POINTS))
+    def test_prior_contract_is_shared(self, example2, entry, bad):
+        model, x0, x_hat0, _p0, _ = example2
+        p0, error, message = self.BAD_PRIORS[bad]
+        obs = simulate(model, x0, 5, 1)
+        with pytest.raises(Exception) as exc:
+            self.PRIOR_ENTRY_POINTS[entry](model, x0, x_hat0, np.array(p0), obs)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_rounding_level_asymmetry_is_accepted_and_symmetrized(self, example2):
+        model, x0, x_hat0, _p0, _ = example2
+        p0 = np.array([[1e-2, 5e-3], [5e-3 * (1.0 + 1e-13), 1e-2]])
+        s = init(model, x_hat0, p0)
+        np.testing.assert_array_equal(s.P, symmetrize(p0))
+        obs = simulate(model, x0, 5, 1)
+        np.testing.assert_array_equal(gain_schedule(model, p0, 5).P[0], s.P)
+        xb = batch_wls(model, x_hat0, p0, obs)
+        assert np.linalg.norm(run(model, x_hat0, p0, obs)[-1].x_hat - xb) <= 1e-9
 
 
 class TestGain:

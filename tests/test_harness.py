@@ -16,7 +16,8 @@ from isokal.harness import (
     trial_seed,
     write_observations_csv,
 )
-from isokal.model import SystemModel, observed_evolution, observed_evolution_sequence
+from isokal.model import (HorizonError, SystemModel, observed_evolution,
+                          observed_evolution_sequence)
 
 
 def lti(a, h, sigma2=1.0):
@@ -64,6 +65,47 @@ class TestSimulate:
         with pytest.raises(ValueError, match="step 1753 is not finite: the dynamics overflowed"):
             simulate(model, x0, 3000, seed=1, noiseless=noiseless)
         assert np.all(np.isfinite(simulate(model, x0, 1753, seed=1, noiseless=noiseless)))
+
+
+    @pytest.mark.parametrize("system", ["example1", "example2", "ltv"])
+    def test_noiseless_adds_no_noise_term(self, system, request):
+        # bitwise against the observers applied to x0 one at a time
+        if system == "ltv":
+            (model, x0, _xh, _p0), T = per_step_noise_ltv(), 12
+        else:
+            (model, x0, _xh, _p0, _), T = request.getfixturevalue(system), EXAMPLE_STEPS
+        ref = np.array([h @ x0 for h in observed_evolution_sequence(model, T)])
+        assert simulate(model, x0, T, seed=1, noiseless=True).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_past_the_horizon_raises(self, noiseless):
+        # constant A and H, three noise covariances: step 3 has no R_3
+        model = SystemModel(np.eye(2), np.eye(2), np.stack([np.eye(2)] * 3))
+        assert simulate(model, np.ones(2), 3, seed=1, noiseless=noiseless).shape == (3, 2)
+        with pytest.raises(HorizonError, match="step 3 exceeds the model horizon"):
+            simulate(model, np.ones(2), 4, seed=1, noiseless=noiseless)
+
+    STATE_VECTOR_INPUTS = {
+        "simulate_x0": ("x0", lambda model, v, p0: simulate(model, v, 5, seed=1)),
+        "monte_carlo_x0": ("x0", lambda model, v, p0: monte_carlo(
+            model, v, None, p0, T=5, trials=2, seed=1)),
+        "monte_carlo_x_hat0": ("x_hat0", lambda model, v, p0: monte_carlo(
+            model, np.ones(2), v, p0, T=5, trials=2, seed=1)),
+        "init_x_hat0": ("x_hat0", lambda model, v, p0: estimator.init(model, v, p0)),
+    }
+
+    @pytest.mark.parametrize("value, message", [
+        ([1.0, 2.0, 3.0], "{} has length 3, model state dimension is 2"),
+        ([np.nan, 1.0], "{} must be finite"),
+        ([1.0, np.inf], "{} must be finite"),
+    ], ids=["wrong_length", "nan", "inf"])
+    @pytest.mark.parametrize("entry", list(STATE_VECTOR_INPUTS))
+    def test_state_vectors_share_one_check(self, example2, entry, value, message):
+        model, _x0, _xh, p0, _ = example2
+        name, call = self.STATE_VECTOR_INPUTS[entry]
+        with pytest.raises(ValueError) as exc:
+            call(model, np.array(value), p0)
+        assert str(exc.value) == message.format(name)
 
 
 class TestMonteCarlo:

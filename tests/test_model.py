@@ -205,6 +205,32 @@ class TestLoadModel:
             load_model(doc)
         assert exc.value.path == f"{field}.{key}[3]"
 
+    @pytest.mark.parametrize("section, value, path", [
+        ("dynamics", {"kind": "lti", "A": [[[1.0, -0.5], [-0.5, 1.0]]] * 2}, "dynamics.A"),
+        ("observation", {"kind": "lti", "H": [[[0.0, 1.0]]] * 2}, "observation.H"),
+        ("dynamics", {"kind": "ltv", "A_seq": [[1.0, -0.5], [-0.5, 1.0]]}, "dynamics.A_seq"),
+        ("observation", {"kind": "ltv", "H_seq": [[0.0, 1.0]]}, "observation.H_seq"),
+        ("noise", {"kind": "per_step", "R_seq": [[1e-6]]}, "noise.R_seq"),
+        ("noise", {"kind": "isotropic", "sigma2": [[1e-6]]}, "noise.sigma2"),
+    ], ids=["lti_A_sequence", "lti_H_sequence", "ltv_A_matrix", "ltv_H_matrix",
+            "per_step_R_matrix", "isotropic_matrix"])
+    def test_kind_and_rank_mismatch_names_the_field(self, example2_config, section, value, path):
+        example2_config[section] = value
+        with pytest.raises(ConfigError) as exc:
+            load_model(example2_config)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("section, kind, message", [
+        ("dynamics", "per_step", "must be 'lti' or 'ltv', got 'per_step'"),
+        ("observation", "isotropic", "must be 'lti' or 'ltv', got 'isotropic'"),
+        ("noise", "lti", "must be 'isotropic' or 'per_step', got 'lti'"),
+    ])
+    def test_unknown_kind_is_named(self, example2_config, section, kind, message):
+        example2_config[section]["kind"] = kind
+        with pytest.raises(ConfigError, match=message) as exc:
+            load_model(example2_config)
+        assert exc.value.path == f"{section}.kind"
+
     def test_example1_config(self, example1_config):
         m = load_model(example1_config)
         assert (m.d, m.m) == (4, 2)
@@ -226,10 +252,19 @@ class TestLoadModel:
             load_model(example2_config)
         assert "noise.R_seq[0]" in str(exc.value)
 
-    def test_missing_field_names_path(self, example2_config):
-        del example2_config["dynamics"]
-        with pytest.raises(ConfigError, match="dynamics"):
+    @pytest.mark.parametrize("missing, path", [
+        (("dynamics",), "dynamics"), (("d",), "d"), (("dynamics", "kind"), "dynamics.kind"),
+        (("observation", "H"), "observation.H"), (("noise", "sigma2"), "noise.sigma2"),
+    ])
+    def test_missing_field_names_path(self, example2_config, missing, path):
+        # a missing section or key is named by its first missing part
+        parent = example2_config
+        for key in missing[:-1]:
+            parent = parent[key]
+        del parent[missing[-1]]
+        with pytest.raises(ConfigError, match="missing required field") as exc:
             load_model(example2_config)
+        assert exc.value.path == path
 
     def test_dimension_mismatch_rejected(self, example2_config):
         example2_config["d"] = 3

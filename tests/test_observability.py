@@ -244,8 +244,8 @@ class TestCheckObservability:
 
     def test_json_keys(self, example2):
         doc = check_observability(example2[0], L_max=3).to_json_dict()
-        for key in ("verdict", "L", "rho", "lambda_min_trace", "growth_class", "beta_fit"):
-            assert key in doc
+        # the growth keys of the analyze report come from GramianGrowth, not from here
+        assert set(doc) == {"verdict", "L", "rho", "lambda_min_trace"}
 
 
 class TestCertificateScreen:
