@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .model import (
     ConfigError,
     HorizonError,
+    NonFiniteError,
     SystemModel,
     load_model,
     observed_evolution,
@@ -38,7 +39,7 @@ from .harness import EnsembleStats, TrialResult, monte_carlo, reproduce_example,
 
 __all__ = [
     "__version__",
-    "ConfigError", "HorizonError", "SystemModel",
+    "ConfigError", "HorizonError", "NonFiniteError", "SystemModel",
     "load_model", "observed_evolution", "transition",
     "EstimatorState", "batch_wls", "init", "run", "step", "wls_prefixes",
     "ObservabilityReport", "UnobservableModelError", "check_observability",

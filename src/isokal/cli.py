@@ -127,8 +127,7 @@ def _cmd_analyze(args):
 
     doc = obs_report.to_json_dict()
     if model.is_lti and obs_report.observable:
-        growth = lambda_min_asymptotics(model, K=args.k_max, rho_tol=args.rho_tol,
-                                        report=obs_report)
+        growth = lambda_min_asymptotics(model, K=args.k_max, report=obs_report)
         doc.update({"lambda_min_trace": [float(v) for v in growth.lambda_min_trace],
                     "growth_class": growth.growth_class, "growth_limit": growth.limit,
                     "beta_fit": growth.beta})

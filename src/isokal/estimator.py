@@ -28,7 +28,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._linalg import asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
-from .model import (_SYMMETRY_RTOL, HorizonError, advance_observed_evolution,
+from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
                     observed_evolution_sequence)
 from .observability import information_prefixes
 
@@ -244,8 +244,26 @@ def _update(P, h_tilde, R, r_factor=None, k=None):
 
 
 def step(state, y_prev, R_prev, model):
-    """Consume observation y(state.step) and return the refined state."""
+    """Consume observation y(state.step) and return the refined state.
+
+    The observation must be finite (ValueError otherwise).
+    """
+    y_prev = np.asarray(y_prev, dtype=float)
+    if not np.isfinite(y_prev).all():
+        raise ValueError(f"observation y({state.step}) must be finite")
     return _step(state, y_prev, R_prev, None, model)
+
+
+def _check_observer(h_tilde, k):
+    """Raise NonFiniteError when the observer H~_k of step k is not finite.
+
+    The diagnosis of a failed update: the filter runs with numpy's overflow
+    warnings off, and an observer that left float64 surfaces only as a
+    non-finite innovation covariance.
+    """
+    if h_tilde is not None and not np.isfinite(h_tilde).all():
+        raise NonFiniteError(f"observer H~ of step {k} is not finite: "
+                             "the dynamics overflowed float64")
 
 
 def _step(state, y_prev, R_prev, r_factor, model):
@@ -297,9 +315,18 @@ def run(model, x_hat0, P0, observations):
     observations = _as_observations(observations, model.m)
     states = [init(model, x_hat0, P0)]
     factors = model.noise_factors(len(observations))
-    for t, y in enumerate(observations):
-        # R_at raises HorizonError past a per-step sequence, before factors[t] is read.
-        states.append(_step(states[-1], y, model.R_at(t), factors[t], model))
+    # Overflow is reported by the checks below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, y in enumerate(observations):
+            try:
+                # R_at raises HorizonError past a per-step sequence, before factors[t] is read.
+                states.append(_step(states[-1], y, model.R_at(t), factors[t], model))
+            except (ValueError, np.linalg.LinAlgError):
+                _check_observer(states[-1].H_tilde_next, t)
+                raise
+    if not np.isfinite(states[-1].x_hat).all():
+        bad = next(s.step for s in states if not np.isfinite(s.x_hat).all())
+        raise NonFiniteError(f"estimate at step {bad} is not finite: it overflowed float64")
     return states
 
 
@@ -315,9 +342,15 @@ def gain_schedule(model, P0, T):
     covs = np.empty((T + 1, model.d, model.d))
     covs[0] = _prior(model, None, P0)[1]
     r_factors = model.noise_factors(T)
-    for k, h in enumerate(observed_evolution_sequence(model, T)):
-        h_tilde[k] = h
-        gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
+    # An overflowed observer is reported by _check_observer, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, h in enumerate(observed_evolution_sequence(model, T)):
+            h_tilde[k] = h
+            try:
+                gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
+            except (ValueError, np.linalg.LinAlgError):
+                _check_observer(h, k)
+                raise
     for arr in (h_tilde, gains, covs):
         arr.flags.writeable = False
     return GainSchedule(h_tilde=h_tilde, gain=gains, P=covs)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import estimator
 from ._linalg import readonly
-from .model import SystemModel, observed_evolution_sequence
+from .model import NonFiniteError, SystemModel, observed_evolution_sequence
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def simulate(model, x0, T, seed, noiseless=False):
     determined by ``seed`` (an int, SeedSequence or Generator).
     ``noiseless`` skips the noise entirely and returns the exact evolved
     observations.  Steps past the model's horizon raise HorizonError.
-    Dynamics that overflow float64 within T steps raise ValueError naming
-    the first non-finite step.
+    Dynamics that overflow float64 within T steps raise NonFiniteError
+    naming the first non-finite step.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -87,8 +87,8 @@ def simulate(model, x0, T, seed, noiseless=False):
         out = _observations(h_tilde, x0, model.noise_factors(T), draws)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
-        raise ValueError(f"simulated observation at step {bad[0]} is not finite: "
-                         f"the dynamics overflowed float64")
+        raise NonFiniteError(f"simulated observation at step {bad[0]} is not finite: "
+                             f"the dynamics overflowed float64")
     return out
 
 
@@ -111,8 +111,10 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     x0 = estimator._state_vector(x0, model.d, "x0")
-    x_hat0, P0 = estimator._prior(model, x_hat0, P0)
+    x_hat0 = (np.zeros(model.d) if x_hat0 is None
+              else estimator._state_vector(x_hat0, model.d, "x_hat0"))
     schedule = estimator.gain_schedule(model, P0, T)
+    P0 = schedule.P[0]
 
     x_hat = np.tile(x_hat0, (trials, 1))
     draws = None if noiseless else np.empty((trials, T, model.m))

@@ -35,6 +35,10 @@ class HorizonError(ValueError):
     """A step index beyond the finite horizon of an LTV sequence."""
 
 
+class NonFiniteError(ValueError):
+    """A quantity overflowed float64; the message names the first step it did."""
+
+
 def _as_array(value, path):
     try:
         return np.asarray(value, dtype=float)

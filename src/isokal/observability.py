@@ -16,10 +16,10 @@ from itertools import islice
 import numpy as np
 
 from ._linalg import eig_abs_sorted, symmetrize
-from .model import advance_observed_evolution
+from .model import NonFiniteError, advance_observed_evolution
 
-#: Half-width of the |lambda| = 1 band inside which the growth of
-#: lambda_min(O(k,0)) is not classified.
+#: Half-width of the |lambda| = 1 band inside which min |eig(A)| alone
+#: classifies neither the growth of lambda_min(O(k,0)) nor the error dynamics.
 SPECTRAL_BAND_TOL = 1e-9
 
 #: Relative tolerance certifying that consecutive lambda_min values have
@@ -88,7 +88,8 @@ def information_prefixes(model, count, start=0, anchors=1, observations=None):
     Gram product W^T W of the whitened observer W = C_j^-1 H~_j (a linear
     solve against C_j; no inverse is formed).  The Gramians are symmetrized
     after every term.  Only the current stack is held; the items are new
-    arrays, so a caller may keep them.
+    arrays, so a caller may keep them.  Information that overflows float64
+    raises NonFiniteError naming the step, and no numpy warning.
     """
     if count < 0 or anchors < 1:
         raise ValueError(f"need count >= 0 and anchors >= 1, got {count} and {anchors}")
@@ -101,22 +102,36 @@ def information_prefixes(model, count, start=0, anchors=1, observations=None):
         model._check_horizon(k)
         if horizon is not None:
             n = min(n, horizon - k)
-        if j == 0:
-            h_tilde = (np.broadcast_to(model.H_at(k), (n, model.m, d)) if model.lti_observation
-                       else model.H_seq[k:k + n])
-            phi = np.broadcast_to(np.eye(d), (n, d, d))
-            info = np.zeros((n, d, d))
-            score = None if observations is None else np.zeros((n, d))
-        else:
-            h_tilde, phi = advance_observed_evolution(model, k, h_tilde[:n], phi[:n])
-        rhs = h_tilde if observations is None else np.concatenate(
-            [h_tilde, observations[j:j + n, :, None]], axis=2)
-        whitened = np.linalg.solve(factors[j:j + n], rhs)
-        w_t = np.swapaxes(whitened[..., :d], 1, 2)
-        info = symmetrize(info[:n] + w_t @ whitened[..., :d])
-        if observations is not None:
-            score = score[:n] + (w_t @ whitened[..., d:])[..., 0]
+        # Overflow is reported by the check below, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if j == 0:
+                h_tilde = (np.broadcast_to(model.H_at(k), (n, model.m, d))
+                           if model.lti_observation else model.H_seq[k:k + n])
+                phi = np.broadcast_to(np.eye(d), (n, d, d))
+                info = np.zeros((n, d, d))
+                score = None if observations is None else np.zeros((n, d))
+            else:
+                h_tilde, phi = advance_observed_evolution(model, k, h_tilde[:n], phi[:n])
+            rhs = h_tilde if observations is None else np.concatenate(
+                [h_tilde, observations[j:j + n, :, None]], axis=2)
+            whitened = np.linalg.solve(factors[j:j + n], rhs)
+            w_t = np.swapaxes(whitened[..., :d], 1, 2)
+            info = symmetrize(info[:n] + w_t @ whitened[..., :d])
+            if observations is not None:
+                score = score[:n] + (w_t @ whitened[..., d:])[..., 0]
+        if not (np.isfinite(info).all() and (score is None or np.isfinite(score).all())):
+            _raise_overflow(info, score, k, start)
         yield info, score
+
+
+def _raise_overflow(info, score, k, start):
+    """NonFiniteError naming the first window whose information left float64 at step k."""
+    finite = np.isfinite(info).all(axis=(1, 2))
+    if score is not None:
+        finite &= np.isfinite(score).all(axis=1)
+    i = int(np.flatnonzero(~finite)[0])
+    raise NonFiniteError(f"information of the window anchored at {start + i} is not finite "
+                         f"at step {k + i}: the Gramian overflowed float64")
 
 
 def gramian(model, k0, L):
@@ -138,11 +153,6 @@ def _lambda_min(gramians):
     return np.linalg.eigvalsh(gramians)[..., 0]
 
 
-def _check_rho_tol(rho_tol):
-    if not (np.isfinite(rho_tol) and rho_tol > 0.0):
-        raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
-
-
 def check_observability(model, L_max, rho_tol=1e-9):
     """Find the smallest window length certifying (uniform) observability.
 
@@ -154,7 +164,8 @@ def check_observability(model, L_max, rho_tol=1e-9):
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
-    _check_rho_tol(rho_tol)
+    if not (np.isfinite(rho_tol) and rho_tol > 0.0):
+        raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
     trace = np.array([_lambda_min(info[0]) for info, _ in information_prefixes(model, k_max)])
@@ -184,31 +195,23 @@ def check_observability(model, L_max, rho_tol=1e-9):
     return report(k_max, None)
 
 
-def _first_window_certifies(model, L_max, rho_tol):
-    """Whether some O(L,0) with L <= L_max has lambda_min >= rho_tol.
-
-    The single-window certificate of a fully LTI model, scanned only up to
-    the first certifying window.
-    """
-    _check_rho_tol(rho_tol)
-    return any(_lambda_min(info[0]) >= rho_tol for info, _ in information_prefixes(model, L_max))
-
-
-def _require_observable(model, rho_tol, report):
+def _require_observable(model, report=None):
     """Raise UnobservableModelError unless a window of length <= d certifies the model.
 
-    ``report``, a ``check_observability`` result for the same model, is
-    reused when its search covered L_max >= d at the same ``rho_tol``: the
-    search stops at the first certifying window length, so its verdict up
-    to d is read off L.  Any other report is ignored and the model is
-    certified afresh, by ``check_observability`` or, for a fully LTI
-    model, by a scan that stops at the first certifying window.
+    ``report``, a ``check_observability`` result for the model, is the
+    certificate when its search covered L_max >= d: the search stops at
+    the first certifying window length, so its verdict up to d is read off
+    L.  Otherwise the model is certified afresh at the report's rho_tol
+    (1e-9 without a report): a fully LTI model by a scan that stops at the
+    first certifying window, any other model by ``check_observability``.
     """
     d = model.d
-    if report is not None and report.rho_tol == rho_tol and report.L_max >= d:
+    rho_tol = 1e-9 if report is None else report.rho_tol
+    if report is not None and report.L_max >= d:
         observable = report.observable and report.L <= d
     elif model.is_lti and model.isotropic:
-        observable = _first_window_certifies(model, d, rho_tol)
+        observable = any(_lambda_min(info[0]) >= rho_tol
+                         for info, _ in information_prefixes(model, d))
     else:
         report = check_observability(model, L_max=d, rho_tol=rho_tol)
         observable = report.observable and report.L <= d
@@ -216,22 +219,22 @@ def _require_observable(model, rho_tol, report):
         raise UnobservableModelError(f"model is not observable up to window length {d}")
 
 
-def lambda_min_asymptotics(model, K, rho_tol=1e-9, report=None):
+def lambda_min_asymptotics(model, K, report=None):
     """Classify the growth of lambda_min(O(k,0)) for k = 1..K (LTI only).
 
     Unbounded when min |eig(A)| > 1, with a log-linear fit of the trace's
     tail half (supporting a lower bound rho * exp(beta k)); convergent to a
-    positive limit when min |eig(A)| < 1.  Within the 1e-9 band around 1 the
-    class is Undetermined.  A ``check_observability`` ``report`` of the
-    model that covers window lengths up to d at ``rho_tol`` stands in for a
-    fresh certificate, and any report's ``lambda_min_trace`` is the head of
-    the trace: only Gramians past it are decomposed.
+    positive limit when min |eig(A)| < 1.  Within the SPECTRAL_BAND_TOL band
+    around 1 the class is Undetermined.  A ``check_observability``
+    ``report`` of the model certifies it as ``_require_observable`` says,
+    and its ``lambda_min_trace`` is the head of the trace: only Gramians
+    past it are decomposed.
     """
     if not model.is_lti:
         raise ValueError("growth classification is defined for LTI models only")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    _require_observable(model, rho_tol, report)
+    _require_observable(model, report)
 
     # The report's trace is row 0 of the same accumulator through the same
     # _lambda_min, so its entries carry the bits a recomputation would.

@@ -16,11 +16,7 @@ from scipy.linalg import cho_solve
 
 from ._linalg import eig_abs_sorted, spd_factor, spectral_norm, spd_inverse
 from . import estimator
-from .observability import UnobservableModelError, _require_observable
-
-#: Band half-width around |lambda| = 1 inside which classification falls
-#: back to the normal-matrix criterion or Indeterminate.
-CLASSIFY_TOL = 1e-9
+from .observability import SPECTRAL_BAND_TOL, UnobservableModelError, _require_observable
 
 #: Covariances per stacked eigvalsh of the norm traces.
 _PSI_CHUNK = 16
@@ -85,29 +81,33 @@ def error_dynamics(model, states):
     return ErrorDynamics(psi_seq=psi_seq, covariances=[s.P for s in states])
 
 
-def classify(model, rho_tol=1e-9, report=None):
-    """Stability class of the error dynamics for an observable LTI model.
-
-    All eigenvalues of A outside the unit circle give uniform asymptotic
-    stability; any eigenvalue inside leaves the dynamics Lyapunov stable
-    only.  On the circle itself the question is settled only for normal A
-    (stable iff min |eig| >= 1); otherwise Indeterminate.  A
-    ``check_observability`` ``report`` of the model that covers window
-    lengths up to d at ``rho_tol`` stands in for a fresh certificate.
-    """
-    if not model.is_lti:
-        raise ValueError("classification is defined for LTI models only")
-    _require_observable(model, rho_tol, report)
-    a = model.A_at(1)
-    lam_min = float(eig_abs_sorted(a)[-1])
-    if lam_min > 1.0 + CLASSIFY_TOL:
+def _classification(a, lam_min):
+    """Stability class for dynamics ``a`` whose smallest |eigenvalue| is ``lam_min``."""
+    if lam_min > 1.0 + SPECTRAL_BAND_TOL:
         return UNIFORMLY_ASYMPTOTICALLY_STABLE
-    if lam_min < 1.0 - CLASSIFY_TOL:
+    if lam_min < 1.0 - SPECTRAL_BAND_TOL:
         return LYAPUNOV_STABLE_ONLY
     normal = spectral_norm(a.T @ a - a @ a.T) <= 1e-12 * spectral_norm(a) ** 2
     if normal and lam_min >= 1.0:
         return UNIFORMLY_ASYMPTOTICALLY_STABLE
     return INDETERMINATE
+
+
+def classify(model):
+    """Stability class of the error dynamics for an observable LTI model.
+
+    All eigenvalues of A outside the unit circle give uniform asymptotic
+    stability; any eigenvalue inside leaves the dynamics Lyapunov stable
+    only.  Within the SPECTRAL_BAND_TOL band around the circle the question
+    is settled only for normal A (stable iff min |eig| >= 1); otherwise
+    Indeterminate.  The model is certified afresh at rho_tol 1e-9;
+    ``analyze_stability`` reuses a ``check_observability`` report instead.
+    """
+    if not model.is_lti:
+        raise ValueError("classification is defined for LTI models only")
+    _require_observable(model)
+    a = model.A_at(1)
+    return _classification(a, float(eig_abs_sorted(a)[-1]))
 
 
 def exponential_fit(psi_norms):
@@ -172,7 +172,7 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     by the covariance-inverse identity z(k) = P_k P0^-1 z0, so it is read
     off the covariance stack without factorizing any P_k.
     Classification is attempted for observable LTI models and left None
-    otherwise; ``report`` is passed to ``classify``.
+    otherwise; ``report`` certifies the model as ``_require_observable`` says.
     """
     covs = estimator.covariance_sequence(model, P0, k_max)
     p0_inv = spd_inverse(covs[0], "P0")
@@ -198,11 +198,13 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     lam_min = lam_max = float("nan")
     hint = False
     if model.is_lti:
-        eigs = eig_abs_sorted(model.A_at(1))
+        a = model.A_at(1)
+        eigs = eig_abs_sorted(a)
         lam_min, lam_max = float(eigs[-1]), float(eigs[0])
         hint = lam_max < 1.0
         try:
-            classification = classify(model, report=report)
+            _require_observable(model, report)
+            classification = _classification(a, lam_min)
         except UnobservableModelError:
             classification = None
 

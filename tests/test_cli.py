@@ -243,34 +243,72 @@ class TestAnalyze:
         assert doc["beta_fit"] > 0
         assert doc["beta"] > 0
 
-    def test_lti_model_is_certified_once(self, tmp_path, example1_config, monkeypatch):
-        # lambda_min_asymptotics and classify reuse the command's report; the
-        # report equals the one assembled from separately certified pieces
+    @pytest.mark.parametrize("rho_tol", [1e-12, 1e-9, 1e-6])
+    def test_lti_model_is_certified_once(self, tmp_path, example1_config, monkeypatch,
+                                         rho_tol):
+        # lambda_min_asymptotics and analyze_stability reuse the command's
+        # report at its tolerance (no first-window scan: no accumulation of
+        # d = 4 terms); the report equals the one assembled from separately
+        # certified pieces
         from isokal import observability, stability
 
-        calls = []
+        calls, prefixes = [], []
         real = observability.check_observability
+        real_prefixes = observability.information_prefixes
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
+        def counted_prefixes(model, count, *args, **kwargs):
+            prefixes.append(count)
+            return real_prefixes(model, count, *args, **kwargs)
+
         monkeypatch.setattr(observability, "check_observability", counted)
         monkeypatch.setattr(cli, "check_observability", counted)
+        monkeypatch.setattr(observability, "information_prefixes", counted_prefixes)
         cfg = write_config(tmp_path, example1_config)
         out = tmp_path / "report.json"
         assert run_cli("analyze", "--config", cfg, "--horizon", "6", "--k-max", "30",
-                       "--out", out, "--quiet") == 0
+                       f"--rho-tol={rho_tol}", "--out", out, "--quiet") == 0
         assert len(calls) == 1
+        # the certificate's own accumulation, then the growth trace
+        assert prefixes == [6, 30]
+        monkeypatch.undo()
 
         model = load_model(example1_config)
-        expected = real(model, L_max=6).to_json_dict()
+        report = real(model, L_max=6, rho_tol=rho_tol)
+        expected = report.to_json_dict()
         growth = observability.lambda_min_asymptotics(model, K=30)
         expected.update(growth_class=growth.growth_class, growth_limit=growth.limit,
                         beta_fit=growth.beta,
                         lambda_min_trace=[float(v) for v in growth.lambda_min_trace])
         expected.update(stability.analyze_stability(model, P0=1.0, k_max=30).to_json_dict())
         assert json.loads(out.read_text()) == expected
+
+    def test_classification_certifies_at_the_report_tolerance(self, tmp_path, example2_config):
+        # lambda_min(O(2,0)) is about 1.2e-10: observable at --rho-tol 1e-12,
+        # not at the default 1e-9; the classification follows the verdict
+        example2_config["noise"]["sigma2"] = 1e9
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "5", "--k-max", "20",
+                       "--rho-tol", "1e-12", "--out", out, "--quiet") == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "Observable" and doc["L"] == 2
+        assert 1e-12 <= doc["lambda_min_trace"][1] < 1e-9
+        assert doc["growth_class"] == "BoundedLimit"
+        assert doc["classification"] == "LyapunovStableOnly"
+
+    def test_gramian_overflow_exits_1(self, tmp_path, example2_config, capsys):
+        # example2's |eig(A)| = 1.5 and sigma2 = 1e-6 take O(k,0) past
+        # float64 from step 859 on: an error naming the step, no report
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "1800", "--k-max", "1000",
+                       "--out", out) == 1
+        assert "not finite at step 859" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unobservable_is_a_verdict_not_an_error(self, tmp_path, example2_config):
         example2_config["observation"]["H"] = [[1.0, 0.0]]

@@ -11,7 +11,8 @@ from isokal import estimator
 from isokal._linalg import spd_inverse, spectral_norm, symmetrize
 from isokal.estimator import batch_wls, gain_schedule, init, run, step, wls_prefixes
 from isokal.harness import monte_carlo, simulate, trial_seed
-from isokal.model import HorizonError, SystemModel, observed_evolution, transition
+from isokal.model import (HorizonError, NonFiniteError, SystemModel, observed_evolution,
+                          transition)
 from isokal.observability import gramian
 from isokal.stability import analyze_stability
 from test_harness import per_step_noise_ltv
@@ -458,6 +459,12 @@ class TestStep:
         with pytest.raises(ValueError, match="observations must be finite"):
             batch_wls(model, x_hat0, p0, obs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation_rejected(self, example2, bad):
+        model, _x0, x_hat0, p0, _ = example2
+        with pytest.raises(ValueError, match=r"observation y\(0\) must be finite"):
+            step(init(model, x_hat0, p0), [bad], model.R_at(0), model)
+
     def test_beyond_horizon_rejected(self):
         m = SystemModel(np.stack([np.eye(2)]), np.stack([np.eye(2), np.eye(2)]),
                         np.stack([np.eye(2), np.eye(2)]))
@@ -624,6 +631,29 @@ class TestGainSchedule:
         assert estimator.gain_schedule(model, 1.0, 3).P.shape == (4, 2, 2)
         with pytest.raises(HorizonError):
             estimator.gain_schedule(model, 1.0, 4)
+
+
+class TestOverflow:
+    """A filter pass whose observer or estimate leaves float64 names the step, with no warning."""
+
+    @pytest.mark.parametrize("pass_", [
+        lambda model, x0, x_hat0, p0: gain_schedule(model, p0, 1800),
+        lambda model, x0, x_hat0, p0: run(model, x_hat0, p0, np.zeros((1800, 1))),
+        lambda model, x0, x_hat0, p0: monte_carlo(model, x0, x_hat0, p0, 1800, 2, 1),
+    ], ids=["gain_schedule", "run", "monte_carlo"])
+    def test_observer_overflow_names_the_step(self, example2, pass_):
+        # |eig(A)| = 1.5 takes H~_k past float64 at the step simulate names
+        model, x0, x_hat0, p0, _ = example2
+        with pytest.raises(NonFiniteError, match="step 1753 is not finite"):
+            simulate(model, x0, 1800, 1)
+        with pytest.raises(NonFiniteError, match="observer H~ of step 1753 is not finite"):
+            pass_(model, x0, x_hat0, p0)
+
+    def test_estimate_overflow_names_the_step(self):
+        # H~_1 = 1e200 is finite, H~_1 x^_1 is not: the estimate of step 2 overflows
+        model = scalar_model(a=1e200, h=1.0, sigma2=1.0)
+        with pytest.raises(NonFiniteError, match="estimate at step 2 is not finite"):
+            run(model, [1e200], 1e-300, np.zeros((2, 1)))
 
 
 def test_covariance_sequence_matches_run(example2):

@@ -109,6 +109,14 @@ class TestSimulate:
 
 
 class TestMonteCarlo:
+    def test_prior_is_checked_once(self, example2, monkeypatch):
+        model, x0, x_hat0, p0, _ = example2
+        calls = []
+        real = estimator._prior
+        monkeypatch.setattr(estimator, "_prior", lambda *a: calls.append(1) or real(*a))
+        monte_carlo(model, x0, x_hat0, p0, T=5, trials=3, seed=1)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_x0_rejected(self, example2, bad):
         model, _x0, x_hat0, p0, _ = example2

@@ -5,7 +5,7 @@ from hypothesis import assume, given, strategies as st
 from isokal import observability
 from isokal._linalg import spectral_norm, symmetrize
 from isokal.harness import simulate
-from isokal.model import HorizonError, SystemModel, observed_evolution_sequence
+from isokal.model import HorizonError, NonFiniteError, SystemModel, observed_evolution_sequence
 from isokal.observability import (
     UnobservableModelError,
     check_observability,
@@ -13,7 +13,7 @@ from isokal.observability import (
     information_prefixes,
     lambda_min_asymptotics,
 )
-from isokal.stability import classify
+from isokal.stability import analyze_stability
 from test_harness import per_step_noise_ltv
 
 
@@ -82,6 +82,38 @@ class TestInformationPrefixes:
             gramian(model, 12, 1)
 
 
+class TestInformationOverflow:
+    """Information that leaves float64 raises NonFiniteError naming the step, with no warning."""
+
+    @pytest.mark.parametrize("analysis, start", [
+        (lambda model: check_observability(model, 1800), 0),
+        (lambda model: lambda_min_asymptotics(model, 1800), 0),
+        (lambda model: gramian(model, 5, 900), 5),
+    ], ids=["check_observability", "lambda_min_asymptotics", "gramian"])
+    def test_example2_overflows_at_step_859(self, example2, analysis, start):
+        # |eig(A)| = 1.5 and sigma2 = 1e-6: O(a+860, a) is the first Gramian past float64
+        model = example2[0]
+        assert np.isfinite(gramian(model, start, 859)).all()
+        with pytest.raises(NonFiniteError, match=f"window anchored at {start} is not finite "
+                                                 f"at step {start + 859}"):
+            analysis(model)
+
+    def test_ltv_stack_names_the_first_overflowed_window(self):
+        # the anchor-0 windows up to L = 3 stay finite; the all-anchor stack
+        # takes in the huge observer H_3 first as the first term of anchor 3
+        rows = np.ones((6, 1, 2))
+        rows[3] = 1e200
+        model = SystemModel(np.stack([np.eye(2)] * 5), rows, 1.0)
+        assert np.isfinite(gramian(model, 0, 3)).all()
+        with pytest.raises(NonFiniteError, match="anchored at 3 is not finite at step 3"):
+            check_observability(model, 3)
+
+    def test_score_overflow(self, example2):
+        observations = np.full((3, 1), 1e307)
+        with pytest.raises(NonFiniteError, match="anchored at 0 is not finite at step 0"):
+            list(information_prefixes(example2[0], 3, observations=observations))
+
+
 def ltv_fixture(case):
     """LTV models (and one LTI model with per-step R) for the certificate tests."""
     rng = np.random.default_rng(606)
@@ -107,14 +139,10 @@ LTV_FIXTURES = ["ltv", "lti_per_step_r", "ltv_blind", "ltv_blind_tail", "ltv_hid
 
 class TestCheckObservability:
     @pytest.mark.parametrize("rho_tol", [np.nan, np.inf, -np.inf, -1.0, 0.0])
-    @pytest.mark.parametrize("analysis", [
-        lambda model, tol: check_observability(model, 3, rho_tol=tol),
-        lambda model, tol: lambda_min_asymptotics(model, 10, rho_tol=tol),
-        lambda model, tol: classify(model, rho_tol=tol),
-    ], ids=["check_observability", "lambda_min_asymptotics", "classify"])
-    def test_rho_tol_must_be_finite_and_positive(self, example2, analysis, rho_tol):
+    def test_rho_tol_must_be_finite_and_positive(self, example2, rho_tol):
+        # the one place a tolerance enters; the analyses read it off the report
         with pytest.raises(ValueError, match="rho_tol must be finite and > 0"):
-            analysis(example2[0], rho_tol)
+            check_observability(example2[0], 3, rho_tol=rho_tol)
 
     def test_full_observation_needs_one_step(self):
         rng = np.random.default_rng(1)
@@ -405,64 +433,99 @@ class TestGrowthClassification:
             np.testing.assert_allclose(growth_trace[:10], expected, rtol=1e-8)
 
 
+def stability_class(model, report):
+    """analyze_stability's classification; an unobservable model raises, as classify does."""
+    classification = analyze_stability(model, k_max=10, report=report).classification
+    if classification is None:
+        raise UnobservableModelError("analyze_stability left the classification None")
+    return classification
+
+
 REPORT_READERS = pytest.mark.parametrize("analysis", [
-    lambda model, tol, report: lambda_min_asymptotics(model, 10, rho_tol=tol, report=report),
-    lambda model, tol, report: classify(model, rho_tol=tol, report=report),
-], ids=["lambda_min_asymptotics", "classify"])
+    lambda model, report: lambda_min_asymptotics(model, 10, report=report),
+    stability_class,
+], ids=["lambda_min_asymptotics", "analyze_stability"])
+
+
+@pytest.fixture()
+def certified(monkeypatch):
+    """Records every fresh certificate of the model: ("check", L_max, rho_tol) or ("scan", d).
+
+    A fully LTI model's scan is an accumulation of d information terms
+    outside check_observability (the growth trace of lambda_min_asymptotics
+    accumulates K != d terms in these tests).
+    """
+    calls, inside = [], []
+    real_check, real_prefixes = observability.check_observability, observability.information_prefixes
+
+    def check(model, L_max, rho_tol=1e-9):
+        calls.append(("check", L_max, rho_tol))
+        inside.append(1)
+        try:
+            return real_check(model, L_max, rho_tol)
+        finally:
+            inside.pop()
+
+    def prefixes(model, count, *args, **kwargs):
+        if not inside and count == model.d:
+            calls.append(("scan", count))
+        return real_prefixes(model, count, *args, **kwargs)
+
+    monkeypatch.setattr(observability, "check_observability", check)
+    monkeypatch.setattr(observability, "information_prefixes", prefixes)
+    return calls
 
 
 class TestReportReuse:
-    """classify and lambda_min_asymptotics read a covering report instead of re-certifying."""
-
-    @pytest.fixture()
-    def certified(self, monkeypatch):
-        # a fresh certificate goes through check_observability or, for a
-        # fully LTI model, the first-window scan; both are counted
-        calls = []
-        for name in ("check_observability", "_first_window_certifies"):
-            real = getattr(observability, name)
-
-            def counted(model, L_max, rho_tol=1e-9, real=real):
-                calls.append((L_max, rho_tol))
-                return real(model, L_max, rho_tol)
-
-            monkeypatch.setattr(observability, name, counted)
-        return calls
+    """The report carries its certificate and its tolerance to every LTI analysis."""
 
     @REPORT_READERS
-    def test_covering_report_is_reused(self, example1, certified, analysis):
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_covering_report_is_reused(self, example1, certified, analysis, tol):
         model = example1[0]
         for L_max in (model.d, model.d + 3):
-            report = check_observability(model, L_max=L_max)
+            report = check_observability(model, L_max=L_max, rho_tol=tol)
             certified.clear()
-            analysis(model, 1e-9, report)
+            analysis(model, report)
             assert certified == []
 
     @REPORT_READERS
-    def test_other_reports_recertify(self, example1, certified, analysis):
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_short_report_recertifies_at_its_tolerance(self, example1, certified, analysis, tol):
+        # a fully LTI model is scanned; a model with per-step noise goes
+        # through check_observability, whose call shows the tolerance
         model = example1[0]
-        for report in (check_observability(model, L_max=model.d - 1),
-                       check_observability(model, L_max=model.d, rho_tol=1e-6)):
-            certified.clear()
-            analysis(model, 1e-9, report)
-            assert certified == [(model.d, 1e-9)]
+        report = check_observability(model, L_max=model.d - 1, rho_tol=tol)
+        certified.clear()
+        analysis(model, report)
+        assert certified == [("scan", model.d)]
+        model = ltv_fixture("lti_per_step_r")
+        report = check_observability(model, L_max=model.d - 1, rho_tol=tol)
+        certified.clear()
+        analysis(model, report)
+        assert certified == [("check", model.d, tol)]
 
-    def test_window_longer_than_d_is_not_a_certificate(self, example1, certified):
-        # a rho_tol met first by a window longer than d: the report says
-        # Observable, the d-window certificate does not
+    @REPORT_READERS
+    def test_window_longer_than_d_is_not_a_certificate(self, example1, certified, analysis):
+        # a tolerance met first by a window longer than d: the report says
+        # Observable, the d-window certificate at the report's tolerance
+        # does not, and the default 1e-9 does
         model = example1[0]
         trace = check_observability(model, L_max=model.d + 2).lambda_min_trace
         assert 0.0 < trace[model.d - 1] < trace[model.d]
         tol = float(np.sqrt(trace[model.d - 1] * trace[model.d]))
         report = check_observability(model, L_max=model.d + 2, rho_tol=tol)
         assert report.observable and report.L == model.d + 1
+        short = check_observability(model, L_max=model.d - 1, rho_tol=tol)
         certified.clear()
-        for analysis in (lambda r: classify(model, rho_tol=tol, report=r),
-                         lambda r: lambda_min_asymptotics(model, 10, rho_tol=tol, report=r)):
-            for r in (report, None):
-                with pytest.raises(UnobservableModelError):
-                    analysis(r)
-        assert len(certified) == 2
+        with pytest.raises(UnobservableModelError):
+            analysis(model, report)
+        assert certified == []
+        with pytest.raises(UnobservableModelError):
+            analysis(model, short)
+        assert certified == [("scan", model.d)]
+        analysis(model, None)
+        assert certified == [("scan", model.d)] * 2
 
     @pytest.mark.parametrize("which", ["example1", "example2"])
     @pytest.mark.parametrize("L_max", [4, 8, 20, 30])
@@ -479,15 +542,14 @@ class TestReportReuse:
         np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
         assert len(calls) == max(K - len(report.lambda_min_trace), 0)
 
-    def test_unobservable_report_raises(self, certified):
+    @REPORT_READERS
+    def test_unobservable_report_raises(self, certified, analysis):
         m = lti(np.eye(2), np.array([[1.0, 0.0]]))
         report = check_observability(m, L_max=5)
         assert not report.observable
         certified.clear()
         with pytest.raises(UnobservableModelError):
-            classify(m, report=report)
-        with pytest.raises(UnobservableModelError):
-            lambda_min_asymptotics(m, 10, report=report)
+            analysis(m, report)
         assert certified == []
 
 
@@ -495,9 +557,9 @@ class TestFirstWindowScan:
     """A fully LTI model is certified afresh by a scan that stops at the first window."""
 
     @staticmethod
-    def certifies(model, rho_tol):
+    def certifies(model, report=None):
         try:
-            observability._require_observable(model, rho_tol, None)
+            observability._require_observable(model, report)
         except UnobservableModelError:
             return False
         return True
@@ -519,7 +581,11 @@ class TestFirstWindowScan:
         tolerances = [1e-9, 1e-3, 1e3] + [float(t) for t in trace if t > 0.0]
         for tol in tolerances:
             rep = check_observability(model, L_max=model.d, rho_tol=tol)
-            assert self.certifies(model, tol) == (rep.observable and rep.L <= model.d)
+            # a one-window report does not cover d, so it lends only its tolerance
+            short = check_observability(model, L_max=1, rho_tol=tol)
+            assert self.certifies(model, short) == (rep.observable and rep.L <= model.d)
+        rep = check_observability(model, L_max=model.d)
+        assert self.certifies(model) == (rep.observable and rep.L <= model.d)
 
     def test_scan_stops_at_the_first_certifying_window(self, example1, monkeypatch):
         model = example1[0]
@@ -533,5 +599,5 @@ class TestFirstWindowScan:
             return real(g)
 
         monkeypatch.setattr(observability, "_lambda_min", counted)
-        assert self.certifies(model, 1e-9)
+        assert self.certifies(model)
         assert len(calls) == rep.L

@@ -5,7 +5,7 @@ from isokal import estimator, stability
 from isokal._linalg import spd_inverse, spectral_norm, symmetrize
 from isokal.harness import simulate, trial_seed
 from isokal.model import SystemModel
-from isokal.observability import UnobservableModelError, gramian
+from isokal.observability import UnobservableModelError, check_observability, gramian
 from isokal.stability import (
     INDETERMINATE,
     LYAPUNOV_STABLE_ONLY,
@@ -18,6 +18,9 @@ from isokal.stability import (
     lyapunov_value,
     psi_transition,
 )
+
+
+from test_observability import certified  # noqa: F401  (fixture)
 
 
 def lti(a, h, sigma2=1.0):
@@ -256,6 +259,22 @@ class TestAnalyzeStability:
         report = analyze_stability(lti(0.5 * np.eye(2), np.eye(2)), k_max=10)
         assert report.uniformly_stable_hint
         assert report.classification == LYAPUNOV_STABLE_ONLY
+
+    @pytest.mark.parametrize("which", ["example1", "example2"])
+    def test_one_spectrum_and_the_report_certificate(self, which, request, certified,
+                                                     monkeypatch):
+        # the classification comes from the one |eig(A)| the report holds
+        # and from the covering observability report; it equals classify's
+        model = request.getfixturevalue(which)[0]
+        report = check_observability(model, L_max=model.d)
+        calls = []
+        real = stability.eig_abs_sorted
+        monkeypatch.setattr(stability, "eig_abs_sorted", lambda a: calls.append(1) or real(a))
+        certified.clear()
+        classification = analyze_stability(model, P0=1e-2, k_max=10,
+                                           report=report).classification
+        assert calls == [1] and certified == []
+        assert classification == classify(model)
 
     def test_example1_exponential_fit_positive(self, example1):
         report = analyze_stability(example1[0], P0=1e-2, k_max=40)
