@@ -11,8 +11,12 @@ prefix), ``stability.analyze_stability``,
 d = 2, 8, 32 and 128 on seeded random LTI systems.  It also times the
 layers of one long LTV record (d = 8, m = 1, T = 800, per-step A, H and R):
 ``SystemModel`` validation, ``check_observability`` (L_max = 16, every
-anchor), and ``harness.simulate`` and ``estimator.run`` per step; and one
-``harness.monte_carlo`` ensemble of example1 (d = 4, T = 40, 100 trials).
+anchor), ``harness.simulate`` and ``estimator.run`` per step, and
+``harness.write_estimates_csv`` of the run's states as the CLI's
+``estimate --truth`` writes them (stacking included); and one
+``harness.monte_carlo`` ensemble and one ``harness.reproduce_example`` of
+example1 (d = 4, T = 40, 100 trials, the CSV file set written to a
+temporary directory).
 It writes the perf_counter medians, in microseconds per call, as JSON
 together with the machine: CPU, numpy, scipy and OpenBLAS versions and the
 BLAS thread count, which is pinned to 1 before numpy loads.  isokal is
@@ -36,6 +40,7 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -52,7 +57,9 @@ from isokal.model import SystemModel  # noqa: E402
 LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
           "wls_prefixes_per_prefix", "analyze_stability", "check_observability",
           "lambda_min_asymptotics")
-LTV_LAYERS = ("model_validation", "check_observability", "simulate_per_step", "run_per_step")
+LTV_LAYERS = ("model_validation", "check_observability", "simulate_per_step", "run_per_step",
+              "write_estimates_csv")
+ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
 
 
 def machine():
@@ -173,6 +180,15 @@ def measure_ltv(tiny):
     model = SystemModel(a_seq, h_seq, r_seq)
     x0 = np.ones(d)
     obs = harness.simulate(model, x0, T, 1)
+    states = estimator.run(model, None, 1.0, obs)
+
+    def write_estimates(path):
+        x_hat = np.array([s.x_hat for s in states])
+        harness.write_estimates_csv(path, x_hat, [np.trace(s.P) for s in states], truth=x0)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "estimates.csv"
+        write_us = median_us(lambda: write_estimates(path), repeats, target_s)
     layers = {
         "model_validation": median_us(lambda: SystemModel(a_seq, h_seq, r_seq),
                                       repeats, target_s),
@@ -182,6 +198,7 @@ def measure_ltv(tiny):
                                        repeats, target_s) / T,
         "run_per_step": median_us(lambda: estimator.run(model, None, 1.0, obs),
                                   repeats, target_s) / T,
+        "write_estimates_csv": write_us,
     }
     return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers}
 
@@ -190,8 +207,15 @@ def measure_ensemble(tiny):
     repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
     model, x0, x_hat0, p0, _ = harness.example_system("example1")
     T, trials = harness.EXAMPLE_STEPS, 100
-    layers = {"monte_carlo": median_us(
-        lambda: harness.monte_carlo(model, x0, x_hat0, p0, T, trials, 42), repeats, target_s)}
+    with tempfile.TemporaryDirectory() as tmp:
+        layers = {
+            "monte_carlo": median_us(
+                lambda: harness.monte_carlo(model, x0, x_hat0, p0, T, trials, 42),
+                repeats, target_s),
+            "reproduce_example": median_us(
+                lambda: harness.reproduce_example("example1", trials, 42, tmp),
+                repeats, target_s),
+        }
     return {"example": "example1", "T": T, "trials": trials, "layers": layers}
 
 
@@ -213,8 +237,8 @@ def main(argv=None):
         "layers": {layer: {str(d): round(by_dim[d][layer], 3) for d in dims}
                    for layer in LAYERS},
         "ltv": {**ltv, "layers": {layer: round(ltv["layers"][layer], 3) for layer in LTV_LAYERS}},
-        "ensemble": {**ensemble, "layers": {layer: round(us, 3)
-                                            for layer, us in ensemble["layers"].items()}},
+        "ensemble": {**ensemble, "layers": {layer: round(ensemble["layers"][layer], 3)
+                                            for layer in ENSEMBLE_LAYERS}},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -223,8 +247,9 @@ def main(argv=None):
         print(f"{layer:24s}" + "".join(f"  d={d}: {by_dim[d][layer]:10.1f}" for d in dims))
     for layer in LTV_LAYERS:
         print(f"ltv {layer:20s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
-    print(f"ensemble monte_carlo      {ensemble['trials']} trials, T={ensemble['T']}: "
-          f"{ensemble['layers']['monte_carlo']:10.1f}")
+    for layer in ENSEMBLE_LAYERS:
+        print(f"ensemble {layer:17s} {ensemble['trials']} trials, T={ensemble['T']}: "
+              f"{ensemble['layers'][layer]:10.1f}")
     return 0
 
 

@@ -10,7 +10,9 @@ where H~_k = H_k A(k,0) observes the evolved initial state.  The covariance
 is propagated in the Joseph form above (PSD-preserving under rounding); the
 algebraically equal short form (I - K H~) P is checked against it at every
 update.  P_k, K_k and H~_k never depend on the observed values, so
-``gain_schedule`` computes them once for any number of observation streams.
+``gain_schedule`` computes them once for any number of observation streams,
+and ``run`` is a fold of the estimate update over one such schedule; the
+public ``step`` takes one observation at a time through the same update.
 ``wls_prefixes`` solves the same weighted least-squares problem from the
 normal equations and serves as an independent cross-check.
 
@@ -28,8 +30,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._linalg import asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
-from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
-                    observed_evolution_sequence)
+from .model import _SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution
 from .observability import information_prefixes
 
 # Stored covariances may carry rounding-level negative eigenvalues; anything
@@ -243,50 +244,55 @@ def _update(P, h_tilde, R, r_factor=None, k=None):
     return k_gain, p_next
 
 
-def step(state, y_prev, R_prev, model):
-    """Consume observation y(state.step) and return the refined state.
-
-    The observation must be finite (ValueError otherwise).
-    """
-    y_prev = np.asarray(y_prev, dtype=float)
-    if not np.isfinite(y_prev).all():
-        raise ValueError(f"observation y({state.step}) must be finite")
-    return _step(state, y_prev, R_prev, None, model)
-
-
 def _check_observer(h_tilde, k):
     """Raise NonFiniteError when the observer H~_k of step k is not finite.
 
-    The diagnosis of a failed update: the filter runs with numpy's overflow
-    warnings off, and an observer that left float64 surfaces only as a
-    non-finite innovation covariance.
+    Filter passes run with numpy's overflow warnings off, so an observer
+    that left float64 would otherwise surface only as a non-finite
+    innovation covariance, with no step named.
     """
-    if h_tilde is not None and not np.isfinite(h_tilde).all():
-        raise NonFiniteError(f"observer H~ of step {k} is not finite: "
-                             "the dynamics overflowed float64")
+    if not np.isfinite(h_tilde).all():
+        raise NonFiniteError(f"observer H~ of step {k} is not finite: the dynamics overflowed "
+                             "float64, so the innovation covariance is not finite")
 
 
-def _step(state, y_prev, R_prev, r_factor, model):
-    """``step``, given the lower Cholesky factor of R_prev when the caller holds it."""
-    if state.H_tilde_next is None:
-        raise HorizonError(f"no observation available at step {state.step}")
+def _advance(model, k, h_tilde, phi):
+    """Read-only observer and transition of step k from step k-1's.
+
+    (None, phi) past the model's horizon, where there is no observer.
+    """
+    try:
+        h_next, phi_next = advance_observed_evolution(model, k, h_tilde, phi)
+    except HorizonError:
+        return None, phi
+    h_next.flags.writeable = False
+    # Frozen in place, not copied: LTI models hand back the previous phi.
+    phi_next.flags.writeable = False
+    return h_next, phi_next
+
+
+def step(state, y_prev, R_prev, model):
+    """Consume observation y(state.step) and return the refined state.
+
+    The observation must be finite (ValueError otherwise), and so must the
+    state's observer (NonFiniteError naming the step otherwise).
+    """
     y_prev = np.asarray(y_prev, dtype=float).reshape(-1)
+    if not np.isfinite(y_prev).all():
+        raise ValueError(f"observation y({state.step}) must be finite")
     h_tilde = state.H_tilde_next
+    if h_tilde is None:
+        raise HorizonError(f"no observation available at step {state.step}")
+    _check_observer(h_tilde, state.step)
     if y_prev.shape != (h_tilde.shape[0],):
         raise ValueError(f"observation has length {y_prev.shape[0]}, expected {h_tilde.shape[0]}")
 
-    k_gain, p_next = _update(state.P, h_tilde, R_prev, r_factor, state.step)
+    k_gain, p_next = _update(state.P, h_tilde, R_prev, k=state.step)
     x_next = state.x_hat + k_gain @ (y_prev - h_tilde @ state.x_hat)
-
-    k_next = state.step + 1
-    try:
-        h_next, phi = advance_observed_evolution(model, k_next, h_tilde, state.phi)
-        h_next = readonly(h_next)
-    except HorizonError:
-        h_next, phi = None, state.phi
-    # Frozen in place, not copied: LTI models hand back the previous phi.
-    phi.flags.writeable = False
-    return EstimatorState(step=k_next, x_hat=readonly(x_next), P=readonly(p_next),
+    # An overflowed observer is reported by the next step, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_next, phi = _advance(model, state.step + 1, h_tilde, state.phi)
+    return EstimatorState(step=state.step + 1, x_hat=readonly(x_next), P=readonly(p_next),
                           H_tilde_next=h_next, phi=phi)
 
 
@@ -304,30 +310,76 @@ def _as_observations(observations, m):
     return obs
 
 
-def run(model, x_hat0, P0, observations):
-    """Fold ``step`` over observations y(0), y(1), ...
+def _pass(model, P0, T):
+    """The observation-independent part of a T-step filter pass from a checked P0.
 
-    Returns the full list of states [state_0, ..., state_N] so every
-    intermediate (real-time) estimate is available; an empty observation
-    sequence returns just the initial state.  Each step reads the model's
-    own factor of R_k instead of factorizing it again.
+    Returns the GainSchedule, the observer H~_T that follows it (None past
+    the model's horizon) and the transitions A(k,0), k = 0..T, that the
+    filter states carry.  Every update has the checks of ``step``; the
+    factors of R_k are the model's own.
+    """
+    d, m = model.d, model.m
+    h_tilde = np.empty((T, m, d))
+    gains = np.empty((T, d, m))
+    covs = np.empty((T + 1, d, d))
+    covs[0] = P0
+    r_factors = model.noise_factors(T)
+    h, phi = readonly(model.H_at(0)), readonly(np.eye(d))
+    phis = [phi]
+    # An overflowed observer is reported by _check_observer, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T):
+            if h is None:
+                raise HorizonError(f"no observation available at step {k}")
+            h_tilde[k] = h
+            try:
+                # R_at raises HorizonError past a per-step sequence, before r_factors[k] is read.
+                gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
+            except (ValueError, np.linalg.LinAlgError):
+                _check_observer(h, k)
+                raise
+            h, phi = _advance(model, k + 1, h, phi)
+            phis.append(phi)
+    for arr in (h_tilde, gains, covs):
+        arr.flags.writeable = False
+    return GainSchedule(h_tilde=h_tilde, gain=gains, P=covs), h, phis
+
+
+def _fold(schedule, x_hat0, observations):
+    """Estimates x^_0..x^_T of one observation stream through ``schedule``.
+
+    x^_k+1 = x^_k + K_k+1 (y(k) - H~_k x^_k), the per-vector update of
+    ``step`` with the same bits.  Returns a read-only (T+1, d) stack;
+    raises NonFiniteError naming the first estimate that left float64.
+    """
+    x_hat = np.empty((len(observations) + 1, len(x_hat0)))
+    x = x_hat[0] = x_hat0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (h, gain, y) in enumerate(zip(schedule.h_tilde, schedule.gain, observations)):
+            x = x_hat[k + 1] = x + gain @ (y - h @ x)
+    bad = np.flatnonzero(~np.isfinite(x_hat).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"estimate at step {bad[0]} is not finite: it overflowed float64")
+    x_hat.flags.writeable = False
+    return x_hat
+
+
+def run(model, x_hat0, P0, observations):
+    """Filter observations y(0), y(1), ... and return every state.
+
+    One pass computes the ``gain_schedule`` of the observations; the
+    estimates are the fold of ``step``'s update over it.  Returns the full
+    list of states [state_0, ..., state_N], equal bit for bit to N calls
+    of ``step``, so every intermediate (real-time) estimate is available;
+    an empty observation sequence returns just the initial state.
     """
     observations = _as_observations(observations, model.m)
-    states = [init(model, x_hat0, P0)]
-    factors = model.noise_factors(len(observations))
-    # Overflow is reported by the checks below, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, y in enumerate(observations):
-            try:
-                # R_at raises HorizonError past a per-step sequence, before factors[t] is read.
-                states.append(_step(states[-1], y, model.R_at(t), factors[t], model))
-            except (ValueError, np.linalg.LinAlgError):
-                _check_observer(states[-1].H_tilde_next, t)
-                raise
-    if not np.isfinite(states[-1].x_hat).all():
-        bad = next(s.step for s in states if not np.isfinite(s.x_hat).all())
-        raise NonFiniteError(f"estimate at step {bad} is not finite: it overflowed float64")
-    return states
+    x_hat0, P0 = _prior(model, x_hat0, P0)
+    schedule, h_last, phis = _pass(model, P0, len(observations))
+    x_hat = _fold(schedule, x_hat0, observations)
+    observers = [*schedule.h_tilde, h_last]
+    return [EstimatorState(step=k, x_hat=x, P=p, H_tilde_next=h, phi=phi)
+            for k, (x, p, h, phi) in enumerate(zip(x_hat, schedule.P, observers, phis))]
 
 
 def gain_schedule(model, P0, T):
@@ -335,25 +387,9 @@ def gain_schedule(model, P0, T):
 
     One pass of the same recursion ``step`` runs, with the same checks at
     every step; the result applies to every observation stream of the
-    model.  The factors of R_k are the model's own.
+    model.
     """
-    h_tilde = np.empty((T, model.m, model.d))
-    gains = np.empty((T, model.d, model.m))
-    covs = np.empty((T + 1, model.d, model.d))
-    covs[0] = _prior(model, None, P0)[1]
-    r_factors = model.noise_factors(T)
-    # An overflowed observer is reported by _check_observer, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, h in enumerate(observed_evolution_sequence(model, T)):
-            h_tilde[k] = h
-            try:
-                gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
-            except (ValueError, np.linalg.LinAlgError):
-                _check_observer(h, k)
-                raise
-    for arr in (h_tilde, gains, covs):
-        arr.flags.writeable = False
-    return GainSchedule(h_tilde=h_tilde, gain=gains, P=covs)
+    return _pass(model, _prior(model, None, P0)[1], T)[0]
 
 
 def covariance_sequence(model, P0, k_max):
@@ -362,6 +398,23 @@ def covariance_sequence(model, P0, k_max):
     One read-only (k_max+1, d, d) stack, the ``P`` of ``gain_schedule``.
     """
     return gain_schedule(model, P0, k_max).P
+
+
+def _indefinite_normal(normal, k):
+    """Message for the normal matrix of prefix k when Cholesky rejects it.
+
+    When lambda_min <= eps lambda_max, its condition number is past 1/eps:
+    float64 cannot resolve the least-informed direction next to the most
+    informed one any more, and the message says so.
+    """
+    message = f"normal matrix is not positive definite at prefix {k}"
+    w = np.linalg.eigvalsh(symmetrize(normal))
+    eps = np.finfo(float).eps
+    if w[0] <= eps * w[-1]:
+        message += (f": its condition number is past 1/eps = {1.0 / eps:.3e}, float64 "
+                    f"precision is exhausted (lambda_min = {w[0]:.3e}, "
+                    f"lambda_max = {w[-1]:.3e})")
+    return message
 
 
 def wls_prefixes(model, x_hat0, P0, observations):
@@ -375,6 +428,8 @@ def wls_prefixes(model, x_hat0, P0, observations):
     by factorizing the SPD normal matrix P0^-1 + O(k,0) and solving against
     P0^-1 x^_0 + sum_{j<k} H~_j^T R_j^-1 y(j).  The sums are the running
     information of ``information_prefixes``, consumed one step at a time.
+    A normal matrix that Cholesky rejects raises LinAlgError naming the
+    prefix, and the exhausted precision when that is the cause.
     """
     x_hat0, P0 = _prior(model, x_hat0, P0)
     observations = _as_observations(observations, model.m)
@@ -383,8 +438,13 @@ def wls_prefixes(model, x_hat0, P0, observations):
     prefixes = ((info[0], score[0]) for info, score in
                 information_prefixes(model, observations.shape[0], observations=observations))
     # The prior alone, then one more observation per prefix.
-    for info, score in chain([(0.0, 0.0)], prefixes):
-        yield cho_solve(spd_factor(p0_inv + info, "normal matrix"), p0_x + score)
+    for k, (info, score) in enumerate(chain([(0.0, 0.0)], prefixes)):
+        normal = p0_inv + info
+        try:
+            factor = spd_factor(normal, "normal matrix")
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(_indefinite_normal(normal, k)) from exc
+        yield cho_solve(factor, p0_x + score)
 
 
 def batch_wls(model, x_hat0, P0, observations):

@@ -7,6 +7,10 @@ up to rounding, and re-runs are byte-identical.  Within one trial the
 draws are consumed in a fixed order: first the initial-guess perturbation
 (when the ensemble is prior-calibrated), then one standard_normal((T, m))
 block whose row k drives the noise of step k.
+
+A bundled example is one filter pass: its gain schedule serves both the
+Monte Carlo ensemble and the showcase trajectory.  Every CSV is written by
+``write_csv`` from a stacked array.
 """
 
 import csv
@@ -34,12 +38,17 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Sample statistics across trials: empirical MSE and bias per step."""
+    """Sample statistics across trials: empirical MSE and bias per step.
+
+    ``schedule`` is the gain schedule every trial was filtered through;
+    mean_trace_p is the trace of its P_k.
+    """
 
     n_trials: int
     mse: np.ndarray           # mean ||e_k||^2
     bias: np.ndarray          # mean e_k, (T+1, d)
     mean_trace_p: np.ndarray
+    schedule: estimator.GainSchedule
 
     @property
     def bias_norm(self):
@@ -104,7 +113,8 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
     covariance comparison does not apply.
 
     The gain schedule is computed once and all trials are filtered together
-    as the rows of one (trials, d) array; trials share trace_p and p_eigs.
+    as the rows of one (trials, d) array; trials share trace_p and p_eigs,
+    and the schedule is handed back as ``stats.schedule``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -142,7 +152,7 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
     results = [TrialResult(t, (int(seed), t), err_sq[t], err_inf[t], trace_p, p_eigs)
                for t in range(trials)]
     stats = EnsembleStats(n_trials=trials, mse=err_sq.mean(axis=0),
-                          bias=errors.mean(axis=0), mean_trace_p=trace_p)
+                          bias=errors.mean(axis=0), mean_trace_p=trace_p, schedule=schedule)
     return stats, results
 
 
@@ -196,24 +206,24 @@ def example_system(which, sigma_is_variance=False):
             entry["p0_scale"] * np.eye(d), entry["snapshots"])
 
 
-def format_float(x):
-    """Shortest round-trip decimal form; fixed across platforms for a value."""
-    return repr(float(x))
+def write_csv(path, header, steps, values):
+    """Write a CSV: the header, then per step its index and that row of ``values``.
 
-
-def write_csv(path, header, rows):
+    ``values`` is a 2-D float array.  Floats are written in their shortest
+    round-trip decimal form (``repr``), fixed across platforms for a value.
+    The bytes are those of csv.writer's default dialect (CRLF line ends):
+    no header name or float needs quoting.
+    """
+    lines = [",".join(header)]
+    lines += [f"{k}," + ",".join(map(repr, row))
+              for k, row in zip(steps, np.asarray(values, dtype=float).tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else format_float(v) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_observations_csv(path, observations):
-    m = observations.shape[1]
-    header = ["k"] + [f"y_{i}" for i in range(m)]
-    rows = [[str(k)] + [y for y in obs] for k, obs in enumerate(observations)]
-    write_csv(path, header, rows)
+    header = ["k"] + [f"y_{i}" for i in range(observations.shape[1])]
+    write_csv(path, header, range(len(observations)), observations)
 
 
 def read_observations_csv(path):
@@ -227,18 +237,20 @@ def read_observations_csv(path):
     return np.array(rows, dtype=float).reshape(-1, m)
 
 
-def write_estimates_csv(path, states, truth=None):
-    d = states[0].x_hat.shape[0]
-    header = ["k"] + [f"xhat_{i}" for i in range(d)] + ["trace_P"]
+def write_estimates_csv(path, x_hat, trace_p, truth=None):
+    """Write the estimates x^_k and trace(P_k), k = 0..N, one row per step.
+
+    ``x_hat`` stacks the (N+1, d) estimates and ``trace_p`` the N+1
+    traces; with ``truth`` an err_norm column ||x^_k - truth|| follows.
+    """
+    header = ["k"] + [f"xhat_{i}" for i in range(x_hat.shape[1])] + ["trace_P"]
+    columns = [x_hat, np.reshape(trace_p, (-1, 1))]
     if truth is not None:
         header.append("err_norm")
-    rows = []
-    for s in states:
-        row = [str(s.step)] + list(s.x_hat) + [float(np.trace(s.P))]
-        if truth is not None:
-            row.append(float(np.linalg.norm(s.x_hat - truth)))
-        rows.append(row)
-    write_csv(path, header, rows)
+        err = (x_hat - truth)[:, None, :]
+        # Row by row a dot product, as norm(x^_k - truth) takes it: same bits.
+        columns.append(np.sqrt(err @ err.swapaxes(1, 2))[:, 0])
+    write_csv(path, header, range(len(x_hat)), np.hstack(columns))
 
 
 def reproduce_example(which, trials, seed, out_dir, sigma_is_variance=False):
@@ -265,26 +277,25 @@ def reproduce_example(which, trials, seed, out_dir, sigma_is_variance=False):
 
     stats, results = monte_carlo(model, x0, x_hat0, P0, T, trials, seed)
 
-    # Showcase run: the example's exact initial guess on its own noise stream.
+    # Showcase run: the example's exact initial guess on its own noise
+    # stream, filtered through the ensemble's gain schedule.
     showcase_obs = simulate(model, x0, T, trial_seed(seed, trials))
-    showcase = estimator.run(model, x_hat0, P0, showcase_obs)
+    showcase = estimator._fold(stats.schedule, x_hat0, showcase_obs)
 
     paths = {name: out_dir / f"{name}.csv"
              for name in ("snapshots", "estimates", "mse", "p_eigs")}
 
-    write_estimates_csv(paths["estimates"], showcase, truth=x0)
+    write_estimates_csv(paths["estimates"], showcase, stats.mean_trace_p, truth=x0)
 
     snap_header = ["k"] + [f"xhat_{i}" for i in range(d)] + [f"xtrue_{i}" for i in range(d)]
-    snap_rows = [[str(k)] + list(showcase[k].x_hat) + list(x0) for k in snapshots]
-    write_csv(paths["snapshots"], snap_header, snap_rows)
+    snap_rows = np.hstack([showcase[list(snapshots)], np.tile(x0, (len(snapshots), 1))])
+    write_csv(paths["snapshots"], snap_header, snapshots, snap_rows)
 
-    bias_norm = stats.bias_norm
-    mse_rows = [[str(k), stats.mse[k], bias_norm[k], stats.mean_trace_p[k]]
-                for k in range(1, T + 1)]
-    write_csv(paths["mse"], ["k", "mse", "bias_norm", "mean_trace_P"], mse_rows)
+    mse_rows = np.column_stack([stats.mse, stats.bias_norm, stats.mean_trace_p])
+    write_csv(paths["mse"], ["k", "mse", "bias_norm", "mean_trace_P"], range(1, T + 1),
+              mse_rows[1:])
 
-    p_eigs = results[0].p_eigs
-    eig_rows = [[str(k)] + list(p_eigs[k]) for k in range(T + 1)]
-    write_csv(paths["p_eigs"], ["k"] + [f"eig_{i}" for i in range(1, d + 1)], eig_rows)
+    eig_header = ["k"] + [f"eig_{i}" for i in range(1, d + 1)]
+    write_csv(paths["p_eigs"], eig_header, range(T + 1), results[0].p_eigs)
 
     return {name: str(p) for name, p in paths.items()}

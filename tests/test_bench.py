@@ -30,9 +30,9 @@ def test_tiny_run_writes_valid_json(tmp_path):
     ltv = doc["ltv"]
     assert (ltv["d"], ltv["m"], ltv["T"], ltv["L_max"]) == (4, 1, 40, 8)
     assert set(ltv["layers"]) == {"model_validation", "check_observability",
-                                  "simulate_per_step", "run_per_step"}
+                                  "simulate_per_step", "run_per_step", "write_estimates_csv"}
     assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
     ensemble = doc["ensemble"]
     assert (ensemble["example"], ensemble["T"], ensemble["trials"]) == ("example1", 40, 100)
-    assert set(ensemble["layers"]) == {"monte_carlo"}
+    assert set(ensemble["layers"]) == {"monte_carlo", "reproduce_example"}
     assert all(math.isfinite(v) and v > 0.0 for v in ensemble["layers"].values())

@@ -167,6 +167,20 @@ class TestEstimate:
                        "--batch-check", "--quiet")
         assert code == 3
 
+    def test_batch_check_exhausted_precision_exits_1(self, tmp_path, example2_config, capsys):
+        # example2's normal matrix passes cond 1/eps at prefix 48; the
+        # estimates are written first, then the check names the prefix
+        cfg = write_config(tmp_path, example2_config)
+        obs = self._simulate(tmp_path, cfg, steps=60)
+        out = tmp_path / "est.csv"
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", out, "--batch-check", "--quiet")
+        assert code == 1
+        assert out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("isokal estimate: error: normal matrix is not positive definite "
+                              "at prefix 48: its condition number is past 1/eps")
+
     def test_joseph_disagreement_exits_1(self, tmp_path, example2_config, capsys, scaled_gain):
         cfg = write_config(tmp_path, example2_config)
         obs = self._simulate(tmp_path, cfg)

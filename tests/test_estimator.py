@@ -465,6 +465,20 @@ class TestStep:
         with pytest.raises(ValueError, match=r"observation y\(0\) must be finite"):
             step(init(model, x_hat0, p0), [bad], model.R_at(0), model)
 
+    def test_overflowed_observer_names_the_step(self, example2):
+        # |eig(A)| = 1.5: H~_1753 leaves float64.  A step that advances to it
+        # warns of nothing (filterwarnings = error), and the step that would
+        # use it names it, as run's pass does
+        model, _x0, x_hat0, p0, _ = example2
+        states = run(model, x_hat0, p0, np.zeros((1753, 1)))
+        last = states[-1]
+        assert last.step == 1753 and not np.isfinite(last.H_tilde_next).all()
+        stepped = step(states[-2], [0.0], model.R_at(1752), model)
+        assert stepped.H_tilde_next.tobytes() == last.H_tilde_next.tobytes()
+        for state in (last, stepped):
+            with pytest.raises(NonFiniteError, match="observer H~ of step 1753 is not finite"):
+                step(state, [0.0], model.R_at(1753), model)
+
     def test_beyond_horizon_rejected(self):
         m = SystemModel(np.stack([np.eye(2)]), np.stack([np.eye(2), np.eye(2)]),
                         np.stack([np.eye(2), np.eye(2)]))
@@ -591,6 +605,20 @@ class TestBatchWls:
         states = run(model, None, 0.5, obs)
         xb = batch_wls(model, None, 0.5, obs)
         assert np.linalg.norm(states[-1].x_hat - xb) <= 1e-9 * (1.0 + np.linalg.norm(xb))
+
+
+    def test_exhausted_precision_names_the_prefix(self, example2):
+        # |eig(A)| = 1.5 and 0.5: cond(P0^-1 + O(k,0)) passes 1/eps at
+        # prefix 48, long before the information overflows (step 859)
+        model, _x0, x_hat0, p0, _ = example2
+        assert len(list(wls_prefixes(model, x_hat0, p0, np.zeros((47, 1))))) == 48
+        pattern = (r"^normal matrix is not positive definite at prefix 48: its condition "
+                   r"number is past 1/eps = 4\.504e\+15, float64 precision is exhausted "
+                   r"\(lambda_min = \S+, lambda_max = \S+\)$")
+        with pytest.raises(np.linalg.LinAlgError, match=pattern):
+            list(wls_prefixes(model, x_hat0, p0, np.zeros((60, 1))))
+        with pytest.raises(np.linalg.LinAlgError, match=pattern):
+            batch_wls(model, x_hat0, p0, np.zeros((60, 1)))
 
 
 class TestGainSchedule:
