@@ -10,10 +10,11 @@ prefix), ``stability.analyze_stability``,
 ``observability.lambda_min_asymptotics`` (K = 2d, given that report) at
 d = 2, 8, 32 and 128 on seeded random LTI systems.  It also times the
 layers of one long LTV record (d = 8, m = 1, T = 800, per-step A, H and R):
-``SystemModel`` validation, ``check_observability`` (L_max = 16, every
-anchor), ``harness.simulate`` and ``estimator.run`` per step, and
-``harness.write_estimates_csv`` of the run's states as the CLI's
-``estimate --truth`` writes them (stacking included); and one
+``cli._read_json`` of its config, written once as JSON (the decode
+``--config`` pays), ``SystemModel`` validation, ``check_observability``
+(L_max = 16, every anchor), ``harness.simulate`` and ``estimator.run`` per
+step, and ``harness.write_estimates_csv`` of the run's states as the
+CLI's ``estimate --truth`` writes them (stacking included); and one
 ``harness.monte_carlo`` ensemble and one ``harness.reproduce_example`` of
 example1 (d = 4, T = 40, 100 trials, the CSV file set written to a
 temporary directory).
@@ -51,14 +52,14 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.linalg.lapack import dpotrf  # noqa: E402
 
-from isokal import estimator, harness, observability, stability  # noqa: E402
+from isokal import cli, estimator, harness, observability, stability  # noqa: E402
 from isokal.model import SystemModel  # noqa: E402
 
 LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
           "wls_prefixes_per_prefix", "analyze_stability", "check_observability",
           "lambda_min_asymptotics")
-LTV_LAYERS = ("model_validation", "check_observability", "simulate_per_step", "run_per_step",
-              "write_estimates_csv")
+LTV_LAYERS = ("config_decode", "model_validation", "check_observability", "simulate_per_step",
+              "run_per_step", "write_estimates_csv")
 ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
 
 
@@ -186,10 +187,21 @@ def measure_ltv(tiny):
         x_hat = np.array([s.x_hat for s in states])
         harness.write_estimates_csv(path, x_hat, [np.trace(s.P) for s in states], truth=x0)
 
+    config = {
+        "d": d, "m": m,
+        "dynamics": {"kind": "ltv", "A_seq": a_seq.tolist()},
+        "observation": {"kind": "ltv", "H_seq": h_seq.tolist()},
+        "noise": {"kind": "per_step", "R_seq": r_seq.tolist()},
+    }
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "estimates.csv"
         write_us = median_us(lambda: write_estimates(path), repeats, target_s)
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        decode_us = median_us(lambda: cli._read_json(config_path, "--config"),
+                              repeats, target_s)
     layers = {
+        "config_decode": decode_us,
         "model_validation": median_us(lambda: SystemModel(a_seq, h_seq, r_seq),
                                       repeats, target_s),
         "check_observability": median_us(

@@ -13,9 +13,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__, estimator, harness, stability
-from .model import ConfigError, HorizonError, load_model
+from .model import ConfigError, HorizonError, _as_array, load_model
 from .observability import check_observability, lambda_min_asymptotics
 
 EXIT_OK = 0
@@ -45,13 +46,46 @@ def _parse_vector(text, flag):
     return vec
 
 
-def _load_config(path):
+def _wide_integer(doc):
+    """Whether ``doc`` holds, outside any array, a float that may be a rounded integer literal.
+
+    orjson decodes an integer literal past 64 bits as the nearest float
+    where json keeps the int.  Array entries become floats either way; a
+    scalar such as ``d`` would read differently.
+    """
+    if isinstance(doc, dict):
+        return any(map(_wide_integer, doc.values()))
+    return isinstance(doc, float) and abs(doc) >= 2.0 ** 63 and doc.is_integer()
+
+
+def _read_json(path, name):
+    """The document in the JSON file at ``path``; invalid JSON raises ConfigError ``name``.
+
+    orjson decodes the file's bytes.  A document it rejects, or one where it
+    may have rounded a wide integer (``_wide_integer``), is read again as
+    text by the json module, so it decodes as json.load decodes it:
+    NaN/Infinity tokens and numbers past float64 reach the model's checks,
+    malformed JSON carries json's message and invalid UTF-8 raises
+    UnicodeDecodeError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if not _wide_integer(doc):
+            return doc
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}")
-    return load_model(doc)
+        raise ConfigError(name, f"invalid JSON: {exc}") from None
+
+
+def _load_config(path):
+    return load_model(_read_json(path, str(path)))
 
 
 def _parse_p0(text):
@@ -60,8 +94,8 @@ def _parse_p0(text):
         return float(text)
     except ValueError:
         pass
-    with open(text, "r", encoding="utf-8") as fh:
-        return np.asarray(json.load(fh), dtype=float)
+    name = f"--p0 {text}"
+    return _as_array(_read_json(text, name), name)
 
 
 def _write_manifest(path, command, config, seed, outputs, started):
@@ -141,9 +175,10 @@ def _cmd_analyze(args):
                     "beta": None, "lyapunov_monotone": None, "p_norm_trace": None,
                     "uniformly_stable_hint": None})
 
+    # A NaN is a ValueError here, before --out is opened, never a token.
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     _write_manifest(f"{args.out}.manifest.json", "analyze", args.config, args.seed,
                     [args.out], started)
     if not args.quiet:

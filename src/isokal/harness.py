@@ -9,8 +9,9 @@ draws are consumed in a fixed order: first the initial-guess perturbation
 block whose row k drives the noise of step k.
 
 A bundled example is one filter pass: its gain schedule serves both the
-Monte Carlo ensemble and the showcase trajectory.  Every CSV is written by
-``write_csv`` from a stacked array.
+Monte Carlo ensemble and the showcase trajectory, and its observers give
+the showcase observations.  Every CSV is written by ``write_csv`` from a
+stacked array.
 """
 
 import csv
@@ -73,6 +74,17 @@ def _observations(h_tilde, x0, factors, draws):
     return obs
 
 
+def _finite_observations(h_tilde, x0, factors, draws):
+    """``_observations`` of one stream; NonFiniteError names the first step that overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _observations(h_tilde, x0, factors, draws)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"simulated observation at step {bad[0]} is not finite: "
+                             f"the dynamics overflowed float64")
+    return out
+
+
 def simulate(model, x0, T, seed, noiseless=False):
     """Observations y(k) = H~_k x0 + v_k for k = 0..T-1, shape (T, m).
 
@@ -90,15 +102,10 @@ def simulate(model, x0, T, seed, noiseless=False):
     model._check_horizon(T - 1)
     rng = np.random.default_rng(seed)
     draws = None if noiseless else rng.standard_normal((T, model.m))
-    # Overflow is reported by the check below, not by numpy warnings.
+    # Overflow is reported by _finite_observations, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         h_tilde = np.array(list(observed_evolution_sequence(model, T)))
-        out = _observations(h_tilde, x0, model.noise_factors(T), draws)
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        raise NonFiniteError(f"simulated observation at step {bad[0]} is not finite: "
-                             f"the dynamics overflowed float64")
-    return out
+    return _finite_observations(h_tilde, x0, model.noise_factors(T), draws)
 
 
 def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
@@ -278,8 +285,11 @@ def reproduce_example(which, trials, seed, out_dir, sigma_is_variance=False):
     stats, results = monte_carlo(model, x0, x_hat0, P0, T, trials, seed)
 
     # Showcase run: the example's exact initial guess on its own noise
-    # stream, filtered through the ensemble's gain schedule.
-    showcase_obs = simulate(model, x0, T, trial_seed(seed, trials))
+    # stream (seed, trials), drawn as simulate draws it but through the
+    # schedule's observers, and filtered through the ensemble's schedule.
+    draws = np.random.default_rng(trial_seed(seed, trials)).standard_normal((T, model.m))
+    showcase_obs = _finite_observations(stats.schedule.h_tilde, x0, model.noise_factors(T),
+                                        draws)
     showcase = estimator._fold(stats.schedule, x_hat0, showcase_obs)
 
     paths = {name: out_dir / f"{name}.csv"

@@ -42,7 +42,7 @@ class NonFiniteError(ValueError):
 def _as_array(value, path):
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"not a numeric array: {exc}") from None
 
 
@@ -357,7 +357,7 @@ def _read_section(doc, section):
     if rank == 0:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(path, f"must be a number, got {value!r}")
-        return float(value)
+        return float(_as_array(value, path))
     value = _as_array(value, path)
     if value.ndim != rank:
         raise ConfigError(path, f"{kind!r} expects {_FORMS[rank]}, got shape {value.shape}")

@@ -223,7 +223,9 @@ def lambda_min_asymptotics(model, K, report=None):
     """Classify the growth of lambda_min(O(k,0)) for k = 1..K (LTI only).
 
     Unbounded when min |eig(A)| > 1, with a log-linear fit of the trace's
-    tail half (supporting a lower bound rho * exp(beta k)); convergent to a
+    tail half (supporting a lower bound rho * exp(beta k)); a tail entry
+    that is not positive, where float64 no longer resolves lambda_min,
+    raises ValueError naming its k instead of a fit.  Convergent to a
     positive limit when min |eig(A)| < 1.  Within the SPECTRAL_BAND_TOL band
     around 1 the class is Undetermined.  A ``check_observability``
     ``report`` of the model certifies it as ``_require_observable`` says,
@@ -246,6 +248,12 @@ def lambda_min_asymptotics(model, K, report=None):
     if lam_min > 1.0 + SPECTRAL_BAND_TOL:
         ks = np.arange(1, K + 1)
         tail = slice(K // 2, K)
+        unresolved = np.flatnonzero(~(trace[tail] > 0.0))
+        if unresolved.size:
+            k = K // 2 + int(unresolved[0]) + 1
+            raise ValueError(f"lambda_min(O(k,0)) = {trace[k - 1]:.3e} at k = {k} is not "
+                             f"positive: float64 no longer resolves it, so no growth rate "
+                             f"is fitted")
         slope, intercept = np.polyfit(ks[tail], np.log(trace[tail]), 1)
         return GramianGrowth(growth_class="Unbounded", lambda_min_trace=trace,
                              beta=float(slope), log_intercept=float(intercept))

@@ -29,7 +29,7 @@ def test_tiny_run_writes_valid_json(tmp_path):
         assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())
     ltv = doc["ltv"]
     assert (ltv["d"], ltv["m"], ltv["T"], ltv["L_max"]) == (4, 1, 40, 8)
-    assert set(ltv["layers"]) == {"model_validation", "check_observability",
+    assert set(ltv["layers"]) == {"config_decode", "model_validation", "check_observability",
                                   "simulate_per_step", "run_per_step", "write_estimates_csv"}
     assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
     ensemble = doc["ensemble"]

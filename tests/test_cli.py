@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -110,6 +111,77 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 0
         assert manifest["version"]
+
+
+class TestReadJson:
+    """The CLI's one JSON reader: orjson, and the json module for what orjson rejects."""
+
+    def write_text(self, tmp_path, example2_config, token):
+        # example2's config with A[0][0] spelled as the literal ``token``
+        example2_config["dynamics"]["A"][0][0] = "TOKEN"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(example2_config).replace('"TOKEN"', token))
+        return path
+
+    def test_ordinary_config_takes_one_orjson_decode(self, tmp_path, example2_config,
+                                                     monkeypatch):
+        path = write_config(tmp_path, example2_config)
+        monkeypatch.setattr(cli, "json", None)
+        assert cli._read_json(path, path) == example2_config
+
+    def test_numbers_decode_bitwise_as_json_loads(self, tmp_path):
+        text = ("[5e-324, 1e-320, -0.0, 1.7976931348623157e308, 0.1, 18446744073709551615, "
+                "-98765432109876543210, 123456789012345678901234567890, 1" + "0" * 300 + "]")
+        path = tmp_path / "numbers.json"
+        path.write_text(text)
+        got = np.asarray(cli._read_json(path, "numbers"), dtype=float)
+        assert got.tobytes() == np.asarray(json.loads(text), dtype=float).tobytes()
+
+    def test_wide_integer_scalar_stays_an_int(self, tmp_path, example2_config, capsys):
+        # orjson would round d to a float; json keeps the int, and its message
+        example2_config["d"] = 10 ** 20
+        path = write_config(tmp_path, example2_config)
+        assert cli._read_json(path, path)["d"] == 10 ** 20
+        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
+                       "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == ("isokal simulate: error: d: declared "
+                                           "d=100000000000000000000 but matrices have d=2\n")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_tokens_reach_the_model(self, tmp_path, example2_config, capsys, token):
+        path = self.write_text(tmp_path, example2_config, token)
+        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
+                       "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == ("isokal simulate: error: dynamics.A: "
+                                           "entries must be finite\n")
+
+    def test_integer_past_float64_exits_1(self, tmp_path, example2_config, capsys):
+        path = self.write_text(tmp_path, example2_config, "1" + "0" * 400)
+        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
+                       "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == ("isokal simulate: error: dynamics.A: not a numeric "
+                                           "array: int too large to convert to float\n")
+
+    @pytest.mark.parametrize("text", ['{"d": 2,}', '{\r\n"d": 2\r\n"m": 1}', "[1] x"],
+                             ids=["trailing_comma", "crlf", "extra_data"])
+    def test_malformed_json_keeps_the_json_message(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(json.JSONDecodeError) as exc:
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
+                       "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err == (f"isokal simulate: error: {path}: "
+                                           f"invalid JSON: {exc.value}\n")
+
+    def test_invalid_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"d": "\xff"}')
+        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
+                       "--out", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err.startswith(
+            "isokal simulate: error: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestEstimate:
@@ -230,6 +302,23 @@ class TestEstimate:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["trace_P"]) == pytest.approx(0.025)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[[0.02, 0.0] [0.0, 0.005]]", "invalid JSON: Expecting ',' delimiter: "
+                                        "line 1 column 14 (char 13)"),
+        ('[["a", 0.0], [0.0, 0.005]]', "not a numeric array: could not convert "
+                                        "string to float: 'a'"),
+    ], ids=["malformed", "non_numeric"])
+    def test_p0_file_errors_name_the_flag(self, tmp_path, example2_config, capsys,
+                                          text, message):
+        cfg = write_config(tmp_path, example2_config)
+        obs = self._simulate(tmp_path, cfg, steps=3)
+        p0file = tmp_path / "p0.json"
+        p0file.write_text(text)
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", p0file,
+                       "--out", tmp_path / "est.csv", "--quiet")
+        assert code == 1
+        assert capsys.readouterr().err == f"isokal estimate: error: --p0 {p0file}: {message}\n"
+
 
 class TestAnalyze:
     def test_example2_report(self, tmp_path, example2_config):
@@ -313,6 +402,33 @@ class TestAnalyze:
         assert 1e-12 <= doc["lambda_min_trace"][1] < 1e-9
         assert doc["growth_class"] == "BoundedLimit"
         assert doc["classification"] == "LyapunovStableOnly"
+
+    def test_unresolved_growth_trace_exits_1(self, tmp_path, example1_config, capsys):
+        # example1's lambda_min(O(k,0)) is not resolved in float64 before
+        # k = 60: an error naming k, no fit, no warning and no report
+        cfg = write_config(tmp_path, example1_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "4", "--k-max", "60",
+                       "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("isokal analyze: error: lambda_min(O(k,0))")
+        assert "is not positive" in err[0]
+        assert not out.exists()
+
+    def test_nan_is_never_written(self, tmp_path, example2_config, capsys, monkeypatch):
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "report.json"
+        real = cli.check_observability
+
+        def nan_rho(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, rho=float("nan"))
+
+        monkeypatch.setattr(cli, "check_observability", nan_rho)
+        assert run_cli("analyze", "--config", cfg, "--horizon", "5", "--k-max", "20",
+                       "--out", out) == 1
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gramian_overflow_exits_1(self, tmp_path, example2_config, capsys):
         # example2's |eig(A)| = 1.5 and sigma2 = 1e-6 take O(k,0) past

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isokal import estimator
+from isokal import estimator, harness
 from isokal._linalg import symmetrize
 from isokal.harness import (
     EXAMPLE_STEPS,
@@ -324,6 +324,22 @@ class TestReproduce:
         monkeypatch.setattr(estimator, "_update", lambda *a: calls.append(1) or real(*a))
         reproduce_example(which, trials=3, seed=5, out_dir=tmp_path)
         assert len(calls) == EXAMPLE_STEPS
+
+    @pytest.mark.parametrize("which", ["example1", "example2"])
+    def test_showcase_observations_are_simulates(self, tmp_path, monkeypatch, which):
+        # drawn from the schedule's observers, without a second observer
+        # walk, yet bit for bit the stream simulate gives for (seed, trials)
+        folded, walks = [], []
+        real_fold, real_walk = estimator._fold, harness.observed_evolution_sequence
+        monkeypatch.setattr(estimator, "_fold",
+                            lambda sched, x, obs: folded.append(obs) or real_fold(sched, x, obs))
+        monkeypatch.setattr(harness, "observed_evolution_sequence",
+                            lambda *a: walks.append(1) or real_walk(*a))
+        reproduce_example(which, trials=3, seed=5, out_dir=tmp_path)
+        assert walks == [] and len(folded) == 1
+        model, x0, *_ = example_system(which)
+        expected = simulate(model, x0, EXAMPLE_STEPS, trial_seed(5, 3))
+        assert folded[0].tobytes() == expected.tobytes()
 
     def test_sigma_reading_flag(self):
         model_std, *_ = example_system("example2")

@@ -266,6 +266,18 @@ class TestLoadModel:
             load_model(example2_config)
         assert exc.value.path == path
 
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("dynamics", "A", [[10 ** 400, 0.0], [0.0, 1.0]], "dynamics.A"),
+        ("noise", "sigma2", -10 ** 400, "noise.sigma2"),
+    ])
+    def test_integer_past_float64_names_the_field(self, example2_config, section, key,
+                                                  value, path):
+        # json keeps a 401-digit literal as an int, which no float holds
+        example2_config[section][key] = value
+        with pytest.raises(ConfigError) as exc:
+            load_model(example2_config)
+        assert str(exc.value) == f"{path}: not a numeric array: int too large to convert to float"
+
     def test_dimension_mismatch_rejected(self, example2_config):
         example2_config["d"] = 3
         with pytest.raises(ConfigError) as exc:

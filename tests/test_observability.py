@@ -397,6 +397,16 @@ class TestGrowthClassification:
         assert growth.growth_class == "Unbounded"
         assert growth.beta is not None and growth.beta > 0
 
+    def test_unresolved_tail_is_named_not_fitted(self, example1):
+        # example1's trace loses float64 resolution before k = 60: the
+        # first non-positive entry of the fitted tail (k = 31..60) is named
+        model = example1[0]
+        trace = np.array([observability._lambda_min(info[0])
+                          for info, _ in information_prefixes(model, 60)])
+        k = 31 + int(np.flatnonzero(trace[30:] <= 0.0)[0])
+        with pytest.raises(ValueError, match=f"at k = {k} is not positive"):
+            lambda_min_asymptotics(model, K=60)
+
     def test_unit_magnitude_band_undetermined(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues on the circle
         m = lti(rot, np.eye(2))
