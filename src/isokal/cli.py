@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-import orjson
+from orjson import JSONDecodeError, loads
 
 from . import __version__, estimator, harness, stability
 from .model import ConfigError, HorizonError, _as_array, load_model
@@ -46,41 +46,16 @@ def _parse_vector(text, flag):
     return vec
 
 
-def _wide_integer(doc):
-    """Whether ``doc`` holds, outside any array, a float that may be a rounded integer literal.
-
-    orjson decodes an integer literal past 64 bits as the nearest float
-    where json keeps the int.  Array entries become floats either way; a
-    scalar such as ``d`` would read differently.
-    """
-    if isinstance(doc, dict):
-        return any(map(_wide_integer, doc.values()))
-    return isinstance(doc, float) and abs(doc) >= 2.0 ** 63 and doc.is_integer()
-
-
 def _read_json(path, name):
-    """The document in the JSON file at ``path``; invalid JSON raises ConfigError ``name``.
+    """The document in the JSON file at ``path``, decoded by orjson.
 
-    orjson decodes the file's bytes.  A document it rejects, or one where it
-    may have rounded a wide integer (``_wide_integer``), is read again as
-    text by the json module, so it decodes as json.load decodes it:
-    NaN/Infinity tokens and numbers past float64 reach the model's checks,
-    malformed JSON carries json's message and invalid UTF-8 raises
-    UnicodeDecodeError.
+    Only strict RFC 8259 JSON is read: malformed JSON, NaN/Infinity tokens,
+    numbers past float64 and invalid UTF-8 raise ConfigError ``name`` with
+    orjson's message, which gives the line and column.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        doc = orjson.loads(data)
-    except orjson.JSONDecodeError:
-        pass
-    else:
-        if not _wide_integer(doc):
-            return doc
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+        return loads(Path(path).read_bytes())
+    except JSONDecodeError as exc:
         raise ConfigError(name, f"invalid JSON: {exc}") from None
 
 

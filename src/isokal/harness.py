@@ -234,14 +234,26 @@ def write_observations_csv(path, observations):
 
 
 def read_observations_csv(path):
+    """The (N, m) observations in a CSV as write_observations_csv writes it.
+
+    Every row has the header's width; a row of another width or a cell
+    that is not a number raises ValueError naming the file and its line.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "k":
             raise ValueError(f"{path}: expected an observations CSV with a 'k' first column")
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
-    m = len(header) - 1
-    return np.array(rows, dtype=float).reshape(-1, m)
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, len(header) - 1)
 
 
 def write_estimates_csv(path, x_hat, trace_p, truth=None):

@@ -11,6 +11,9 @@ Dynamics/observation/noise may each be constant (LTI) or a finite explicit
 sequence (LTV).
 """
 
+# Config values quoted in a message are abbreviated: a deep or long one never recurses.
+from reprlib import repr as brief
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
@@ -348,15 +351,15 @@ def _read_section(doc, section):
     """The value of a config section, in the form its ``kind`` names."""
     kinds = _SECTIONS[section]
     kind = _field(doc, f"{section}.kind")
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"{section}.kind",
-                          f"must be {' or '.join(map(repr, kinds))}, got {kind!r}")
+                          f"must be {' or '.join(map(repr, kinds))}, got {brief(kind)}")
     key, rank = kinds[kind]
     path = f"{section}.{key}"
     value = _field(doc, path)
     if rank == 0:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(path, f"must be a number, got {value!r}")
+            raise ConfigError(path, f"must be a number, got {brief(value)}")
         return float(_as_array(value, path))
     value = _as_array(value, path)
     if value.ndim != rank:
@@ -377,9 +380,9 @@ def load_model(doc):
         raise ConfigError("<root>", "config must be a JSON object")
     d, m = _field(doc, "d"), _field(doc, "m")
     if not isinstance(d, int) or d < 1:
-        raise ConfigError("d", f"must be a positive integer, got {d!r}")
+        raise ConfigError("d", f"must be a positive integer, got {brief(d)}")
     if not isinstance(m, int) or m < 1:
-        raise ConfigError("m", f"must be a positive integer, got {m!r}")
+        raise ConfigError("m", f"must be a positive integer, got {brief(m)}")
     if m > d:
         raise ConfigError("m", f"observation dimension m={m} exceeds state dimension d={d}")
 

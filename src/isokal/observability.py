@@ -201,21 +201,14 @@ def _require_observable(model, report=None):
     ``report``, a ``check_observability`` result for the model, is the
     certificate when its search covered L_max >= d: the search stops at
     the first certifying window length, so its verdict up to d is read off
-    L.  Otherwise the model is certified afresh at the report's rho_tol
-    (1e-9 without a report): a fully LTI model by a scan that stops at the
-    first certifying window, any other model by ``check_observability``.
+    L.  Otherwise ``check_observability`` certifies the model afresh up to
+    d at the report's rho_tol (1e-9 without a report).
     """
     d = model.d
-    rho_tol = 1e-9 if report is None else report.rho_tol
-    if report is not None and report.L_max >= d:
-        observable = report.observable and report.L <= d
-    elif model.is_lti and model.isotropic:
-        observable = any(_lambda_min(info[0]) >= rho_tol
-                         for info, _ in information_prefixes(model, d))
-    else:
+    if report is None or report.L_max < d:
+        rho_tol = 1e-9 if report is None else report.rho_tol
         report = check_observability(model, L_max=d, rho_tol=rho_tol)
-        observable = report.observable and report.L <= d
-    if not observable:
+    if not (report.observable and report.L <= d):
         raise UnobservableModelError(f"model is not observable up to window length {d}")
 
 

@@ -1,10 +1,13 @@
+import copy
 import csv
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isokal import cli, estimator
 from isokal.harness import read_observations_csv
@@ -74,6 +77,17 @@ class TestSimulate:
         assert f"error: {path}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", [["lti"], {"lti": 1}, 1], ids=["list", "object", "number"])
+    def test_kind_that_is_not_a_string_exits_1(self, tmp_path, example2_config, capsys, kind):
+        example2_config["dynamics"]["kind"] = kind
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "obs.csv"
+        code = run_cli("simulate", "--config", cfg, "--x0", "1,2", "--steps", "2", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == ("isokal simulate: error: dynamics.kind: must be "
+                                           f"'lti' or 'ltv', got {kind!r}\n")
+        assert not out.exists()
+
     def test_non_finite_x0_exits_1(self, tmp_path, example2_config, capsys):
         cfg = write_config(tmp_path, example2_config)
         out = tmp_path / "obs.csv"
@@ -114,7 +128,7 @@ class TestSimulate:
 
 
 class TestReadJson:
-    """The CLI's one JSON reader: orjson, and the json module for what orjson rejects."""
+    """The CLI's one JSON reader: orjson, strict RFC 8259 JSON only."""
 
     def write_text(self, tmp_path, example2_config, token):
         # example2's config with A[0][0] spelled as the literal ``token``
@@ -122,6 +136,14 @@ class TestReadJson:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(example2_config).replace('"TOKEN"', token))
         return path
+
+    def simulate_error(self, tmp_path, path, capsys):
+        """The one stderr line of a ``simulate`` on the config at ``path`` that exits 1."""
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
+                       "--out", out) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
 
     def test_ordinary_config_takes_one_orjson_decode(self, tmp_path, example2_config,
                                                      monkeypatch):
@@ -137,51 +159,56 @@ class TestReadJson:
         got = np.asarray(cli._read_json(path, "numbers"), dtype=float)
         assert got.tobytes() == np.asarray(json.loads(text), dtype=float).tobytes()
 
-    def test_wide_integer_scalar_stays_an_int(self, tmp_path, example2_config, capsys):
-        # orjson would round d to a float; json keeps the int, and its message
+    def test_wide_integer_scalar_is_not_a_dimension(self, tmp_path, example2_config, capsys):
+        # orjson reads an integer past 64 bits as the nearest float
         example2_config["d"] = 10 ** 20
         path = write_config(tmp_path, example2_config)
-        assert cli._read_json(path, path)["d"] == 10 ** 20
-        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
-                       "--out", tmp_path / "x.csv") == 1
-        assert capsys.readouterr().err == ("isokal simulate: error: d: declared "
-                                           "d=100000000000000000000 but matrices have d=2\n")
+        assert cli._read_json(path, path)["d"] == 1e20
+        assert self.simulate_error(tmp_path, path, capsys) == (
+            "isokal simulate: error: d: must be a positive integer, got 1e+20\n")
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
-    def test_non_finite_tokens_reach_the_model(self, tmp_path, example2_config, capsys, token):
+    @pytest.mark.parametrize("token, message", [
+        ("NaN", "unexpected character: line 1 column 53 (char 52)"),
+        ("Infinity", "unexpected character: line 1 column 53 (char 52)"),
+        ("-Infinity", "no digit after minus sign: line 1 column 53 (char 52)"),
+        ("1e999", "number is infinity when parsed as double: line 1 column 53 (char 52)"),
+    ], ids=["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_tokens_are_invalid_json(self, tmp_path, example2_config, capsys,
+                                                token, message):
         path = self.write_text(tmp_path, example2_config, token)
-        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
-                       "--out", tmp_path / "x.csv") == 1
-        assert capsys.readouterr().err == ("isokal simulate: error: dynamics.A: "
-                                           "entries must be finite\n")
+        assert self.simulate_error(tmp_path, path, capsys) == (
+            f"isokal simulate: error: {path}: invalid JSON: {message}\n")
 
-    def test_integer_past_float64_exits_1(self, tmp_path, example2_config, capsys):
-        path = self.write_text(tmp_path, example2_config, "1" + "0" * 400)
-        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
-                       "--out", tmp_path / "x.csv") == 1
-        assert capsys.readouterr().err == ("isokal simulate: error: dynamics.A: not a numeric "
-                                           "array: int too large to convert to float\n")
-
-    @pytest.mark.parametrize("text", ['{"d": 2,}', '{\r\n"d": 2\r\n"m": 1}', "[1] x"],
-                             ids=["trailing_comma", "crlf", "extra_data"])
-    def test_malformed_json_keeps_the_json_message(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, message", [
+        ('{"d": 2,}', "unexpected end of data: line 1 column 10 (char 9)"),
+        ('{\r\n"d": 2\r\n"m": 1}', "unexpected character: line 3 column 1 (char 11)"),
+        ("[1] x", "unexpected content after document: line 1 column 5 (char 4)"),
+    ], ids=["trailing_comma", "crlf", "extra_data"])
+    def test_malformed_json_keeps_the_json_message(self, tmp_path, capsys, text, message):
+        # the decoder's message, with its line and column
         path = tmp_path / "config.json"
         path.write_bytes(text.encode())
-        with pytest.raises(json.JSONDecodeError) as exc:
-            with open(path, encoding="utf-8") as fh:
-                json.load(fh)
-        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
-                       "--out", tmp_path / "x.csv") == 1
-        assert capsys.readouterr().err == (f"isokal simulate: error: {path}: "
-                                           f"invalid JSON: {exc.value}\n")
+        assert self.simulate_error(tmp_path, path, capsys) == (
+            f"isokal simulate: error: {path}: invalid JSON: {message}\n")
 
     def test_invalid_utf8_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b'{"d": "\xff"}')
-        assert run_cli("simulate", "--config", path, "--x0", "1,2", "--steps", "2",
-                       "--out", tmp_path / "x.csv") == 1
-        assert capsys.readouterr().err.startswith(
-            "isokal simulate: error: 'utf-8' codec can't decode byte 0xff")
+        assert self.simulate_error(tmp_path, path, capsys).startswith(
+            f"isokal simulate: error: {path}: invalid JSON: str is not valid UTF-8: ")
+
+    def test_integer_past_float64_exits_1(self, tmp_path, example2_config, capsys):
+        path = self.write_text(tmp_path, example2_config, "1" + "0" * 400)
+        assert self.simulate_error(tmp_path, path, capsys) == (
+            f"isokal simulate: error: {path}: invalid JSON: number is infinity when parsed "
+            "as double: line 1 column 53 (char 52)\n")
+
+    def test_deep_document_with_nan_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100000 + "NaN" + "]" * 100000)
+        assert self.simulate_error(tmp_path, path, capsys) == (
+            f"isokal simulate: error: {path}: invalid JSON: unexpected character: "
+            "line 1 column 100001 (char 100000)\n")
 
 
 class TestEstimate:
@@ -202,6 +229,24 @@ class TestEstimate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["xhat_0"]) == 0.5
+
+    @pytest.mark.parametrize("text, message", [
+        ("k,y_0,y_1\n0,1.0\n1,2.0\n", "line 2: 2 fields, the header has 3"),
+        ("k,y_0,y_1\n0,1.0,2.0,3.0\n1,4.0,5.0,6.0\n", "line 2: 4 fields, the header has 3"),
+        ("k,y_0,y_1\n0,1.0,2.0\n\n2,a,3.0\n",
+         "line 4: could not convert string to float: 'a'"),
+    ], ids=["short_rows", "long_rows", "not_a_number"])
+    def test_bad_observation_rows_exit_1(self, tmp_path, example1_config, capsys,
+                                         text, message):
+        cfg = write_config(tmp_path, example1_config)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(text)
+        out = tmp_path / "est.csv"
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", out, "--quiet")
+        assert code == 1
+        assert capsys.readouterr().err == f"isokal estimate: error: {obs}, {message}\n"
+        assert not out.exists()
 
     def test_pipeline_reduces_error(self, tmp_path, example1_config):
         cfg = write_config(tmp_path, example1_config)
@@ -303,7 +348,7 @@ class TestEstimate:
         assert float(rows[0]["trace_P"]) == pytest.approx(0.025)
 
     @pytest.mark.parametrize("text, message", [
-        ("[[0.02, 0.0] [0.0, 0.005]]", "invalid JSON: Expecting ',' delimiter: "
+        ("[[0.02, 0.0] [0.0, 0.005]]", "invalid JSON: unexpected character: "
                                         "line 1 column 14 (char 13)"),
         ('[["a", 0.0], [0.0, 0.005]]', "not a numeric array: could not convert "
                                         "string to float: 'a'"),
@@ -493,3 +538,56 @@ class TestReproduce:
         run_cli("reproduce", "example2", "--trials", "5", "--seed", "1",
                 "--outdir", b, "--sigma-is-variance", "--quiet")
         assert (a / "mse.csv").read_bytes() != (b / "mse.csv").read_bytes()
+
+
+@st.composite
+def broken_configs(draw, doc):
+    """``doc`` (example2's config) as JSON bytes, with one drawn mutation."""
+    doc = copy.deepcopy(doc)
+    how = draw(st.sampled_from(["kind", "entry", "dimension", "truncate"]))
+    if how == "kind":
+        section = draw(st.sampled_from(["dynamics", "observation", "noise"]))
+        doc[section]["kind"] = draw(st.one_of(
+            st.lists(st.sampled_from(["lti", "ltv", "per_step"]), max_size=2),
+            st.dictionaries(st.sampled_from(["lti", "kind"]), st.integers(), max_size=2),
+            st.integers(-2, 2), st.floats(-10.0, 10.0), st.text(max_size=6)))
+    elif how == "entry":
+        section, key = draw(st.sampled_from([("dynamics", "A"), ("observation", "H")]))
+        matrix = doc[section][key]
+        row = draw(st.integers(0, len(matrix) - 1))
+        matrix[row][draw(st.integers(0, len(matrix[row]) - 1))] = "SPOT"
+    elif how == "dimension":
+        key = draw(st.sampled_from(["d", "m"]))
+        value = draw(st.one_of(st.none(), st.integers(-2, 4), st.floats(-4.0, 4.0),
+                               st.text(max_size=3), st.booleans()))
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    text = json.dumps(doc).replace('"SPOT"', draw(st.sampled_from(
+        ["NaN", "1e999", '"a"', "[1.0, 2.0]"])))
+    if how == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text.encode()
+
+
+class TestConfigContract:
+    """Any config exits analyze with 0, or with 1, one error line and no report."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_broken_config_exits_0_or_1_with_one_line(self, example2_config, capsys, data):
+        text = data.draw(broken_configs(example2_config))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+            cfg.write_bytes(text)
+            capsys.readouterr()
+            code = run_cli("analyze", "--config", cfg, "--horizon", "2", "--k-max", "10",
+                           "--out", out, "--quiet")
+            err = capsys.readouterr().err
+            assert code in (0, 1)
+            if code == 1:
+                assert err.startswith("isokal analyze: error: ") and err.count("\n") == 1
+                assert err.endswith("\n") and not out.exists()
+            else:
+                assert err == "" and out.exists()

@@ -231,6 +231,26 @@ class TestLoadModel:
             load_model(example2_config)
         assert exc.value.path == f"{section}.kind"
 
+    @pytest.mark.parametrize("kind", [["lti"], {"lti": 1}, 1], ids=["list", "object", "number"])
+    def test_kind_that_is_not_a_string_is_named(self, example2_config, kind):
+        example2_config["dynamics"]["kind"] = kind
+        with pytest.raises(ConfigError) as exc:
+            load_model(example2_config)
+        assert str(exc.value) == f"dynamics.kind: must be 'lti' or 'ltv', got {kind!r}"
+
+    @pytest.mark.parametrize("field", ["d", "m", "dynamics.kind", "noise.sigma2"])
+    def test_deeply_nested_value_is_named(self, example2_config, field):
+        # the message abbreviates the value instead of recursing through it
+        deep = []
+        for _ in range(100000):
+            deep = [deep]
+        *parents, key = field.split(".")
+        section = example2_config[parents[0]] if parents else example2_config
+        section[key] = deep
+        with pytest.raises(ConfigError, match=r"got \[\[\[\[\[\[\[\.\.\.\]\]\]\]\]\]\]$") as exc:
+            load_model(example2_config)
+        assert exc.value.path == field
+
     def test_example1_config(self, example1_config):
         m = load_model(example1_config)
         assert (m.d, m.m) == (4, 2)

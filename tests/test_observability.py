@@ -461,9 +461,10 @@ REPORT_READERS = pytest.mark.parametrize("analysis", [
 def certified(monkeypatch):
     """Records every fresh certificate of the model: ("check", L_max, rho_tol) or ("scan", d).
 
-    A fully LTI model's scan is an accumulation of d information terms
-    outside check_observability (the growth trace of lambda_min_asymptotics
-    accumulates K != d terms in these tests).
+    A scan is an accumulation of d information terms outside
+    check_observability, which no analysis makes: every fresh certificate
+    is a check (the growth trace of lambda_min_asymptotics accumulates
+    K != d terms in these tests).
     """
     calls, inside = [], []
     real_check, real_prefixes = observability.check_observability, observability.information_prefixes
@@ -502,18 +503,13 @@ class TestReportReuse:
     @REPORT_READERS
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     def test_short_report_recertifies_at_its_tolerance(self, example1, certified, analysis, tol):
-        # a fully LTI model is scanned; a model with per-step noise goes
-        # through check_observability, whose call shows the tolerance
-        model = example1[0]
-        report = check_observability(model, L_max=model.d - 1, rho_tol=tol)
-        certified.clear()
-        analysis(model, report)
-        assert certified == [("scan", model.d)]
-        model = ltv_fixture("lti_per_step_r")
-        report = check_observability(model, L_max=model.d - 1, rho_tol=tol)
-        certified.clear()
-        analysis(model, report)
-        assert certified == [("check", model.d, tol)]
+        # a fully LTI model and one with per-step noise both go through
+        # check_observability, whose call shows the tolerance
+        for model in (example1[0], ltv_fixture("lti_per_step_r")):
+            report = check_observability(model, L_max=model.d - 1, rho_tol=tol)
+            certified.clear()
+            analysis(model, report)
+            assert certified == [("check", model.d, tol)]
 
     @REPORT_READERS
     def test_window_longer_than_d_is_not_a_certificate(self, example1, certified, analysis):
@@ -533,9 +529,9 @@ class TestReportReuse:
         assert certified == []
         with pytest.raises(UnobservableModelError):
             analysis(model, short)
-        assert certified == [("scan", model.d)]
+        assert certified == [("check", model.d, tol)]
         analysis(model, None)
-        assert certified == [("scan", model.d)] * 2
+        assert certified == [("check", model.d, tol), ("check", model.d, 1e-9)]
 
     @pytest.mark.parametrize("which", ["example1", "example2"])
     @pytest.mark.parametrize("L_max", [4, 8, 20, 30])
@@ -564,7 +560,7 @@ class TestReportReuse:
 
 
 class TestFirstWindowScan:
-    """A fully LTI model is certified afresh by a scan that stops at the first window."""
+    """Without a covering report a model is certified afresh by check_observability up to d."""
 
     @staticmethod
     def certifies(model, report=None):
@@ -596,18 +592,3 @@ class TestFirstWindowScan:
             assert self.certifies(model, short) == (rep.observable and rep.L <= model.d)
         rep = check_observability(model, L_max=model.d)
         assert self.certifies(model) == (rep.observable and rep.L <= model.d)
-
-    def test_scan_stops_at_the_first_certifying_window(self, example1, monkeypatch):
-        model = example1[0]
-        rep = check_observability(model, L_max=model.d)
-        assert rep.observable and rep.L < model.d
-        calls = []
-        real = observability._lambda_min
-
-        def counted(g):
-            calls.append(g.shape)
-            return real(g)
-
-        monkeypatch.setattr(observability, "_lambda_min", counted)
-        assert self.certifies(model)
-        assert len(calls) == rep.L
