@@ -21,9 +21,13 @@ np.set_printoptions(precision=4, suppress=True)
 # --- 1. A calibrated ensemble ----------------------------------------------
 
 model, x0, x_guess, P0, _snapshots = example_system("example1")
-stats, trials = monte_carlo(model, x0, x_guess, P0, T=40, trials=200, seed=42)
+stats = monte_carlo(model, x0, x_guess, P0, T=40, trials=200, seed=42)
 
-trace_p = trials[0].trace_p   # deterministic: identical across trials
+# One record for the whole ensemble: stats.err_sq stacks |e_k|^2 of every
+# trial, (200, 41), and mse is its mean across trials.  trace(P_k) does not
+# depend on the observations, so one gain schedule serves every trial.
+trace_p = stats.mean_trace_p
+print(f"{stats.n_trials} trials, err_sq {stats.err_sq.shape}")
 print("  k    mean |e_k|^2    |bias_k|^2      trace P_k")
 for k in (1, 2, 5, 10, 20, 40):
     print(f"  {k:2d}    {stats.mse[k]:.3e}    {stats.bias_norm[k]**2:.3e}    {trace_p[k]:.3e}")
@@ -40,7 +44,7 @@ print(f"\nmse_40 / mse_1 = {stats.mse[40] / stats.mse[1]:.2e}")
 # same arguments is bit-identical, and trial t's values depend only on
 # (master_seed, t), up to rounding.
 
-stats_again, _ = monte_carlo(model, x0, x_guess, P0, T=40, trials=200, seed=42)
+stats_again = monte_carlo(model, x0, x_guess, P0, T=40, trials=200, seed=42)
 print("re-run is bit-identical:", stats.mse.tobytes() == stats_again.mse.tobytes())
 
 # --- 3. The packaged reproductions ------------------------------------------

@@ -35,7 +35,7 @@ from .stability import (
     lyapunov_value,
     psi_transition,
 )
-from .harness import EnsembleStats, TrialResult, monte_carlo, reproduce_example, simulate
+from .harness import EnsembleStats, monte_carlo, reproduce_example, simulate
 
 __all__ = [
     "__version__",
@@ -46,5 +46,5 @@ __all__ = [
     "gramian", "information_prefixes", "lambda_min_asymptotics",
     "StabilityReport", "analyze_stability", "classify", "exponential_fit",
     "gelfand_diagnostic", "lyapunov_value", "psi_transition",
-    "EnsembleStats", "TrialResult", "monte_carlo", "reproduce_example", "simulate",
+    "EnsembleStats", "monte_carlo", "reproduce_example", "simulate",
 ]

@@ -106,7 +106,8 @@ def _cmd_estimate(args):
     obs = harness.read_observations_csv(args.obs)
     x_hat0 = _parse_vector(args.x0_guess, "--x0-guess") if args.x0_guess else None
     p0 = _parse_p0(args.p0)
-    truth = _parse_vector(args.truth, "--truth") if args.truth else None
+    truth = (estimator._state_vector(_parse_vector(args.truth, "--truth"), model.d, "--truth")
+             if args.truth else None)
 
     states = estimator.run(model, x_hat0, p0, obs)
     x_hat = np.array([s.x_hat for s in states])

@@ -288,7 +288,7 @@ def step(state, y_prev, R_prev, model):
         raise ValueError(f"observation has length {y_prev.shape[0]}, expected {h_tilde.shape[0]}")
 
     k_gain, p_next = _update(state.P, h_tilde, R_prev, k=state.step)
-    x_next = state.x_hat + k_gain @ (y_prev - h_tilde @ state.x_hat)
+    x_next = state.x_hat + (y_prev - state.x_hat @ h_tilde.T) @ k_gain.T
     # An overflowed observer is reported by the next step, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         h_next, phi = _advance(model, state.step + 1, h_tilde, state.phi)
@@ -346,18 +346,22 @@ def _pass(model, P0, T):
 
 
 def _fold(schedule, x_hat0, observations):
-    """Estimates x^_0..x^_T of one observation stream through ``schedule``.
+    """Estimates x^_0..x^_T of one or more observation streams through ``schedule``.
 
-    x^_k+1 = x^_k + K_k+1 (y(k) - H~_k x^_k), the per-vector update of
-    ``step`` with the same bits.  Returns a read-only (T+1, d) stack;
-    raises NonFiniteError naming the first estimate that left float64.
+    x^_k+1 = x^_k + K_k+1 (y(k) - H~_k x^_k), as ``step`` writes it.  A (d,)
+    guess with (T, m) observations is one stream; a (n, d) stack of guesses
+    takes a (n, T, m) stack or one (T, m) block shared by every stream.
+    Returns the read-only (T+1, d) or (n, T+1, d) estimates; raises
+    NonFiniteError naming the first step at which any estimate left float64.
     """
-    x_hat = np.empty((len(observations) + 1, len(x_hat0)))
-    x = x_hat[0] = x_hat0
+    T = observations.shape[-2]
+    x_hat = np.empty((*x_hat0.shape[:-1], T + 1, x_hat0.shape[-1]))
+    x = x_hat[..., 0, :] = x_hat0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (h, gain, y) in enumerate(zip(schedule.h_tilde, schedule.gain, observations)):
-            x = x_hat[k + 1] = x + gain @ (y - h @ x)
-    bad = np.flatnonzero(~np.isfinite(x_hat).all(axis=1))
+        for k in range(T):
+            y, h, gain = observations[..., k, :], schedule.h_tilde[k], schedule.gain[k]
+            x = x_hat[..., k + 1, :] = x + (y - x @ h.T) @ gain.T
+    bad = np.flatnonzero(~np.isfinite(x_hat).all(axis=-1).reshape(-1, T + 1).all(axis=0))
     if bad.size:
         raise NonFiniteError(f"estimate at step {bad[0]} is not finite: it overflowed float64")
     x_hat.flags.writeable = False

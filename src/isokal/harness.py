@@ -26,30 +26,25 @@ from .model import NonFiniteError, SystemModel, observed_evolution_sequence
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Per-step error and covariance diagnostics for one ensemble trial."""
-
-    trial_id: int
-    seed_key: tuple
-    err_sq: np.ndarray        # ||e_k||^2, k = 0..T
-    err_inf: np.ndarray       # ||x^_k - x0||_inf
-    trace_p: np.ndarray       # trace(P_k)
-    p_eigs: np.ndarray        # eigenvalues of P_k, descending, (T+1, d)
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
-    """Sample statistics across trials: empirical MSE and bias per step.
+    """Per-step errors of every trial of an ensemble and their statistics.
 
     ``schedule`` is the gain schedule every trial was filtered through;
     mean_trace_p is the trace of its P_k.
     """
 
-    n_trials: int
-    mse: np.ndarray           # mean ||e_k||^2
+    err_sq: np.ndarray        # ||e_k||^2 of each trial, (trials, T+1)
     bias: np.ndarray          # mean e_k, (T+1, d)
     mean_trace_p: np.ndarray
     schedule: estimator.GainSchedule
+
+    @property
+    def n_trials(self):
+        return len(self.err_sq)
+
+    @property
+    def mse(self):
+        return self.err_sq.mean(axis=0)
 
     @property
     def bias_norm(self):
@@ -66,23 +61,19 @@ def _observations(h_tilde, x0, factors, draws):
 
     ``h_tilde`` stacks the T observers and ``factors`` the lower Cholesky
     factors C_k of R_k; ``draws`` (..., T, m) holds the standard normal g_k
-    of each stream.  ``draws=None`` adds no noise term at all.
+    of each stream.  ``draws=None`` adds no noise term at all.  Dynamics
+    that overflowed float64 raise NonFiniteError naming the first step at
+    which an observation of any stream is not finite.
     """
-    obs = h_tilde @ x0
-    if draws is not None:
-        obs = obs + (factors @ draws[..., None])[..., 0]
-    return obs
-
-
-def _finite_observations(h_tilde, x0, factors, draws):
-    """``_observations`` of one stream; NonFiniteError names the first step that overflowed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _observations(h_tilde, x0, factors, draws)
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        obs = h_tilde @ x0
+        if draws is not None:
+            obs = obs + (factors @ draws[..., None])[..., 0]
+    bad = np.flatnonzero(~np.isfinite(obs).all(axis=-1).reshape(-1, len(h_tilde)).all(axis=0))
     if bad.size:
         raise NonFiniteError(f"simulated observation at step {bad[0]} is not finite: "
                              f"the dynamics overflowed float64")
-    return out
+    return obs
 
 
 def simulate(model, x0, T, seed, noiseless=False):
@@ -102,10 +93,10 @@ def simulate(model, x0, T, seed, noiseless=False):
     model._check_horizon(T - 1)
     rng = np.random.default_rng(seed)
     draws = None if noiseless else rng.standard_normal((T, model.m))
-    # Overflow is reported by _finite_observations, not by numpy warnings.
+    # Overflow is reported by _observations, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         h_tilde = np.array(list(observed_evolution_sequence(model, T)))
-    return _finite_observations(h_tilde, x0, model.noise_factors(T), draws)
+    return _observations(h_tilde, x0, model.noise_factors(T), draws)
 
 
 def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
@@ -120,18 +111,17 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
     covariance comparison does not apply.
 
     The gain schedule is computed once and all trials are filtered together
-    as the rows of one (trials, d) array; trials share trace_p and p_eigs,
-    and the schedule is handed back as ``stats.schedule``.
+    by one fold of the (trials, d) stack of guesses; the schedule is handed
+    back as ``stats.schedule``.  Observations or estimates that overflow
+    float64 raise NonFiniteError naming the step.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     x0 = estimator._state_vector(x0, model.d, "x0")
-    x_hat0 = (np.zeros(model.d) if x_hat0 is None
-              else estimator._state_vector(x_hat0, model.d, "x_hat0"))
-    schedule = estimator.gain_schedule(model, P0, T)
-    P0 = schedule.P[0]
+    x_hat0, P0 = estimator._prior(model, x_hat0, P0)
+    schedule = estimator._pass(model, P0, T)[0]
 
     x_hat = np.tile(x_hat0, (trials, 1))
     draws = None if noiseless else np.empty((trials, T, model.m))
@@ -145,22 +135,10 @@ def monte_carlo(model, x0, x_hat0, P0, T, trials, seed, calibrated=True,
     # (trials, T, m), or (T, m) shared by every trial when noiseless.
     obs = _observations(schedule.h_tilde, x0, model.noise_factors(T), draws)
 
-    errors = np.empty((trials, T + 1, model.d))
-    errors[:, 0] = x_hat - x0
-    for k in range(T):
-        innovation = obs[..., k, :] - x_hat @ schedule.h_tilde[k].T
-        x_hat = x_hat + innovation @ schedule.gain[k].T
-        errors[:, k + 1] = x_hat - x0
-
-    err_sq = readonly(np.einsum("nkd,nkd->nk", errors, errors))
-    err_inf = readonly(np.max(np.abs(errors), axis=2))
-    trace_p = readonly(np.trace(schedule.P, axis1=1, axis2=2))
-    p_eigs = readonly(np.linalg.eigvalsh(schedule.P)[:, ::-1])
-    results = [TrialResult(t, (int(seed), t), err_sq[t], err_inf[t], trace_p, p_eigs)
-               for t in range(trials)]
-    stats = EnsembleStats(n_trials=trials, mse=err_sq.mean(axis=0),
-                          bias=errors.mean(axis=0), mean_trace_p=trace_p, schedule=schedule)
-    return stats, results
+    errors = estimator._fold(schedule, x_hat, obs) - x0
+    return EnsembleStats(err_sq=readonly(np.einsum("nkd,nkd->nk", errors, errors)),
+                         bias=errors.mean(axis=0), schedule=schedule,
+                         mean_trace_p=readonly(np.trace(schedule.P, axis1=1, axis2=2)))
 
 
 # Bundled demonstration systems.  sigma is quoted as a noise level; by
@@ -294,14 +272,13 @@ def reproduce_example(which, trials, seed, out_dir, sigma_is_variance=False):
     T = EXAMPLE_STEPS
     d = model.d
 
-    stats, results = monte_carlo(model, x0, x_hat0, P0, T, trials, seed)
+    stats = monte_carlo(model, x0, x_hat0, P0, T, trials, seed)
 
     # Showcase run: the example's exact initial guess on its own noise
     # stream (seed, trials), drawn as simulate draws it but through the
     # schedule's observers, and filtered through the ensemble's schedule.
     draws = np.random.default_rng(trial_seed(seed, trials)).standard_normal((T, model.m))
-    showcase_obs = _finite_observations(stats.schedule.h_tilde, x0, model.noise_factors(T),
-                                        draws)
+    showcase_obs = _observations(stats.schedule.h_tilde, x0, model.noise_factors(T), draws)
     showcase = estimator._fold(stats.schedule, x_hat0, showcase_obs)
 
     paths = {name: out_dir / f"{name}.csv"
@@ -318,6 +295,7 @@ def reproduce_example(which, trials, seed, out_dir, sigma_is_variance=False):
               mse_rows[1:])
 
     eig_header = ["k"] + [f"eig_{i}" for i in range(1, d + 1)]
-    write_csv(paths["p_eigs"], eig_header, range(T + 1), results[0].p_eigs)
+    write_csv(paths["p_eigs"], eig_header, range(T + 1),
+              np.linalg.eigvalsh(stats.schedule.P)[:, ::-1])
 
     return {name: str(p) for name, p in paths.items()}

@@ -196,19 +196,20 @@ def check_observability(model, L_max, rho_tol=1e-9):
 
 
 def _require_observable(model, report=None):
-    """Raise UnobservableModelError unless a window of length <= d certifies the model.
+    """Raise UnobservableModelError unless the LTI model is certified observable.
 
     ``report``, a ``check_observability`` result for the model, is the
-    certificate when its search covered L_max >= d: the search stops at
-    the first certifying window length, so its verdict up to d is read off
-    L.  Otherwise ``check_observability`` certifies the model afresh up to
-    d at the report's rho_tol (1e-9 without a report).
+    certificate when its search covered L_max >= d: by Cayley-Hamilton the
+    kernel of O(k,0) is fixed from k = d on, so a window of any length that
+    meets rho_tol certifies the same rank condition.  Otherwise
+    ``check_observability`` certifies the model afresh up to d at the
+    report's rho_tol (1e-9 without a report).
     """
     d = model.d
     if report is None or report.L_max < d:
         rho_tol = 1e-9 if report is None else report.rho_tol
         report = check_observability(model, L_max=d, rho_tol=rho_tol)
-    if not (report.observable and report.L <= d):
+    if not report.observable:
         raise UnobservableModelError(f"model is not observable up to window length {d}")
 
 

@@ -200,14 +200,11 @@ def test_criterion_08_ensemble_statistics(example1):
     model, x0, x_hat0, p0, _ = example1
     n_trials, steps, seed = 200, 40, 42
     t0 = time.monotonic()
-    stats, results = monte_carlo(model, x0, x_hat0, p0, T=steps,
-                                 trials=n_trials, seed=seed)
+    stats = monte_carlo(model, x0, x_hat0, p0, T=steps, trials=n_trials, seed=seed)
     elapsed = time.monotonic() - t0
 
-    err_sq = np.stack([r.err_sq for r in results])
-    se = err_sq.std(axis=0, ddof=1) / np.sqrt(n_trials)
-    trace_p = results[0].trace_p
-    gap = np.abs(stats.mse - stats.bias_norm ** 2 - trace_p)
+    se = stats.err_sq.std(axis=0, ddof=1) / np.sqrt(n_trials)
+    gap = np.abs(stats.mse - stats.bias_norm ** 2 - stats.mean_trace_p)
     ratio = np.max(gap[1:] / (3.0 * se[1:]))
     decay = stats.mse[40] / stats.mse[1]
 

@@ -324,6 +324,21 @@ class TestEstimate:
         assert code == 1
         assert f"{flag}: entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("truth", ["0.5", "0.5,0.1"])
+    def test_truth_of_wrong_length_exits_1(self, tmp_path, example1_config, capsys, truth):
+        cfg = write_config(tmp_path, example1_config)
+        obs = tmp_path / "obs.csv"
+        obs.write_text("k,y_0,y_1\n0,0.2,0.5\n1,0.3,0.7\n")
+        est = tmp_path / "est.csv"
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", est, f"--truth={truth}", "--quiet")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        n = len(truth.split(","))
+        assert err == [f"isokal estimate: error: --truth has length {n}, "
+                       f"model state dimension is 4"]
+        assert not est.exists()
+
     def test_default_guess_is_zero(self, tmp_path, example2_config):
         cfg = write_config(tmp_path, example2_config)
         obs = tmp_path / "obs.csv"
@@ -484,6 +499,18 @@ class TestAnalyze:
                        "--out", out) == 1
         assert "not finite at step 859" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_window_longer_than_d_certifies(self, tmp_path, example2_config):
+        # at --rho-tol 2e5 the first certifying window is L = 3 > d = 2; the
+        # report's verdict carries the classification and the growth class
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "5", "--k-max", "20",
+                       "--rho-tol", "2e5", "--out", out, "--quiet") == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "Observable" and doc["L"] == 3
+        assert doc["classification"] == "LyapunovStableOnly"
+        assert doc["growth_class"] == "BoundedLimit"
 
     def test_unobservable_is_a_verdict_not_an_error(self, tmp_path, example2_config):
         example2_config["observation"]["H"] = [[1.0, 0.0]]

@@ -18,7 +18,7 @@ from isokal.harness import (
     write_estimates_csv,
     write_observations_csv,
 )
-from isokal.model import (HorizonError, SystemModel, observed_evolution,
+from isokal.model import (HorizonError, NonFiniteError, SystemModel, observed_evolution,
                           observed_evolution_sequence)
 
 
@@ -127,14 +127,22 @@ class TestMonteCarlo:
 
     def test_single_noiseless_trial_recovers(self):
         model = lti(np.diag([1.1, 0.9]), np.eye(2), sigma2=1e-8)
-        stats, results = monte_carlo(model, np.array([0.3, -0.4]), np.zeros(2),
-                                     np.eye(2), T=10, trials=1, seed=5, noiseless=True)
-        assert len(results) == 1
+        stats = monte_carlo(model, np.array([0.3, -0.4]), np.zeros(2),
+                            np.eye(2), T=10, trials=1, seed=5, noiseless=True)
+        assert stats.n_trials == 1 and stats.err_sq.shape == (1, 11)
         assert np.all(stats.mse[1:] <= 1e-12)
+
+    def test_observation_overflow_names_the_step(self, example2):
+        # x0 on A's |eig| = 0.5 eigenvector keeps H~_k x0 finite, but the
+        # product H~_4 x0 overflows entrywise (2.5e308): the ensemble's
+        # observations name step 4, with no numpy warning
+        model, _x0, x_hat0, p0, _ = example2
+        with pytest.raises(NonFiniteError, match="observation at step 4 is not finite"):
+            monte_carlo(model, [1e308, 1e308], x_hat0, p0, T=10, trials=3, seed=1)
 
     def test_example1_ensemble_decays(self, example1):
         model, x0, x_hat0, p0, _ = example1
-        stats, _ = monte_carlo(model, x0, x_hat0, p0, T=40, trials=100, seed=7)
+        stats = monte_carlo(model, x0, x_hat0, p0, T=40, trials=100, seed=7)
         assert stats.mse[40] < stats.mse[5]
         bias = stats.bias_norm
         assert bias[40] < bias[5] < bias[1]
@@ -144,18 +152,16 @@ class TestMonteCarlo:
         # ensemble's initial error actually has covariance P0
         model, x0, x_hat0, p0, _ = example1
         n = 150
-        stats, results = monte_carlo(model, x0, x_hat0, p0, T=40, trials=n, seed=11)
-        err_sq = np.stack([r.err_sq for r in results])
-        se = err_sq.std(axis=0, ddof=1) / np.sqrt(n)
-        trace_p = results[0].trace_p
-        stat = np.abs(stats.mse - stats.bias_norm ** 2 - trace_p)
+        stats = monte_carlo(model, x0, x_hat0, p0, T=40, trials=n, seed=11)
+        se = stats.err_sq.std(axis=0, ddof=1) / np.sqrt(n)
+        stat = np.abs(stats.mse - stats.bias_norm ** 2 - stats.mean_trace_p)
         assert np.all(stat[1:] <= 3.0 * se[1:])
 
     def test_example2_ensemble_plateaus(self, example2):
         # the only-Lyapunov-stable regime: late MSE flattens out instead of
         # decaying (within a factor of 3 of its value at k=20)
         model, x0, x_hat0, p0, _ = example2
-        stats, _ = monte_carlo(model, x0, x_hat0, p0, T=40, trials=100, seed=13)
+        stats = monte_carlo(model, x0, x_hat0, p0, T=40, trials=100, seed=13)
         ratio = stats.mse[40] / stats.mse[20]
         assert 1.0 / 3.0 <= ratio <= 3.0
         # and the sample MSE can only undershoot the squared bias by noise
@@ -163,33 +169,24 @@ class TestMonteCarlo:
 
     def test_trial_results_are_deterministic_and_keyed_by_seed(self, example2):
         model, x0, x_hat0, p0, _ = example2
-        stats, results = monte_carlo(model, x0, x_hat0, p0, T=10, trials=8, seed=3)
-        again_stats, again_results = monte_carlo(model, x0, x_hat0, p0, T=10,
-                                                 trials=8, seed=3)
-        assert stats.mse.tobytes() == again_stats.mse.tobytes()
-        assert stats.bias.tobytes() == again_stats.bias.tobytes()
-        for a, b in zip(results, again_results):
-            assert a.err_sq.tobytes() == b.err_sq.tobytes()
+        stats = monte_carlo(model, x0, x_hat0, p0, T=10, trials=8, seed=3)
+        again = monte_carlo(model, x0, x_hat0, p0, T=10, trials=8, seed=3)
+        assert stats.mse.tobytes() == again.mse.tobytes()
+        assert stats.bias.tobytes() == again.bias.tobytes()
+        assert stats.err_sq.tobytes() == again.err_sq.tobytes()
         # trial t depends only on (seed, t): smaller ensembles reproduce the
         # leading trials up to rounding (the batched products may round
         # differently at another trial count)
         for n in (1, 3):
-            _stats, subset = monte_carlo(model, x0, x_hat0, p0, T=10, trials=n, seed=3)
-            for a, b in zip(subset, results[:n]):
-                np.testing.assert_allclose(a.err_sq, b.err_sq, rtol=1e-9)
+            subset = monte_carlo(model, x0, x_hat0, p0, T=10, trials=n, seed=3)
+            np.testing.assert_allclose(subset.err_sq, stats.err_sq[:n], rtol=1e-9)
 
     def test_trace_equals_eigenvalue_sum(self, example1):
         model, x0, x_hat0, p0, _ = example1
-        _stats, results = monte_carlo(model, x0, x_hat0, p0, T=20, trials=2, seed=1)
-        for r in results:
-            sums = r.p_eigs.sum(axis=1)
-            np.testing.assert_allclose(sums, r.trace_p, rtol=1e-10)
-            assert np.all(np.diff(r.trace_p) <= 1e-18)
-
-    def test_seed_key_recorded(self, example2):
-        model, x0, x_hat0, p0, _ = example2
-        _stats, results = monte_carlo(model, x0, x_hat0, p0, T=5, trials=3, seed=17)
-        assert [r.seed_key for r in results] == [(17, 0), (17, 1), (17, 2)]
+        stats = monte_carlo(model, x0, x_hat0, p0, T=20, trials=2, seed=1)
+        sums = np.linalg.eigvalsh(stats.schedule.P).sum(axis=1)
+        np.testing.assert_allclose(sums, stats.mean_trace_p, rtol=1e-10)
+        assert np.all(np.diff(stats.mean_trace_p) <= 1e-18)
 
 
 def per_step_noise_ltv(T=12):
@@ -266,14 +263,15 @@ def test_batched_ensemble_matches_per_trial_reference(system, calibrated, noisel
         model, x0, x_hat0, p0 = per_step_noise_ltv()
         T = 12
     trials, seed = 5, 404
-    stats, results = monte_carlo(model, x0, x_hat0, p0, T=T, trials=trials, seed=seed,
-                                 calibrated=calibrated, noiseless=noiseless)
+    stats = monte_carlo(model, x0, x_hat0, p0, T=T, trials=trials, seed=seed,
+                        calibrated=calibrated, noiseless=noiseless)
     ref_sq = []
-    for t, r in enumerate(results):
+    for t in range(trials):
         err_sq, states = reference_trial(model, x0, x_hat0, p0, T, seed, t,
                                          calibrated, noiseless)
-        np.testing.assert_allclose(r.err_sq, err_sq, rtol=1e-9)
-        np.testing.assert_allclose(r.trace_p, [np.trace(s.P) for s in states], rtol=1e-9)
+        np.testing.assert_allclose(stats.err_sq[t], err_sq, rtol=1e-9)
+        np.testing.assert_allclose(stats.mean_trace_p, [np.trace(s.P) for s in states],
+                                   rtol=1e-9)
         ref_sq.append(err_sq)
     np.testing.assert_allclose(stats.mse, np.mean(ref_sq, axis=0), rtol=1e-9)
 
@@ -328,7 +326,8 @@ class TestReproduce:
     @pytest.mark.parametrize("which", ["example1", "example2"])
     def test_showcase_observations_are_simulates(self, tmp_path, monkeypatch, which):
         # drawn from the schedule's observers, without a second observer
-        # walk, yet bit for bit the stream simulate gives for (seed, trials)
+        # walk, yet bit for bit the stream simulate gives for (seed, trials);
+        # the first fold is the ensemble's, the second the showcase's
         folded, walks = [], []
         real_fold, real_walk = estimator._fold, harness.observed_evolution_sequence
         monkeypatch.setattr(estimator, "_fold",
@@ -336,10 +335,11 @@ class TestReproduce:
         monkeypatch.setattr(harness, "observed_evolution_sequence",
                             lambda *a: walks.append(1) or real_walk(*a))
         reproduce_example(which, trials=3, seed=5, out_dir=tmp_path)
-        assert walks == [] and len(folded) == 1
+        assert walks == [] and len(folded) == 2
         model, x0, *_ = example_system(which)
+        assert folded[0].shape == (3, EXAMPLE_STEPS, model.m)
         expected = simulate(model, x0, EXAMPLE_STEPS, trial_seed(5, 3))
-        assert folded[0].tobytes() == expected.tobytes()
+        assert folded[1].tobytes() == expected.tobytes()
 
     def test_sigma_reading_flag(self):
         model_std, *_ = example_system("example2")
