@@ -5,25 +5,31 @@
 Times ``estimator._update`` (on a positive definite P, the Cholesky path,
 and on a rank-deficient P, the eigen-split fallback), ``estimator.step``,
 ``estimator.gain_schedule`` (per step), ``estimator.wls_prefixes`` (per
-prefix), ``stability.analyze_stability``,
-``observability.check_observability`` (L_max = d) and
-``observability.lambda_min_asymptotics`` (K = 2d, given that report) at
-d = 2, 8, 32 and 128 on seeded random LTI systems.  It also times the
-layers of one long LTV record (d = 8, m = 1, T = 800, per-step A, H and R):
-``cli._read_json`` of its config, written once as JSON (the decode
-``--config`` pays), ``SystemModel`` validation, ``check_observability``
-(L_max = 16, every anchor), ``harness.simulate`` and ``estimator.run`` per
-step, and ``harness.write_estimates_csv`` of the run's states as the
-CLI's ``estimate --truth`` writes them (stacking included); and one
+prefix), ``model.advance_observed_evolution`` (one step),
+``stability.analyze_stability``, ``observability.check_observability``
+(L_max = d) and ``observability.lambda_min_asymptotics`` (K = 2d, given
+that report) at d = 2, 8, 32 and 128 on seeded random LTI systems.  It
+also times the layers of one long LTV record (d = 8, m = 1, T = 800,
+per-step A, H and R): ``cli._read_json`` of its config, written once as
+JSON (the decode ``--config`` pays), ``SystemModel`` validation,
+``check_observability`` (L_max = 16, every anchor), one
+``advance_observed_evolution`` step in the middle of the record (its
+transition carried), ``harness.simulate`` and ``estimator.run`` per step,
+and ``harness.write_estimates_csv`` of the run's states as the CLI's
+``estimate --truth`` writes them (stacking included); one
 ``harness.monte_carlo`` ensemble and one ``harness.reproduce_example`` of
 example1 (d = 4, T = 40, 100 trials, the CSV file set written to a
-temporary directory).
+temporary directory); and the analysis of ``isokal analyze --horizon 64
+--k-max 100`` on a d = 64, m = 8 LTI model of rotation blocks whose radii
+straddle 1: ``check_observability`` (L_max = 64),
+``lambda_min_asymptotics`` (K = 100) and ``analyze_stability``
+(k_max = 100, P0 = I), each given that report, and the three in a row.
 It writes the perf_counter medians, in microseconds per call, as JSON
 together with the machine: CPU, numpy, scipy and OpenBLAS versions and the
 BLAS thread count, which is pinned to 1 before numpy loads.  isokal is
 imported from ``src/`` next to this directory.  ``--tiny`` is a smoke run
-(d = 2 and 8, an LTV record of d = 4 and T = 40, three short repeats) of
-well under two seconds.
+(d = 2 and 8, an LTV record of d = 4 and T = 40, a d = 16, m = 2 analysis
+with K = 20, three short repeats) of a few seconds.
 """
 
 import os
@@ -53,14 +59,17 @@ import scipy  # noqa: E402
 from scipy.linalg.lapack import dpotrf  # noqa: E402
 
 from isokal import cli, estimator, harness, observability, stability  # noqa: E402
-from isokal.model import SystemModel  # noqa: E402
+from isokal.model import SystemModel, advance_observed_evolution  # noqa: E402
 
 LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
-          "wls_prefixes_per_prefix", "analyze_stability", "check_observability",
-          "lambda_min_asymptotics")
-LTV_LAYERS = ("config_decode", "model_validation", "check_observability", "simulate_per_step",
-              "run_per_step", "write_estimates_csv")
+          "wls_prefixes_per_prefix", "advance_observed_evolution", "analyze_stability",
+          "check_observability", "lambda_min_asymptotics")
+LTV_LAYERS = ("config_decode", "model_validation", "check_observability",
+              "advance_observed_evolution", "simulate_per_step", "run_per_step",
+              "write_estimates_csv")
 ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
+ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
+                  "analyze")
 
 
 def machine():
@@ -98,6 +107,32 @@ def system(d):
     a = np.linalg.qr(rng.standard_normal((d, d)))[0]
     h = rng.standard_normal((max(1, d // 4), d))
     return SystemModel(a, h, 0.1)
+
+
+def rotation_system(d, m):
+    """Seeded LTI rotation blocks whose radii straddle 1, hidden by a random rotation.
+
+    Output i sees its own group of blocks, whose angles sit at the odd
+    multiples of pi / (2 per) with per = d / (2m) blocks per output, so a
+    window of d/m steps observes the state; radii alternate between
+    0.96-0.99 and 1.01-1.04 (the LyapunovStableOnly regime, a BoundedLimit
+    growth class).
+    """
+    rng = np.random.default_rng((2026, d, m))
+    per = d // (2 * m)
+    blocks, h = np.zeros((d, d)), np.zeros((m, d))
+    for i in range(m):
+        for j in range(per):
+            b = 2 * (i * per + j)
+            theta = (2 * j + 1 + rng.uniform(-0.2, 0.2)) * math.pi / (2 * per)
+            r = rng.uniform(0.96, 0.99) if j % 2 == 0 else rng.uniform(1.01, 1.04)
+            c, s = math.cos(theta), math.sin(theta)
+            blocks[b:b + 2, b:b + 2] = r * np.array([[c, -s], [s, c]])
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            h[i, b:b + 2] = [math.cos(phase), math.sin(phase)]
+    h += 0.05 * rng.standard_normal((m, d))
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return SystemModel(q @ blocks @ q.T, h @ q.T, 1e-2)
 
 
 def ltv_record(d, m, T):
@@ -153,6 +188,7 @@ def measure(d, tiny):
     singular[:, d // 2:] = 0.0
     assert dpotrf(singular, lower=1)[1] > 0
     report = observability.check_observability(model, d)
+    eye = np.eye(d)
     return {
         "_update": median_us(lambda: estimator._update(P, h, R), repeats, target_s),
         "_update_fallback": median_us(lambda: estimator._update(singular, h, R),
@@ -164,6 +200,8 @@ def measure(d, tiny):
         "wls_prefixes_per_prefix": median_us(
             lambda: collections.deque(estimator.wls_prefixes(model, None, 1.0, obs), maxlen=0),
             repeats, target_s) / (T + 1),
+        "advance_observed_evolution": median_us(
+            lambda: advance_observed_evolution(model, 1, h, eye), repeats, target_s),
         "analyze_stability": median_us(
             lambda: stability.analyze_stability(model, 1.0, k_max), repeats, target_s),
         "check_observability": median_us(
@@ -182,6 +220,7 @@ def measure_ltv(tiny):
     x0 = np.ones(d)
     obs = harness.simulate(model, x0, T, 1)
     states = estimator.run(model, None, 1.0, obs)
+    mid = states[T // 2 - 1]
 
     def write_estimates(path):
         x_hat = np.array([s.x_hat for s in states])
@@ -206,6 +245,9 @@ def measure_ltv(tiny):
                                       repeats, target_s),
         "check_observability": median_us(
             lambda: observability.check_observability(model, horizon), repeats, target_s),
+        "advance_observed_evolution": median_us(
+            lambda: advance_observed_evolution(model, T // 2, mid.H_tilde_next, mid.phi),
+            repeats, target_s),
         "simulate_per_step": median_us(lambda: harness.simulate(model, x0, T, 1),
                                        repeats, target_s) / T,
         "run_per_step": median_us(lambda: estimator.run(model, None, 1.0, obs),
@@ -231,6 +273,32 @@ def measure_ensemble(tiny):
     return {"example": "example1", "T": T, "trials": trials, "layers": layers}
 
 
+def measure_analyze(tiny):
+    """The analysis of one ``isokal analyze`` of an observable LTI model, layer by layer."""
+    repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
+    d, m, K = (16, 2, 20) if tiny else (64, 8, 100)
+    model = rotation_system(d, m)
+    report = observability.check_observability(model, d)
+
+    def analyze():
+        obs_report = observability.check_observability(model, d)
+        observability.lambda_min_asymptotics(model, K, report=obs_report)
+        stability.analyze_stability(model, 1.0, K, report=obs_report)
+
+    layers = {
+        "check_observability": median_us(
+            lambda: observability.check_observability(model, d), repeats, target_s),
+        "lambda_min_asymptotics": median_us(
+            lambda: observability.lambda_min_asymptotics(model, K, report=report),
+            repeats, target_s),
+        "analyze_stability": median_us(
+            lambda: stability.analyze_stability(model, 1.0, K, report=report),
+            repeats, target_s),
+        "analyze": median_us(analyze, repeats, target_s),
+    }
+    return {"d": d, "m": m, "L_max": d, "K": K, "layers": layers}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="smoke run: d = 2, 8, short repeats")
@@ -241,6 +309,7 @@ def main(argv=None):
     by_dim = {d: measure(d, args.tiny) for d in dims}
     ltv = measure_ltv(args.tiny)
     ensemble = measure_ensemble(args.tiny)
+    analysis = measure_analyze(args.tiny)
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
@@ -251,6 +320,8 @@ def main(argv=None):
         "ltv": {**ltv, "layers": {layer: round(ltv["layers"][layer], 3) for layer in LTV_LAYERS}},
         "ensemble": {**ensemble, "layers": {layer: round(ensemble["layers"][layer], 3)
                                             for layer in ENSEMBLE_LAYERS}},
+        "analyze": {**analysis, "layers": {layer: round(analysis["layers"][layer], 3)
+                                           for layer in ANALYZE_LAYERS}},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -262,6 +333,9 @@ def main(argv=None):
     for layer in ENSEMBLE_LAYERS:
         print(f"ensemble {layer:17s} {ensemble['trials']} trials, T={ensemble['T']}: "
               f"{ensemble['layers'][layer]:10.1f}")
+    for layer in ANALYZE_LAYERS:
+        print(f"analyze {layer:22s} d={analysis['d']}, K={analysis['K']}: "
+              f"{analysis['layers'][layer]:10.1f}")
     return 0
 
 

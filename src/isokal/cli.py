@@ -46,6 +46,18 @@ def _parse_vector(text, flag):
     return vec
 
 
+def _parse_state(text, d, flag):
+    """A state vector flag: finite comma-separated decimals, d of them."""
+    return estimator._state_vector(_parse_vector(text, flag), d, flag)
+
+
+def _at_least(value, low, flag):
+    """An integer flag's ``value``; ConfigError naming ``flag`` when it is below ``low``."""
+    if value < low:
+        raise ConfigError(flag, f"must be >= {low}, got {value}")
+    return value
+
+
 def _read_json(path, name):
     """The document in the JSON file at ``path``, decoded by orjson.
 
@@ -90,8 +102,9 @@ def _write_manifest(path, command, config, seed, outputs, started):
 def _cmd_simulate(args):
     started = time.monotonic()
     model = _load_config(args.config)
-    x0 = _parse_vector(args.x0, "--x0")
-    obs = harness.simulate(model, x0, args.steps, args.seed, noiseless=args.noiseless)
+    x0 = _parse_state(args.x0, model.d, "--x0")
+    steps = _at_least(args.steps, 1, "--steps")
+    obs = harness.simulate(model, x0, steps, args.seed, noiseless=args.noiseless)
     harness.write_observations_csv(args.out, obs)
     _write_manifest(f"{args.out}.manifest.json", "simulate", args.config, args.seed,
                     [args.out], started)
@@ -104,10 +117,9 @@ def _cmd_estimate(args):
     started = time.monotonic()
     model = _load_config(args.config)
     obs = harness.read_observations_csv(args.obs)
-    x_hat0 = _parse_vector(args.x0_guess, "--x0-guess") if args.x0_guess else None
+    x_hat0 = _parse_state(args.x0_guess, model.d, "--x0-guess") if args.x0_guess else None
     p0 = _parse_p0(args.p0)
-    truth = (estimator._state_vector(_parse_vector(args.truth, "--truth"), model.d, "--truth")
-             if args.truth else None)
+    truth = _parse_state(args.truth, model.d, "--truth") if args.truth else None
 
     states = estimator.run(model, x_hat0, p0, obs)
     x_hat = np.array([s.x_hat for s in states])
@@ -134,15 +146,18 @@ def _cmd_estimate(args):
 def _cmd_analyze(args):
     started = time.monotonic()
     model = _load_config(args.config)
-    obs_report = check_observability(model, L_max=args.horizon, rho_tol=args.rho_tol)
+    obs_report = check_observability(model, L_max=_at_least(args.horizon, 1, "--horizon"),
+                                     rho_tol=args.rho_tol)
 
     doc = obs_report.to_json_dict()
     if model.is_lti and obs_report.observable:
-        growth = lambda_min_asymptotics(model, K=args.k_max, report=obs_report)
+        # --k-max is read only by the LTI traces, so a time-varying model takes any value.
+        k_max = _at_least(args.k_max, 2, "--k-max")
+        growth = lambda_min_asymptotics(model, K=k_max, report=obs_report)
         doc.update({"lambda_min_trace": [float(v) for v in growth.lambda_min_trace],
                     "growth_class": growth.growth_class, "growth_limit": growth.limit,
                     "beta_fit": growth.beta})
-        report = stability.analyze_stability(model, P0=args.p0, k_max=args.k_max,
+        report = stability.analyze_stability(model, P0=args.p0, k_max=k_max,
                                              report=obs_report)
         doc.update(report.to_json_dict())
     else:
@@ -164,7 +179,8 @@ def _cmd_analyze(args):
 
 def _cmd_reproduce(args):
     started = time.monotonic()
-    paths = harness.reproduce_example(args.which, args.trials, args.seed, args.outdir,
+    trials = _at_least(args.trials, 1, "--trials")
+    paths = harness.reproduce_example(args.which, trials, args.seed, args.outdir,
                                       sigma_is_variance=args.sigma_is_variance)
     _write_manifest(Path(args.outdir) / "manifest.json", "reproduce", None, args.seed,
                     list(paths.values()), started)

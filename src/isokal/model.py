@@ -11,13 +11,14 @@ Dynamics/observation/noise may each be constant (LTI) or a finite explicit
 sequence (LTV).
 """
 
+from functools import cached_property
 # Config values quoted in a message are abbreviated: a deep or long one never recurses.
 from reprlib import repr as brief
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from ._linalg import asymmetry, readonly, symmetrize
+from ._linalg import asymmetry, eig_abs_sorted, readonly, symmetrize
 
 # A_k invertibility: smallest singular value must exceed this fraction of the
 # largest (condition estimate below 1e12).
@@ -208,6 +209,18 @@ class SystemModel:
     def is_lti(self):
         """Constant dynamics and observation (noise may still vary per step)."""
         return self.lti_dynamics and self.lti_observation
+
+    @cached_property
+    def eigs_abs(self):
+        """Eigenvalue magnitudes of the constant dynamics matrix A, descending.
+
+        A read-only array, computed on first use: every analysis of the
+        model shares one decomposition of A.  Time-varying dynamics have no
+        single spectrum (ValueError).
+        """
+        if not self.lti_dynamics:
+            raise ValueError("eigenvalue magnitudes are defined for LTI dynamics only")
+        return readonly(eig_abs_sorted(self._a))
 
     def _check_horizon(self, k):
         if k < 0:

@@ -11,11 +11,11 @@ reduces to observability of a single window anchored at 0.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import eig_abs_sorted, symmetrize
+from ._linalg import symmetrize
 from .model import NonFiniteError, advance_observed_evolution
 
 #: Half-width of the |lambda| = 1 band inside which min |eig(A)| alone
@@ -31,6 +31,21 @@ class UnobservableModelError(ValueError):
     """An operation that requires observability got an unobservable model."""
 
 
+class _Accumulator(NamedTuple):
+    """The information accumulator after ``terms`` terms (see ``information_prefixes``).
+
+    ``info`` and ``score`` are the running sums of the windows still inside
+    the horizon; ``h_tilde`` and ``phi`` are the observers and transitions
+    of the last term, from which the next term advances.
+    """
+
+    terms: int
+    info: np.ndarray
+    score: np.ndarray | None
+    h_tilde: np.ndarray
+    phi: np.ndarray
+
+
 @dataclass
 class ObservabilityReport:
     """Outcome of a (uniform) observability check.
@@ -39,7 +54,11 @@ class ObservabilityReport:
     "NotObservableUpTo" (no window length up to L carried a Gramian bounded
     below by rho_tol).  lambda_min_trace holds lambda_min(O(k,0)) for
     k = 1..min(L_max, horizon).  L_max and rho_tol record the search that
-    was made; they are not part of the JSON form.
+    was made; they are not part of the JSON form.  The private
+    ``_accumulator`` is the state of the anchor-0 information accumulator
+    after the trace's last term, from which ``lambda_min_asymptotics``
+    continues the trace; it is an init field, so ``dataclasses.replace``
+    keeps it, and it takes no part in comparisons.
     """
 
     verdict: str
@@ -48,6 +67,7 @@ class ObservabilityReport:
     L_max: int
     rho_tol: float
     lambda_min_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _accumulator: _Accumulator | None = field(default=None, repr=False, compare=False)
 
     @property
     def observable(self):
@@ -91,12 +111,28 @@ def information_prefixes(model, count, start=0, anchors=1, observations=None):
     arrays, so a caller may keep them.  Information that overflows float64
     raises NonFiniteError naming the step, and no numpy warning.
     """
+    for acc in _accumulate(model, count, start, anchors, observations):
+        yield acc.info, acc.score
+
+
+def _accumulate(model, count, start=0, anchors=1, observations=None, state=None):
+    """Yield the ``_Accumulator`` after each of ``count`` more terms.
+
+    The accumulation of ``information_prefixes``, continued from ``state``
+    (an item of an earlier call with the same ``start``, ``anchors`` and
+    ``observations``) or begun at term 0 when it is None.  The terms are
+    added in the same order with the same operations either way, so a
+    continued accumulation carries the bits of one uninterrupted pass.
+    """
     if count < 0 or anchors < 1:
         raise ValueError(f"need count >= 0 and anchors >= 1, got {count} and {anchors}")
     d, horizon = model.d, model.horizon
-    factors = model.noise_factors(anchors + count - 1, start)
-    n = anchors
-    for j in range(count):
+    done, n = 0, anchors
+    if state is not None:
+        done, info, score, h_tilde, phi = state
+        n = info.shape[0]
+    factors = model.noise_factors(n + done + count - 1, start)
+    for j in range(done, done + count):
         k = start + j
         # Row 0's window must fit; anchors whose window would not fit drop off.
         model._check_horizon(k)
@@ -121,7 +157,7 @@ def information_prefixes(model, count, start=0, anchors=1, observations=None):
                 score = score[:n] + (w_t @ whitened[..., d:])[..., 0]
         if not (np.isfinite(info).all() and (score is None or np.isfinite(score).all())):
             _raise_overflow(info, score, k, start)
-        yield info, score
+        yield _Accumulator(j + 1, info, score, h_tilde, phi)
 
 
 def _raise_overflow(info, score, k, start):
@@ -168,12 +204,15 @@ def check_observability(model, L_max, rho_tol=1e-9):
         raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
-    trace = np.array([_lambda_min(info[0]) for info, _ in information_prefixes(model, k_max)])
+    trace = []
+    for acc in _accumulate(model, k_max):
+        trace.append(_lambda_min(acc.info[0]))
+    trace = np.array(trace)
 
     def report(L, rho):
         verdict = "NotObservableUpTo" if rho is None else "Observable"
         return ObservabilityReport(verdict=verdict, L=L, rho=rho, L_max=L_max,
-                                   rho_tol=rho_tol, lambda_min_trace=trace)
+                                   rho_tol=rho_tol, lambda_min_trace=trace, _accumulator=acc)
 
     if model.is_lti and model.isotropic:
         passing = np.flatnonzero(trace >= rho_tol)
@@ -196,14 +235,14 @@ def check_observability(model, L_max, rho_tol=1e-9):
 
 
 def _require_observable(model, report=None):
-    """Raise UnobservableModelError unless the LTI model is certified observable.
+    """The certifying report; UnobservableModelError unless the LTI model is observable.
 
     ``report``, a ``check_observability`` result for the model, is the
     certificate when its search covered L_max >= d: by Cayley-Hamilton the
     kernel of O(k,0) is fixed from k = d on, so a window of any length that
     meets rho_tol certifies the same rank condition.  Otherwise
     ``check_observability`` certifies the model afresh up to d at the
-    report's rho_tol (1e-9 without a report).
+    report's rho_tol (1e-9 without a report), and that report is returned.
     """
     d = model.d
     if report is None or report.L_max < d:
@@ -211,6 +250,7 @@ def _require_observable(model, report=None):
         report = check_observability(model, L_max=d, rho_tol=rho_tol)
     if not report.observable:
         raise UnobservableModelError(f"model is not observable up to window length {d}")
+    return report
 
 
 def lambda_min_asymptotics(model, K, report=None):
@@ -222,22 +262,26 @@ def lambda_min_asymptotics(model, K, report=None):
     raises ValueError naming its k instead of a fit.  Convergent to a
     positive limit when min |eig(A)| < 1.  Within the SPECTRAL_BAND_TOL band
     around 1 the class is Undetermined.  A ``check_observability``
-    ``report`` of the model certifies it as ``_require_observable`` says,
-    and its ``lambda_min_trace`` is the head of the trace: only Gramians
-    past it are decomposed.
+    ``report`` of the model certifies it as ``_require_observable`` says.
+    The certifying report's ``lambda_min_trace`` is the head of the trace,
+    and the trace continues from the accumulator the report ends in: every
+    information term is added once, and only Gramians past the head are
+    decomposed.  min |eig(A)| is the model's ``eigs_abs``.
     """
     if not model.is_lti:
         raise ValueError("growth classification is defined for LTI models only")
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    _require_observable(model, report)
+    report = _require_observable(model, report)
 
     # The report's trace is row 0 of the same accumulator through the same
-    # _lambda_min, so its entries carry the bits a recomputation would.
-    head = [] if report is None else list(report.lambda_min_trace[:K])
-    tail = islice(information_prefixes(model, K), len(head), None) if len(head) < K else ()
-    trace = np.array(head + [_lambda_min(info[0]) for info, _ in tail])
-    lam_min = float(eig_abs_sorted(model.A_at(1))[-1])
+    # _lambda_min, and the accumulation continues where it stopped, so every
+    # entry carries the bits of one pass from step 0.
+    state = report._accumulator
+    head = list(report.lambda_min_trace[:K]) if state is not None else []
+    more = _accumulate(model, K - len(head), state=state) if len(head) < K else ()
+    trace = np.array(head + [_lambda_min(acc.info[0]) for acc in more])
+    lam_min = float(model.eigs_abs[-1])
 
     if lam_min > 1.0 + SPECTRAL_BAND_TOL:
         ks = np.arange(1, K + 1)

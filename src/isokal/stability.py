@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from ._linalg import eig_abs_sorted, spd_factor, spectral_norm, spd_inverse
+from ._linalg import spd_factor, spectral_norm, spd_inverse
 from . import estimator
 from .observability import SPECTRAL_BAND_TOL, UnobservableModelError, _require_observable
 
-#: Covariances per stacked eigvalsh of the norm traces.
+#: Covariances per stacked Psi(k,0)^T Psi(k,0) product of a non-isotropic
+#: P0; one (k_max+1, d, d) product stack would add its size (3.3 MB at
+#: d = 64, k_max = 100) to the peak memory.
 _PSI_CHUNK = 16
 
 UNIFORMLY_ASYMPTOTICALLY_STABLE = "UniformlyAsymptoticallyStable"
@@ -106,8 +108,7 @@ def classify(model):
     if not model.is_lti:
         raise ValueError("classification is defined for LTI models only")
     _require_observable(model)
-    a = model.A_at(1)
-    return _classification(a, float(eig_abs_sorted(a)[-1]))
+    return _classification(model.A_at(1), float(model.eigs_abs[-1]))
 
 
 def exponential_fit(psi_norms):
@@ -170,21 +171,28 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     checks it.  The Lyapunov trace follows
     z(k) = Psi_k z(k-1) from z0 (default: the normalized all-ones vector);
     by the covariance-inverse identity z(k) = P_k P0^-1 z0, so it is read
-    off the covariance stack without factorizing any P_k.
+    off the covariance stack without factorizing any P_k.  The norms are
+    ||P_k||_2 = max |eig(P_k)|, one stacked eigvalsh, and, for P0 = p I
+    (a scalar or a matrix equal to p I), ||Psi(k,0)||_2 = ||P_k||_2 / p,
+    since Psi(k,0) = P_k / p; any other P0 takes
+    sqrt(lambda_max(Psi^T Psi)) in chunks of _PSI_CHUNK covariances.
     Classification is attempted for observable LTI models and left None
-    otherwise; ``report`` certifies the model as ``_require_observable`` says.
+    otherwise; ``report`` certifies the model as ``_require_observable``
+    says, and the spectrum is the model's ``eigs_abs``.
     """
     covs = estimator.covariance_sequence(model, P0, k_max)
     p0_inv = spd_inverse(covs[0], "P0")
-    # ||P_k|| = max |eig(P_k)|, ||Psi(k,0)|| = sqrt(lambda_max(Psi^T Psi)) with
-    # Psi(k,0) = P_k P0^-1, in chunks: one (k_max+1, d, d) product stack would
-    # add its size (3.3 MB at d = 64, k_max = 100) to the peak memory.
-    p_norms, psi_norms = [], []
-    for c in np.split(covs, range(_PSI_CHUNK, len(covs), _PSI_CHUNK)):
-        psi = c @ p0_inv
-        p_norms.append(np.abs(np.linalg.eigvalsh(c)).max(axis=1))
-        psi_norms.append(np.linalg.eigvalsh(psi.swapaxes(1, 2) @ psi)[:, -1])
-    p_norm_trace, psi_norms = np.concatenate(p_norms), np.sqrt(np.concatenate(psi_norms))
+    p_norm_trace = np.abs(np.linalg.eigvalsh(covs)).max(axis=1)
+    p = covs[0, 0, 0]
+    if np.array_equal(covs[0], p * np.eye(model.d)):
+        # Psi(k,0) = P_k / p exactly, so its norm is ||P_k|| / p.
+        psi_norms = p_norm_trace / p
+    else:
+        psi_sq = []
+        for c in np.split(covs, range(_PSI_CHUNK, len(covs), _PSI_CHUNK)):
+            psi = c @ p0_inv
+            psi_sq.append(np.linalg.eigvalsh(psi.swapaxes(1, 2) @ psi)[:, -1])
+        psi_norms = np.sqrt(np.concatenate(psi_sq))
 
     if z0 is None:
         z0 = np.ones(model.d) / np.sqrt(model.d)
@@ -198,13 +206,12 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     lam_min = lam_max = float("nan")
     hint = False
     if model.is_lti:
-        a = model.A_at(1)
-        eigs = eig_abs_sorted(a)
+        eigs = model.eigs_abs
         lam_min, lam_max = float(eigs[-1]), float(eigs[0])
         hint = lam_max < 1.0
         try:
             _require_observable(model, report)
-            classification = _classification(a, lam_min)
+            classification = _classification(model.A_at(1), lam_min)
         except UnobservableModelError:
             classification = None
 

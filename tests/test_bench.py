@@ -22,17 +22,23 @@ def test_tiny_run_writes_valid_json(tmp_path):
     assert machine["OPENBLAS_NUM_THREADS"] == "1"
     assert set(doc["layers"]) == {"_update", "_update_fallback", "step",
                                   "gain_schedule_per_step", "wls_prefixes_per_prefix",
-                                  "analyze_stability", "check_observability",
-                                  "lambda_min_asymptotics"}
+                                  "advance_observed_evolution", "analyze_stability",
+                                  "check_observability", "lambda_min_asymptotics"}
     for by_dim in doc["layers"].values():
         assert set(by_dim) == {"2", "8"}
         assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())
     ltv = doc["ltv"]
     assert (ltv["d"], ltv["m"], ltv["T"], ltv["L_max"]) == (4, 1, 40, 8)
     assert set(ltv["layers"]) == {"config_decode", "model_validation", "check_observability",
-                                  "simulate_per_step", "run_per_step", "write_estimates_csv"}
+                                  "advance_observed_evolution", "simulate_per_step",
+                                  "run_per_step", "write_estimates_csv"}
     assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
     ensemble = doc["ensemble"]
     assert (ensemble["example"], ensemble["T"], ensemble["trials"]) == ("example1", 40, 100)
     assert set(ensemble["layers"]) == {"monte_carlo", "reproduce_example"}
     assert all(math.isfinite(v) and v > 0.0 for v in ensemble["layers"].values())
+    analyze = doc["analyze"]
+    assert (analyze["d"], analyze["m"], analyze["L_max"], analyze["K"]) == (16, 2, 16, 20)
+    assert set(analyze["layers"]) == {"check_observability", "lambda_min_asymptotics",
+                                      "analyze_stability", "analyze"}
+    assert all(math.isfinite(v) and v > 0.0 for v in analyze["layers"].values())

@@ -415,28 +415,29 @@ class TestAnalyze:
         # certified pieces
         from isokal import observability, stability
 
-        calls, prefixes = [], []
+        calls, terms = [], []
         real = observability.check_observability
-        real_prefixes = observability.information_prefixes
+        real_accumulate = observability._accumulate
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        def counted_prefixes(model, count, *args, **kwargs):
-            prefixes.append(count)
-            return real_prefixes(model, count, *args, **kwargs)
+        def counted_accumulate(model, count, *args, **kwargs):
+            terms.append(count)
+            return real_accumulate(model, count, *args, **kwargs)
 
         monkeypatch.setattr(observability, "check_observability", counted)
         monkeypatch.setattr(cli, "check_observability", counted)
-        monkeypatch.setattr(observability, "information_prefixes", counted_prefixes)
+        monkeypatch.setattr(observability, "_accumulate", counted_accumulate)
         cfg = write_config(tmp_path, example1_config)
         out = tmp_path / "report.json"
         assert run_cli("analyze", "--config", cfg, "--horizon", "6", "--k-max", "30",
                        f"--rho-tol={rho_tol}", "--out", out, "--quiet") == 0
         assert len(calls) == 1
-        # the certificate's own accumulation, then the growth trace
-        assert prefixes == [6, 30]
+        # the certificate's 6 information terms, then the growth trace
+        # continues from its accumulator: 30 terms in all, not 36
+        assert terms == [6, 24]
         monkeypatch.undo()
 
         model = load_model(example1_config)
@@ -565,6 +566,56 @@ class TestReproduce:
         run_cli("reproduce", "example2", "--trials", "5", "--seed", "1",
                 "--outdir", b, "--sigma-is-variance", "--quiet")
         assert (a / "mse.csv").read_bytes() != (b / "mse.csv").read_bytes()
+
+
+class TestFlagErrors:
+    """A rejected flag value exits 1 with one error line that names the flag."""
+
+    # (argv after the config, output the command would write, expected message)
+    CASES = {
+        "simulate_x0": (["simulate", "--x0", "0.5", "--steps", "3", "--out", "obs.csv"],
+                        "obs.csv", "--x0 has length 1, model state dimension is 2"),
+        "simulate_steps": (["simulate", "--x0", "0.5,0.5", "--steps", "0", "--out", "obs.csv"],
+                           "obs.csv", "--steps: must be >= 1, got 0"),
+        "estimate_x0_guess": (["estimate", "--obs", "in.csv", "--p0", "0.01",
+                               "--x0-guess", "0.5", "--out", "est.csv"],
+                              "est.csv", "--x0-guess has length 1, model state dimension is 2"),
+        "analyze_k_max": (["analyze", "--horizon", "5", "--k-max", "1", "--out", "report.json"],
+                          "report.json", "--k-max: must be >= 2, got 1"),
+        "analyze_horizon": (["analyze", "--horizon", "0", "--k-max", "20",
+                             "--out", "report.json"],
+                            "report.json", "--horizon: must be >= 1, got 0"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_error_names_the_flag(self, tmp_path, example2_config, capsys, case):
+        argv, output, message = self.CASES[case]
+        cfg = write_config(tmp_path, example2_config)
+        (tmp_path / "in.csv").write_text("k,y_0\n0,0.5\n")
+        before = sorted(tmp_path.iterdir())
+        argv = [tmp_path / a if a in ("in.csv", output) else a for a in argv]
+        assert run_cli(argv[0], "--config", cfg, *argv[1:]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"isokal {argv[0]}: error: {message}"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_trials_names_the_flag(self, tmp_path, capsys):
+        outdir = tmp_path / "rep"
+        assert run_cli("reproduce", "example2", "--trials", "0", "--outdir", outdir) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["isokal reproduce: error: --trials: must be >= 1, got 0"]
+        assert not outdir.exists()
+
+    def test_time_varying_analyze_takes_any_k_max(self, tmp_path, example2_config):
+        # --k-max is read only by the LTI growth and stability traces
+        a = example2_config["dynamics"].pop("A")
+        example2_config["dynamics"] = {"kind": "ltv", "A_seq": [a] * 6}
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "3", "--k-max", "1",
+                       "--out", out, "--quiet") == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "Observable" and doc["growth_class"] is None
 
 
 @st.composite

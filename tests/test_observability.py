@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -547,6 +549,40 @@ class TestReportReuse:
         growth = lambda_min_asymptotics(model, K, report=report)
         np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
         assert len(calls) == max(K - len(report.lambda_min_trace), 0)
+
+    @pytest.mark.parametrize("which", ["example1", "example2", "lti_per_step_r"])
+    @pytest.mark.parametrize("L_max", [1, 4, 7])
+    @pytest.mark.parametrize("K", [3, 4, 7, 9])
+    @pytest.mark.parametrize("replaced", [False, True], ids=["report", "replaced"])
+    def test_growth_trace_continues_the_report_accumulator(self, which, L_max, K, replaced,
+                                                           request, monkeypatch):
+        # K below, at and above the report's L_max; a report with L_max < d
+        # certifies afresh and the trace continues from that certificate.
+        # Either way the trace has the bits of one uninterrupted pass, and
+        # each anchor-0 information term is accumulated once.
+        model = (ltv_fixture(which) if which == "lti_per_step_r"
+                 else request.getfixturevalue(which)[0])
+        fresh = np.array([np.linalg.eigvalsh(info[0])[0]
+                          for info, _ in information_prefixes(model, K)])
+        report = check_observability(model, L_max=L_max)
+        if replaced:
+            report = dataclasses.replace(report, rho=float("nan"))
+        terms = []
+        real = observability._accumulate
+
+        def counted(model, count, start=0, anchors=1, observations=None, state=None):
+            if anchors == 1:
+                terms.append(count)
+            return real(model, count, start, anchors, observations, state)
+
+        monkeypatch.setattr(observability, "_accumulate", counted)
+        growth = lambda_min_asymptotics(model, K, report=report)
+        head = min(model.d, model.horizon or model.d) if L_max < model.d \
+            else len(report.lambda_min_trace)
+        assert sum(terms) == (head if L_max < model.d else 0) + max(K - head, 0)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
+        np.testing.assert_array_equal(lambda_min_asymptotics(model, K).lambda_min_trace, fresh)
 
     @REPORT_READERS
     def test_unobservable_report_raises(self, certified, analysis):

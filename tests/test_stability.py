@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from isokal import estimator, stability
-from isokal._linalg import spd_inverse, spectral_norm, symmetrize
+from isokal import estimator, harness, model as model_module, stability
+from isokal._linalg import eig_abs_sorted, spd_inverse, spectral_norm, symmetrize
 from isokal.harness import simulate, trial_seed
 from isokal.model import SystemModel
-from isokal.observability import UnobservableModelError, check_observability, gramian
+from isokal.observability import (
+    UnobservableModelError,
+    check_observability,
+    gramian,
+    lambda_min_asymptotics,
+)
 from isokal.stability import (
     INDETERMINATE,
     LYAPUNOV_STABLE_ONLY,
@@ -261,20 +266,24 @@ class TestAnalyzeStability:
         assert report.classification == LYAPUNOV_STABLE_ONLY
 
     @pytest.mark.parametrize("which", ["example1", "example2"])
-    def test_one_spectrum_and_the_report_certificate(self, which, request, certified,
-                                                     monkeypatch):
-        # the classification comes from the one |eig(A)| the report holds
-        # and from the covering observability report; it equals classify's
-        model = request.getfixturevalue(which)[0]
+    def test_one_spectrum_and_the_report_certificate(self, which, certified, monkeypatch):
+        # the classification comes from the model's one |eig(A)| and from
+        # the covering observability report; it equals classify's, and the
+        # growth class of the same model decomposes A no second time
+        model = harness.example_system(which)[0]
         report = check_observability(model, L_max=model.d)
         calls = []
-        real = stability.eig_abs_sorted
-        monkeypatch.setattr(stability, "eig_abs_sorted", lambda a: calls.append(1) or real(a))
+        real = model_module.eig_abs_sorted
+        monkeypatch.setattr(model_module, "eig_abs_sorted",
+                            lambda a: calls.append(1) or real(a))
         certified.clear()
-        classification = analyze_stability(model, P0=1e-2, k_max=10,
-                                           report=report).classification
+        stability_report = analyze_stability(model, P0=1e-2, k_max=10, report=report)
         assert calls == [1] and certified == []
-        assert classification == classify(model)
+        assert stability_report.classification == classify(model)
+        lambda_min_asymptotics(model, 10, report=report)
+        assert calls == [1]
+        np.testing.assert_array_equal(stability_report.eigenvalues_A,
+                                      eig_abs_sorted(model.A_at(1)))
 
     def test_example1_exponential_fit_positive(self, example1):
         report = analyze_stability(example1[0], P0=1e-2, k_max=40)
@@ -320,3 +329,90 @@ class TestAnalyzeStability:
         p0_inv = spd_inverse(p0)
         np.testing.assert_allclose(
             report.exp_fit, exponential_fit([spectral_norm(p @ p0_inv) for p in covs]), rtol=1e-12)
+
+
+def rotation_model(d, m, seed):
+    """LTI rotation blocks whose radii straddle 1, hidden by a random orthogonal frame."""
+    rng = np.random.default_rng(seed)
+    blocks = np.zeros((d, d))
+    for b in range(0, d, 2):
+        r = rng.uniform(0.96, 0.99) if b % 4 == 0 else rng.uniform(1.01, 1.04)
+        t = rng.uniform(0.1, np.pi - 0.1)
+        blocks[b:b + 2, b:b + 2] = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return SystemModel(q @ blocks @ q.T, rng.standard_normal((m, d)), 1e-2)
+
+
+def stacked_psi_norms(covs, p0_inv, chunk=16):
+    """sqrt(lambda_max(Psi^T Psi)), Psi = P_k P0^-1, in stacked chunks of 16 covariances."""
+    return np.sqrt(np.concatenate([
+        np.linalg.eigvalsh((c @ p0_inv).swapaxes(1, 2) @ (c @ p0_inv))[:, -1]
+        for c in np.split(covs, range(chunk, len(covs), chunk))]))
+
+
+class TestPsiNorms:
+    """||Psi(k,0)|| = ||P_k|| / p for P0 = p I; the stacked products for any other P0."""
+
+    MODELS = pytest.mark.parametrize("which", ["example1", "example2", "rotations"])
+
+    @staticmethod
+    def model(which, request):
+        if which == "rotations":
+            return rotation_model(16, 2, 7)
+        return request.getfixturevalue(which)[0]
+
+    @MODELS
+    @pytest.mark.parametrize("form", ["scalar", "matrix"])
+    def test_isotropic_prior_takes_no_psi_stack(self, which, form, request, monkeypatch):
+        model, p, k_max = self.model(which, request), 1e-2, 40
+        shapes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: shapes.append(np.shape(a)) or real(a, *args))
+        report = analyze_stability(model, P0=p if form == "scalar" else p * np.eye(model.d),
+                                   k_max=k_max)
+        monkeypatch.undo()
+        # one stacked eigvalsh, of the covariances, besides _prior's check of P0
+        assert [s for s in shapes if len(s) == 3] == [(k_max + 1, model.d, model.d)]
+        covs = estimator.covariance_sequence(model, p, k_max)
+        np.testing.assert_array_equal(report.covariance_norm_trace,
+                                      np.abs(np.linalg.eigvalsh(covs)).max(axis=1))
+        p0_inv = spd_inverse(p * np.eye(model.d))
+        for norms in ([spectral_norm(c @ p0_inv) for c in covs], stacked_psi_norms(covs, p0_inv)):
+            np.testing.assert_allclose(report.exp_fit, exponential_fit(norms), rtol=1e-12)
+
+    @MODELS
+    @pytest.mark.parametrize("form", ["spd", "diagonal"])
+    def test_other_priors_keep_the_stacked_norms(self, which, form, request):
+        model, k_max = self.model(which, request), 40
+        rng = np.random.default_rng(3)
+        p0 = (1e-2 * random_spd(rng, model.d) if form == "spd"
+              else np.diag(np.linspace(1e-2, 2e-2, model.d)))
+        report = analyze_stability(model, P0=p0, k_max=k_max)
+        covs = estimator.covariance_sequence(model, p0, k_max)
+        expected = exponential_fit(stacked_psi_norms(covs, spd_inverse(covs[0])))
+        np.testing.assert_array_equal(report.exp_fit, expected)
+
+    def test_exact_zero_covariance_truncates_the_fit_where_it_did(self, example1, monkeypatch):
+        # a covariance trace that reaches exact zero at k = 25 stops the fit
+        # there, as the stacked products did
+        model, k_max, p = example1[0], 40, 1e-2
+        covs = estimator.covariance_sequence(model, p, k_max).copy()
+        covs[25:] = 0.0
+        monkeypatch.setattr(estimator, "covariance_sequence", lambda *args: covs)
+        report = analyze_stability(model, P0=p, k_max=k_max)
+        old = stacked_psi_norms(covs, spd_inverse(covs[0]))
+        assert np.flatnonzero(old == 0.0)[0] == 25
+        assert np.flatnonzero(report.covariance_norm_trace == 0.0)[0] == 25
+        np.testing.assert_allclose(report.exp_fit, exponential_fit(old), rtol=1e-12)
+
+    def test_norms_whose_square_underflows_stay_in_the_fit(self):
+        # d = 1, A = 1e6: P_k, about 10^(-12 (k-1)), is exactly zero from k = 28, while
+        # its square, which the stacked products form, underflows from k = 15
+        model = lti([[1e6]], [[1.0]])
+        report = analyze_stability(model, P0=1.0, k_max=40)
+        covs = estimator.covariance_sequence(model, 1.0, 40)
+        assert np.flatnonzero(stacked_psi_norms(covs, np.eye(1)) == 0.0)[0] == 15
+        assert np.flatnonzero(report.covariance_norm_trace == 0.0)[0] == 28
+        assert report.exp_fit == exponential_fit(report.covariance_norm_trace)
+        np.testing.assert_allclose(report.exp_fit[1], 2.0 * np.log(1e6), rtol=1e-12)
