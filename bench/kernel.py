@@ -14,16 +14,20 @@ per-step A, H and R): ``cli._read_json`` of its config, written once as
 JSON (the decode ``--config`` pays), ``SystemModel`` validation,
 ``check_observability`` (L_max = 16, every anchor), one
 ``advance_observed_evolution`` step in the middle of the record (its
-transition carried), ``harness.simulate`` and ``estimator.run`` per step,
-and ``harness.write_estimates_csv`` of the run's states as the CLI's
-``estimate --truth`` writes them (stacking included); one
+transition carried), the ``model.observed_evolution_sequence`` walk of the
+record, ``harness.simulate`` and ``estimator.run`` per step,
+``harness.write_estimates_csv`` of the run's states as the CLI's
+``estimate --truth`` writes them (stacking included), and one
+``isokal estimate --batch-check`` of the record end to end through
+``cli.main`` (config and observations read from a temporary directory); one
 ``harness.monte_carlo`` ensemble and one ``harness.reproduce_example`` of
 example1 (d = 4, T = 40, 100 trials, the CSV file set written to a
 temporary directory); and the analysis of ``isokal analyze --horizon 64
 --k-max 100`` on a d = 64, m = 8 LTI model of rotation blocks whose radii
 straddle 1: ``check_observability`` (L_max = 64),
 ``lambda_min_asymptotics`` (K = 100) and ``analyze_stability``
-(k_max = 100, P0 = I), each given that report, and the three in a row.
+(k_max = 100, P0 = I), each given that report, the three in a row, and
+the ``observed_evolution_sequence`` walk of K steps, per step.
 It writes the perf_counter medians, in microseconds per call, as JSON
 together with the machine: CPU, numpy, scipy and OpenBLAS versions and the
 BLAS thread count, which is pinned to 1 before numpy loads.  isokal is
@@ -59,17 +63,19 @@ import scipy  # noqa: E402
 from scipy.linalg.lapack import dpotrf  # noqa: E402
 
 from isokal import cli, estimator, harness, observability, stability  # noqa: E402
-from isokal.model import SystemModel, advance_observed_evolution  # noqa: E402
+from isokal.model import (SystemModel, advance_observed_evolution,  # noqa: E402
+                          observed_evolution_sequence)
 
 LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
           "wls_prefixes_per_prefix", "advance_observed_evolution", "analyze_stability",
           "check_observability", "lambda_min_asymptotics")
 LTV_LAYERS = ("config_decode", "model_validation", "check_observability",
-              "advance_observed_evolution", "simulate_per_step", "run_per_step",
-              "write_estimates_csv")
+              "advance_observed_evolution", "observed_evolution_sequence_per_step",
+              "simulate_per_step", "run_per_step", "write_estimates_csv",
+              "estimate_batch_check")
 ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
 ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
-                  "analyze")
+                  "analyze", "observed_evolution_sequence_per_step")
 
 
 def machine():
@@ -239,6 +245,14 @@ def measure_ltv(tiny):
         config_path.write_text(json.dumps(config), encoding="utf-8")
         decode_us = median_us(lambda: cli._read_json(config_path, "--config"),
                               repeats, target_s)
+        obs_path = Path(tmp) / "observations.csv"
+        harness.write_observations_csv(obs_path, obs)
+        estimate = ["estimate", "--config", str(config_path), "--obs", str(obs_path),
+                    "--p0", "1.0", "--out", str(Path(tmp) / "est.csv"), "--batch-check",
+                    "--quiet"]
+        if cli.main(estimate) != 0:
+            raise RuntimeError("estimate --batch-check failed on the LTV record")
+        batch_check_us = median_us(lambda: cli.main(estimate), repeats, target_s)
     layers = {
         "config_decode": decode_us,
         "model_validation": median_us(lambda: SystemModel(a_seq, h_seq, r_seq),
@@ -248,11 +262,14 @@ def measure_ltv(tiny):
         "advance_observed_evolution": median_us(
             lambda: advance_observed_evolution(model, T // 2, mid.H_tilde_next, mid.phi),
             repeats, target_s),
+        "observed_evolution_sequence_per_step": median_us(
+            lambda: observed_evolution_sequence(model, T), repeats, target_s) / T,
         "simulate_per_step": median_us(lambda: harness.simulate(model, x0, T, 1),
                                        repeats, target_s) / T,
         "run_per_step": median_us(lambda: estimator.run(model, None, 1.0, obs),
                                   repeats, target_s) / T,
         "write_estimates_csv": write_us,
+        "estimate_batch_check": batch_check_us,
     }
     return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers}
 
@@ -295,6 +312,8 @@ def measure_analyze(tiny):
             lambda: stability.analyze_stability(model, 1.0, K, report=report),
             repeats, target_s),
         "analyze": median_us(analyze, repeats, target_s),
+        "observed_evolution_sequence_per_step": median_us(
+            lambda: observed_evolution_sequence(model, K), repeats, target_s) / K,
     }
     return {"d": d, "m": m, "L_max": d, "K": K, "layers": layers}
 
@@ -329,12 +348,12 @@ def main(argv=None):
     for layer in LAYERS:
         print(f"{layer:24s}" + "".join(f"  d={d}: {by_dim[d][layer]:10.1f}" for d in dims))
     for layer in LTV_LAYERS:
-        print(f"ltv {layer:20s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
+        print(f"ltv {layer:36s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
     for layer in ENSEMBLE_LAYERS:
         print(f"ensemble {layer:17s} {ensemble['trials']} trials, T={ensemble['T']}: "
               f"{ensemble['layers'][layer]:10.1f}")
     for layer in ANALYZE_LAYERS:
-        print(f"analyze {layer:22s} d={analysis['d']}, K={analysis['K']}: "
+        print(f"analyze {layer:36s} d={analysis['d']}, K={analysis['K']}: "
               f"{analysis['layers'][layer]:10.1f}")
     return 0
 

@@ -10,9 +10,9 @@ where H~_k = H_k A(k,0) observes the evolved initial state.  The covariance
 is propagated in the Joseph form above (PSD-preserving under rounding); the
 algebraically equal short form (I - K H~) P is checked against it at every
 update.  P_k, K_k and H~_k never depend on the observed values, so
-``gain_schedule`` computes them once for any number of observation streams,
-and ``run`` is a fold of the estimate update over one such schedule; the
-public ``step`` takes one observation at a time through the same update.
+``gain_schedule``, the Joseph recursion over one ``observed_evolution_sequence``
+walk, computes them once for any number of streams, and ``run`` folds the
+estimate update over it; ``step`` takes one observation at a time.
 ``wls_prefixes`` solves the same weighted least-squares problem from the
 normal equations and serves as an independent cross-check.
 
@@ -30,7 +30,8 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._linalg import asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
-from .model import _SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution
+from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
+                    observed_evolution_sequence)
 from .observability import information_prefixes
 
 # Stored covariances may carry rounding-level negative eigenvalues; anything
@@ -256,21 +257,6 @@ def _check_observer(h_tilde, k):
                              "float64, so the innovation covariance is not finite")
 
 
-def _advance(model, k, h_tilde, phi):
-    """Read-only observer and transition of step k from step k-1's.
-
-    (None, phi) past the model's horizon, where there is no observer.
-    """
-    try:
-        h_next, phi_next = advance_observed_evolution(model, k, h_tilde, phi)
-    except HorizonError:
-        return None, phi
-    h_next.flags.writeable = False
-    # Frozen in place, not copied: LTI models hand back the previous phi.
-    phi_next.flags.writeable = False
-    return h_next, phi_next
-
-
 def step(state, y_prev, R_prev, model):
     """Consume observation y(state.step) and return the refined state.
 
@@ -289,9 +275,14 @@ def step(state, y_prev, R_prev, model):
 
     k_gain, p_next = _update(state.P, h_tilde, R_prev, k=state.step)
     x_next = state.x_hat + (y_prev - state.x_hat @ h_tilde.T) @ k_gain.T
-    # An overflowed observer is reported by the next step, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_next, phi = _advance(model, state.step + 1, h_tilde, state.phi)
+    try:
+        # An overflowed observer is reported by the next step, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_next, phi = advance_observed_evolution(model, state.step + 1, h_tilde, state.phi)
+        # Frozen in place, not copied: LTI models hand back the previous phi.
+        h_next.flags.writeable = phi.flags.writeable = False
+    except HorizonError:
+        h_next, phi = None, state.phi
     return EstimatorState(step=state.step + 1, x_hat=readonly(x_next), P=readonly(p_next),
                           H_tilde_next=h_next, phi=phi)
 
@@ -313,36 +304,31 @@ def _as_observations(observations, m):
 def _pass(model, P0, T):
     """The observation-independent part of a T-step filter pass from a checked P0.
 
-    Returns the GainSchedule, the observer H~_T that follows it (None past
-    the model's horizon) and the transitions A(k,0), k = 0..T, that the
-    filter states carry.  Every update has the checks of ``step``; the
+    Returns the GainSchedule and the read-only observers and transitions
+    A(k,0), k = 0..T, of one ``observed_evolution_sequence`` walk; past the
+    horizon of a time-varying model there is no observer H~_T, and the
+    walk stops at step T-1.  Every update has the checks of ``step``; the
     factors of R_k are the model's own.
     """
-    d, m = model.d, model.m
-    h_tilde = np.empty((T, m, d))
-    gains = np.empty((T, d, m))
-    covs = np.empty((T + 1, d, d))
+    horizon = model.horizon
+    if horizon is not None and T > horizon:
+        raise HorizonError(f"no observation available at step {horizon}")
+    observers, transitions = observed_evolution_sequence(
+        model, T if T == horizon and not model.is_lti else T + 1)
+    gains = np.empty((T, model.d, model.m))
+    covs = np.empty((T + 1, model.d, model.d))
     covs[0] = P0
     r_factors = model.noise_factors(T)
-    h, phi = readonly(model.H_at(0)), readonly(np.eye(d))
-    phis = [phi]
     # An overflowed observer is reported by _check_observer, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T):
-            if h is None:
-                raise HorizonError(f"no observation available at step {k}")
-            h_tilde[k] = h
+        for k, h in enumerate(observers[:T]):
             try:
-                # R_at raises HorizonError past a per-step sequence, before r_factors[k] is read.
                 gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
             except (ValueError, np.linalg.LinAlgError):
                 _check_observer(h, k)
                 raise
-            h, phi = _advance(model, k + 1, h, phi)
-            phis.append(phi)
-    for arr in (h_tilde, gains, covs):
-        arr.flags.writeable = False
-    return GainSchedule(h_tilde=h_tilde, gain=gains, P=covs), h, phis
+    gains.flags.writeable = covs.flags.writeable = False
+    return GainSchedule(h_tilde=observers[:T], gain=gains, P=covs), observers, transitions
 
 
 def _fold(schedule, x_hat0, observations):
@@ -379,11 +365,12 @@ def run(model, x_hat0, P0, observations):
     """
     observations = _as_observations(observations, model.m)
     x_hat0, P0 = _prior(model, x_hat0, P0)
-    schedule, h_last, phis = _pass(model, P0, len(observations))
+    schedule, observers, transitions = _pass(model, P0, len(observations))
     x_hat = _fold(schedule, x_hat0, observations)
-    observers = [*schedule.h_tilde, h_last]
+    # A walk cut short by the horizon leaves the last state no observer and A(T-1,0).
+    observers, transitions = chain(observers, [None]), chain(transitions, transitions[-1:])
     return [EstimatorState(step=k, x_hat=x, P=p, H_tilde_next=h, phi=phi)
-            for k, (x, p, h, phi) in enumerate(zip(x_hat, schedule.P, observers, phis))]
+            for k, (x, p, h, phi) in enumerate(zip(x_hat, schedule.P, observers, transitions))]
 
 
 def gain_schedule(model, P0, T):

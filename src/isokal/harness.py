@@ -8,10 +8,10 @@ draws are consumed in a fixed order: first the initial-guess perturbation
 (when the ensemble is prior-calibrated), then one standard_normal((T, m))
 block whose row k drives the noise of step k.
 
-A bundled example is one filter pass: its gain schedule serves both the
-Monte Carlo ensemble and the showcase trajectory, and its observers give
-the showcase observations.  Every CSV is written by ``write_csv`` from a
-stacked array.
+``simulate`` reads its observers from one ``observed_evolution_sequence``
+walk.  A bundled example is one filter pass: its gain schedule serves the
+ensemble and the showcase trajectory, and its observers give the showcase
+observations.  Every CSV is written by ``write_csv`` from a stacked array.
 """
 
 import csv
@@ -93,9 +93,7 @@ def simulate(model, x0, T, seed, noiseless=False):
     model._check_horizon(T - 1)
     rng = np.random.default_rng(seed)
     draws = None if noiseless else rng.standard_normal((T, model.m))
-    # Overflow is reported by _observations, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_tilde = np.array(list(observed_evolution_sequence(model, T)))
+    h_tilde = observed_evolution_sequence(model, T)[0]
     return _observations(h_tilde, x0, model.noise_factors(T), draws)
 
 

@@ -8,7 +8,7 @@ A system is
 with invertible dynamics A_k (d x d), observation operators H_k (m x d,
 m <= d) and SPD noise covariances R_k bounded below by sigma^2 I > 0.
 Dynamics/observation/noise may each be constant (LTI) or a finite explicit
-sequence (LTV).
+sequence (LTV).  ``observed_evolution_sequence`` walks the observers H~_k once.
 """
 
 from functools import cached_property
@@ -301,16 +301,31 @@ def observed_evolution(model, k):
 
 
 def observed_evolution_sequence(model, count, start=0):
-    """Yield H_j A(j,start) for j = start..start+count-1, one step at a time."""
+    """Observers H_j A(j,start) and transitions A(j,start), j = start..start+count-1.
+
+    Read-only stacks (count, m, d) and (count, d, d) from one walk of
+    ``advance_observed_evolution``; fully LTI transitions stay a broadcast
+    identity.  HorizonError past a time-varying model's horizon; overflow
+    leaves non-finite rows and no numpy warning.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if count == 0:
-        return
-    h_tilde, phi = model.H_at(start), np.eye(model.d)
-    for j in range(start, start + count):
-        yield h_tilde
-        if j + 1 < start + count:
-            h_tilde, phi = advance_observed_evolution(model, j + 1, h_tilde, phi)
+    d, lti = model.d, model.is_lti
+    h_tilde = np.empty((count, model.m, d))
+    phi = np.broadcast_to(np.eye(d), (count, d, d)) if lti else np.empty((count, d, d))
+    if count:
+        if not lti:
+            model._check_horizon(start + count - 1)
+            phi[0] = np.eye(d)
+        h_tilde[0] = model.H_at(start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, count):
+                h, p = advance_observed_evolution(model, start + i, h_tilde[i - 1], phi[i - 1])
+                h_tilde[i] = h
+                if not lti:
+                    phi[i] = p
+    h_tilde.flags.writeable = phi.flags.writeable = False
+    return h_tilde, phi
 
 
 def advance_observed_evolution(model, k, h_tilde, phi):

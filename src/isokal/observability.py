@@ -253,13 +253,29 @@ def _require_observable(model, report=None):
     return report
 
 
+def _tail_fit(values, what, first=0):
+    """Slope and intercept of the line through log(values[i]) vs k = first + i, tail half.
+
+    The tail half, entries len // 2 on, skips the transient; its entries must
+    be positive.  Fewer than 2 points fit no line: ValueError names ``what``.
+    """
+    n = len(values)
+    if n - n // 2 < 2:
+        raise ValueError(f"the tail half of {what} holds {n - n // 2} point(s): "
+                         f"a fitted rate needs at least 2")
+    ks = np.arange(first + n // 2, first + n)
+    slope, intercept = np.polyfit(ks, np.log(values[n // 2:]), 1)
+    return float(slope), float(intercept)
+
+
 def lambda_min_asymptotics(model, K, report=None):
     """Classify the growth of lambda_min(O(k,0)) for k = 1..K (LTI only).
 
     Unbounded when min |eig(A)| > 1, with a log-linear fit of the trace's
     tail half (supporting a lower bound rho * exp(beta k)); a tail entry
     that is not positive, where float64 no longer resolves lambda_min,
-    raises ValueError naming its k instead of a fit.  Convergent to a
+    raises ValueError naming its k instead of a fit.  So does K = 2, whose
+    tail half is a single point.  Convergent to a
     positive limit when min |eig(A)| < 1.  Within the SPECTRAL_BAND_TOL band
     around 1 the class is Undetermined.  A ``check_observability``
     ``report`` of the model certifies it as ``_require_observable`` says.
@@ -284,17 +300,15 @@ def lambda_min_asymptotics(model, K, report=None):
     lam_min = float(model.eigs_abs[-1])
 
     if lam_min > 1.0 + SPECTRAL_BAND_TOL:
-        ks = np.arange(1, K + 1)
-        tail = slice(K // 2, K)
-        unresolved = np.flatnonzero(~(trace[tail] > 0.0))
+        unresolved = np.flatnonzero(~(trace[K // 2:] > 0.0))
         if unresolved.size:
             k = K // 2 + int(unresolved[0]) + 1
             raise ValueError(f"lambda_min(O(k,0)) = {trace[k - 1]:.3e} at k = {k} is not "
                              f"positive: float64 no longer resolves it, so no growth rate "
                              f"is fitted")
-        slope, intercept = np.polyfit(ks[tail], np.log(trace[tail]), 1)
+        slope, intercept = _tail_fit(trace, f"lambda_min(O(k,0)), k = 1..{K},", first=1)
         return GramianGrowth(growth_class="Unbounded", lambda_min_trace=trace,
-                             beta=float(slope), log_intercept=float(intercept))
+                             beta=slope, log_intercept=intercept)
     if lam_min < 1.0 - SPECTRAL_BAND_TOL:
         converged = abs(trace[-1] - trace[-2]) <= CONVERGENCE_RTOL * trace[-1]
         return GramianGrowth(growth_class="BoundedLimit", lambda_min_trace=trace,

@@ -6,9 +6,11 @@ which also equals P_k P_{k-1}^-1.  V(k, z) = z^T P_k^-1 z is a Lyapunov
 function for that system; whether ||Psi(k,0)|| decays to zero depends on
 where the eigenvalues of an LTI dynamics matrix sit relative to the unit
 circle (all outside: uniformly asymptotically stable; any inside: the
-covariance norm stays bounded away from zero).
+covariance norm stays bounded away from zero).  The decay rate is the
+log-linear tail fit that ``lambda_min_asymptotics`` also uses.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,8 @@ from scipy.linalg import cho_solve
 
 from ._linalg import spd_factor, spectral_norm, spd_inverse
 from . import estimator
-from .observability import SPECTRAL_BAND_TOL, UnobservableModelError, _require_observable
+from .observability import (SPECTRAL_BAND_TOL, UnobservableModelError, _require_observable,
+                            _tail_fit)
 
 #: Covariances per stacked Psi(k,0)^T Psi(k,0) product of a non-isotropic
 #: P0; one (k_max+1, d, d) product stack would add its size (3.3 MB at
@@ -41,15 +44,12 @@ class StabilityReport:
     """Spectral data, classification and run diagnostics for one model."""
 
     eigenvalues_A: np.ndarray
-    lambda_min_A: float
-    lambda_max_A: float
     classification: str | None
     exp_fit: tuple | None
     lyapunov_trace: np.ndarray
     lyapunov_monotone: bool
     covariance_norm_trace: np.ndarray
     uniformly_stable_hint: bool = False
-    fit_window: tuple | None = None
 
     def to_json_dict(self):
         alpha, beta = self.exp_fit if self.exp_fit is not None else (None, None)
@@ -116,8 +116,9 @@ def exponential_fit(psi_norms):
 
     A least-squares line through log ||Psi(k,0)|| vs k on the tail half of
     the sequence (skipping transients); values at and after the first
-    non-positive entry are dropped, since the decay there is exact.
-    Returns (alpha, beta) with beta = -slope.
+    non-positive entry are dropped, since the decay there is exact.  A
+    tail of fewer than 2 points raises ValueError.  Returns (alpha, beta)
+    with beta = -slope.
     """
     norms = np.asarray(psi_norms, dtype=float)
     if norms.size < 5:
@@ -125,12 +126,8 @@ def exponential_fit(psi_norms):
     nonzero = np.flatnonzero(norms <= 0.0)
     if nonzero.size:
         norms = norms[: nonzero[0]]
-    if norms.size < 2:
-        raise ValueError("too few positive norms to fit")
-    ks = np.arange(norms.size)
-    tail = slice(norms.size // 2, norms.size)
-    slope, intercept = np.polyfit(ks[tail], np.log(norms[tail]), 1)
-    return float(np.exp(intercept)), float(-slope)
+    slope, intercept = _tail_fit(norms, "the positive norms")
+    return float(np.exp(intercept)), -slope
 
 
 def gelfand_diagnostic(a, n_max):
@@ -201,33 +198,21 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
     v_trace = np.einsum("i,kij,j->k", u, covs, u)
     monotone = bool(np.max(np.diff(v_trace)) <= 1e-12 * v_trace[0]) if k_max >= 1 else True
 
+    eigs = model.eigs_abs if model.is_lti else np.zeros(0)
     classification = None
-    eigs = np.zeros(0)
-    lam_min = lam_max = float("nan")
-    hint = False
     if model.is_lti:
-        eigs = model.eigs_abs
-        lam_min, lam_max = float(eigs[-1]), float(eigs[0])
-        hint = lam_max < 1.0
-        try:
+        with suppress(UnobservableModelError):
             _require_observable(model, report)
-            classification = _classification(model.A_at(1), lam_min)
-        except UnobservableModelError:
-            classification = None
+            classification = _classification(model.A_at(1), float(eigs[-1]))
 
-    exp_fit = None
-    fit_window = None
     try:
-        alpha, beta = exponential_fit(psi_norms)
-        exp_fit = (alpha, beta)
-        fit_window = (len(psi_norms) // 2, len(psi_norms) - 1)
+        exp_fit = exponential_fit(psi_norms)
     except ValueError:
-        pass
+        exp_fit = None
 
     return StabilityReport(
-        eigenvalues_A=eigs, lambda_min_A=lam_min, lambda_max_A=lam_max,
-        classification=classification, exp_fit=exp_fit,
+        eigenvalues_A=eigs, classification=classification, exp_fit=exp_fit,
         lyapunov_trace=v_trace, lyapunov_monotone=monotone,
-        covariance_norm_trace=p_norm_trace, uniformly_stable_hint=hint,
-        fit_window=fit_window,
+        covariance_norm_trace=p_norm_trace,
+        uniformly_stable_hint=model.is_lti and float(eigs[0]) < 1.0,
     )

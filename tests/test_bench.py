@@ -30,8 +30,9 @@ def test_tiny_run_writes_valid_json(tmp_path):
     ltv = doc["ltv"]
     assert (ltv["d"], ltv["m"], ltv["T"], ltv["L_max"]) == (4, 1, 40, 8)
     assert set(ltv["layers"]) == {"config_decode", "model_validation", "check_observability",
-                                  "advance_observed_evolution", "simulate_per_step",
-                                  "run_per_step", "write_estimates_csv"}
+                                  "advance_observed_evolution",
+                                  "observed_evolution_sequence_per_step", "simulate_per_step",
+                                  "run_per_step", "write_estimates_csv", "estimate_batch_check"}
     assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
     ensemble = doc["ensemble"]
     assert (ensemble["example"], ensemble["T"], ensemble["trials"]) == ("example1", 40, 100)
@@ -40,5 +41,6 @@ def test_tiny_run_writes_valid_json(tmp_path):
     analyze = doc["analyze"]
     assert (analyze["d"], analyze["m"], analyze["L_max"], analyze["K"]) == (16, 2, 16, 20)
     assert set(analyze["layers"]) == {"check_observability", "lambda_min_asymptotics",
-                                      "analyze_stability", "analyze"}
+                                      "analyze_stability", "analyze",
+                                      "observed_evolution_sequence_per_step"}
     assert all(math.isfinite(v) and v > 0.0 for v in analyze["layers"].values())

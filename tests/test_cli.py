@@ -476,6 +476,17 @@ class TestAnalyze:
         assert "is not positive" in err[0]
         assert not out.exists()
 
+    def test_one_point_growth_tail_exits_1(self, tmp_path, example1_config, capsys):
+        # --k-max 2 leaves example1's growth fit one point: an error, no
+        # RankWarning (filterwarnings = error would raise it) and no report
+        cfg = write_config(tmp_path, example1_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "4", "--k-max", "2",
+                       "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("isokal analyze: error: the tail half")
+        assert not out.exists()
+
     def test_nan_is_never_written(self, tmp_path, example2_config, capsys, monkeypatch):
         cfg = write_config(tmp_path, example2_config)
         out = tmp_path / "report.json"

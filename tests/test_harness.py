@@ -76,7 +76,7 @@ class TestSimulate:
             (model, x0, _xh, _p0), T = per_step_noise_ltv(), 12
         else:
             (model, x0, _xh, _p0, _), T = request.getfixturevalue(system), EXAMPLE_STEPS
-        ref = np.array([h @ x0 for h in observed_evolution_sequence(model, T)])
+        ref = np.array([h @ x0 for h in observed_evolution_sequence(model, T)[0]])
         assert simulate(model, x0, T, seed=1, noiseless=True).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("noiseless", [False, True])
@@ -213,7 +213,7 @@ def test_simulate_and_run_equal_per_step_factorization(system, request):
         (model, x0, x_hat0, p0, _), T = request.getfixturevalue(system), EXAMPLE_STEPS
     rng = np.random.default_rng(2024)
     ref_obs = np.empty((T, model.m))
-    for k, h_tilde in enumerate(observed_evolution_sequence(model, T)):
+    for k, h_tilde in enumerate(observed_evolution_sequence(model, T)[0]):
         noise = np.linalg.cholesky(symmetrize(model.R_at(k))) @ rng.standard_normal(model.m)
         ref_obs[k] = h_tilde @ x0 + noise
     obs = simulate(model, x0, T, 2024)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from isokal import estimator
 from isokal._linalg import symmetrize
 from isokal.model import (
     ConfigError,
@@ -93,14 +94,14 @@ class TestObservedEvolution:
 
     def test_incremental_matches_direct(self, example1):
         model = example1[0]
-        for k, h_inc in enumerate(observed_evolution_sequence(model, 30)):
+        for k, h_inc in enumerate(observed_evolution_sequence(model, 30)[0]):
             h_dir = observed_evolution(model, k)
             assert np.linalg.norm(h_inc - h_dir) <= 1e-10 * max(np.linalg.norm(h_dir), 1.0)
 
     def test_ltv_sequence_matches_direct(self):
         rng = np.random.default_rng(17)
         m = random_ltv(rng, 3, horizon=8)
-        for k, h_inc in enumerate(observed_evolution_sequence(m, 8)):
+        for k, h_inc in enumerate(observed_evolution_sequence(m, 8)[0]):
             np.testing.assert_allclose(h_inc, observed_evolution(m, k), rtol=1e-10, atol=1e-12)
 
     def test_horizon_exceeded(self):
@@ -132,7 +133,7 @@ class TestObservedEvolution:
         ltv = random_ltv(rng, 3, horizon=8)
         for model, exact in ((ltv, True), (example1[0], False)):
             for k0 in (0, 2, 5):
-                seq = list(observed_evolution_sequence(model, 4, start=k0))
+                seq = observed_evolution_sequence(model, 4, start=k0)[0]
                 assert len(seq) == 4
                 for j, h in enumerate(seq, start=k0):
                     direct = model.H_at(j) @ transition(model, j, k0)
@@ -141,6 +142,87 @@ class TestObservedEvolution:
                     else:
                         np.testing.assert_allclose(h, direct, rtol=1e-12)
 
+
+
+class TestObserverWalk:
+    """observed_evolution_sequence: one walk into read-only observer and transition stacks."""
+
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_ltv_rows_are_the_direct_products(self, start):
+        # the walk multiplies in transition()'s order, so every row is bit for bit
+        model = random_ltv(np.random.default_rng(41), 3, horizon=8)
+        h_tilde, phi = observed_evolution_sequence(model, 9 - start, start=start)
+        assert h_tilde.shape == (9 - start, 1, 3) and phi.shape == (9 - start, 3, 3)
+        for j in range(start, 9):
+            direct = transition(model, j, start)
+            np.testing.assert_array_equal(phi[j - start], direct)
+            np.testing.assert_array_equal(h_tilde[j - start], model.H_at(j) @ direct)
+            if start == 0:
+                np.testing.assert_array_equal(h_tilde[j], observed_evolution(model, j))
+
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_lti_rows_right_multiply(self, example1, start):
+        # row j is row j-1 times A, as one advance_observed_evolution call
+        # gives it; the transition is never advanced from a broadcast identity
+        model = example1[0]
+        h_tilde, phi = observed_evolution_sequence(model, 12, start=start)
+        eye = np.eye(model.d)
+        np.testing.assert_array_equal(h_tilde[0], model.H_at(start))
+        for i in range(1, 12):
+            h_one, _ = advance_observed_evolution(model, start + i, h_tilde[i - 1], eye)
+            np.testing.assert_array_equal(h_tilde[i], h_one)
+            np.testing.assert_allclose(h_tilde[i], observed_evolution(model, i), rtol=1e-12)
+        assert phi.shape == (12, model.d, model.d) and phi.strides[0] == 0
+        np.testing.assert_array_equal(phi, np.broadcast_to(eye, phi.shape))
+
+    @pytest.mark.parametrize("ltv", [False, True], ids=["lti", "ltv"])
+    def test_stacks_are_read_only(self, example2, ltv):
+        model = random_ltv(np.random.default_rng(5), 2, horizon=4) if ltv else example2[0]
+        h_tilde, phi = observed_evolution_sequence(model, 4)
+        for stack in (h_tilde, phi):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("ltv", [False, True], ids=["lti", "ltv"])
+    def test_zero_count_gives_empty_stacks(self, example2, ltv):
+        model = random_ltv(np.random.default_rng(5), 2, horizon=4) if ltv else example2[0]
+        h_tilde, phi = observed_evolution_sequence(model, 0, start=2)
+        assert h_tilde.shape == (0, model.m, model.d) and phi.shape == (0, model.d, model.d)
+        with pytest.raises(ValueError, match="non-negative"):
+            observed_evolution_sequence(model, -1)
+
+    def test_walk_past_the_horizon_raises(self):
+        model = random_ltv(np.random.default_rng(7), 3, horizon=8)
+        assert model.horizon == 9
+        assert len(observed_evolution_sequence(model, 9)[0]) == 9
+        for count, start in ((10, 0), (5, 5), (1, 9)):
+            with pytest.raises(HorizonError):
+                observed_evolution_sequence(model, count, start=start)
+
+    def test_overflow_leaves_non_finite_rows_and_no_warning(self, example2):
+        # |eig(A)| = 1.5 takes H~_k past float64 at step 1753; the walk
+        # reports nothing (filterwarnings = error would turn a warning into
+        # a failure), its rows say where
+        h_tilde, _phi = observed_evolution_sequence(example2[0], 1800)
+        finite = np.isfinite(h_tilde).all(axis=(1, 2))
+        assert finite[:1753].all() and not finite[1753:].any()
+        assert np.isinf(h_tilde[1753]).any()
+
+    @pytest.mark.parametrize("T, rows", [(5, 6), (9, 9)], ids=["inside", "at_horizon"])
+    def test_filter_pass_takes_one_walk(self, monkeypatch, T, rows):
+        # T + 1 rows, or T at an LTV horizon, where the last state keeps
+        # A(T-1,0) and has no observer
+        model = random_ltv(np.random.default_rng(11), 3, horizon=8)
+        walks = []
+        real = estimator.observed_evolution_sequence
+        monkeypatch.setattr(estimator, "observed_evolution_sequence",
+                            lambda *a: walks.append(a[1:]) or real(*a))
+        states = estimator.run(model, None, 1.0, np.zeros((T, 1)))
+        assert walks == [(rows,)]
+        last = states[-1]
+        assert (last.H_tilde_next is None) == (rows == T)
+        np.testing.assert_array_equal(last.phi, transition(model, rows - 1, 0))
 
 class TestModelValidation:
     def test_singular_dynamics_rejected(self):

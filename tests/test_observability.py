@@ -51,7 +51,7 @@ class TestGramian:
         for i in range(6):
             model, _x0, _xh, _p0 = make_system(888, i)
             L = 8
-            rows = list(observed_evolution_sequence(model, L))
+            rows = observed_evolution_sequence(model, L)[0]
             stacked = np.vstack(rows)
             weights = np.kron(np.eye(L), np.linalg.inv(model.R_at(0)))
             expected = stacked.T @ weights @ stacked
@@ -408,6 +408,16 @@ class TestGrowthClassification:
         k = 31 + int(np.flatnonzero(trace[30:] <= 0.0)[0])
         with pytest.raises(ValueError, match=f"at k = {k} is not positive"):
             lambda_min_asymptotics(model, K=60)
+
+    @pytest.mark.parametrize("K, fitted", [(2, False), (3, True)])
+    def test_one_point_tail_is_not_fitted(self, example1, K, fitted):
+        # the tail half of K = 2 is k = 2 alone: no line, and no RankWarning
+        # (which filterwarnings = error would raise); K = 3 fits k = 2, 3
+        if fitted:
+            assert lambda_min_asymptotics(example1[0], K=K).beta > 0
+        else:
+            with pytest.raises(ValueError, match=r"k = 1\.\.2, holds 1 point"):
+                lambda_min_asymptotics(example1[0], K=K)
 
     def test_unit_magnitude_band_undetermined(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues on the circle

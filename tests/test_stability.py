@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,14 @@ class TestExponentialFit:
         with pytest.raises(ValueError, match="at least 5"):
             exponential_fit([1.0, 0.5])
 
+    def test_one_point_tail_rejected(self):
+        # five values, two of them positive: the tail half is one point, so
+        # no line is fitted and no RankWarning leaks
+        with pytest.raises(ValueError, match="holds 1 point"):
+            exponential_fit([1.0, 0.5, 0.0, 0.0, 0.0])
+        _alpha, beta = exponential_fit([1.0, 0.5, 0.25, 0.0, 0.0])
+        assert beta == pytest.approx(np.log(2.0), rel=1e-12)
+
     def test_example1_run_decays(self, example1):
         model, _x0, _xh, p0, _ = example1
         covs = estimator.covariance_sequence(model, p0, 40)
@@ -259,6 +269,13 @@ class TestAnalyzeStability:
         for key in ("eigs_abs", "classification", "alpha", "beta",
                     "lyapunov_monotone", "p_norm_trace"):
             assert key in doc
+
+    def test_report_fields(self, example2):
+        # the spectrum is eigenvalues_A alone; nothing names a fit window
+        report = analyze_stability(example2[0], P0=1e-2, k_max=40)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "eigenvalues_A", "classification", "exp_fit", "lyapunov_trace",
+            "lyapunov_monotone", "covariance_norm_trace", "uniformly_stable_hint"]
 
     def test_contracting_system_hints_uniform_stability(self):
         report = analyze_stability(lti(0.5 * np.eye(2), np.eye(2)), k_max=10)
