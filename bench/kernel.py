@@ -27,13 +27,20 @@ temporary directory); and the analysis of ``isokal analyze --horizon 64
 straddle 1: ``check_observability`` (L_max = 64),
 ``lambda_min_asymptotics`` (K = 100) and ``analyze_stability``
 (k_max = 100, P0 = I), each given that report, the three in a row, and
-the ``observed_evolution_sequence`` walk of K steps, per step.
-It writes the perf_counter medians, in microseconds per call, as JSON
-together with the machine: CPU, numpy, scipy and OpenBLAS versions and the
-BLAS thread count, which is pinned to 1 before numpy loads.  isokal is
+the ``observed_evolution_sequence`` walk of K steps, per step.  The LTV
+sweep times the walk, ``harness.simulate`` and ``estimator.run`` per step
+on the first T steps of one record of 2000, for T = 100, 250, 500, 1000
+and 2000: each should stay flat in T.
+It writes the minimum over the perf_counter samples, in microseconds per
+call, as JSON together with the machine: CPU, numpy, scipy and OpenBLAS
+versions and the BLAS thread count, which is pinned to 1 before numpy
+loads.  The minimum is the least disturbed sample: other processes on a
+shared machine only ever add time, so medians of the same code spread
+wider between runs than the changes they are meant to show.  isokal is
 imported from ``src/`` next to this directory.  ``--tiny`` is a smoke run
-(d = 2 and 8, an LTV record of d = 4 and T = 40, a d = 16, m = 2 analysis
-with K = 20, three short repeats) of a few seconds.
+(d = 2 and 8, an LTV record of d = 4 and T = 40 with a sweep over T = 20
+and 40, a d = 16, m = 2 analysis with K = 20, three short repeats) of a
+few seconds.
 """
 
 import os
@@ -49,7 +56,6 @@ import glob  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
-import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -73,6 +79,7 @@ LTV_LAYERS = ("config_decode", "model_validation", "check_observability",
               "advance_observed_evolution", "observed_evolution_sequence_per_step",
               "simulate_per_step", "run_per_step", "write_estimates_csv",
               "estimate_batch_check")
+SWEEP_LAYERS = ("observed_evolution_sequence_per_step", "simulate_per_step", "run_per_step")
 ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
 ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
                   "analyze", "observed_evolution_sequence_per_step")
@@ -160,8 +167,8 @@ def ltv_record(d, m, T):
     return a_seq, h_seq, 1e-2 * (np.eye(m) + g @ np.swapaxes(g, 1, 2))
 
 
-def median_us(fn, repeats, target_s):
-    """Median over ``repeats`` samples of the seconds per call, in microseconds.
+def min_us(fn, repeats, target_s):
+    """Minimum over ``repeats`` samples of the seconds per call, in microseconds.
 
     Each sample loops ``fn`` for about ``target_s`` seconds, sized by one
     warm-up call.
@@ -175,7 +182,7 @@ def median_us(fn, repeats, target_s):
         for _ in range(number):
             fn()
         samples.append((time.perf_counter() - t0) / number)
-    return statistics.median(samples) * 1e6
+    return min(samples) * 1e6
 
 
 def measure(d, tiny):
@@ -196,23 +203,23 @@ def measure(d, tiny):
     report = observability.check_observability(model, d)
     eye = np.eye(d)
     return {
-        "_update": median_us(lambda: estimator._update(P, h, R), repeats, target_s),
-        "_update_fallback": median_us(lambda: estimator._update(singular, h, R),
-                                      repeats, target_s),
-        "step": median_us(lambda: estimator.step(state, y, R, model), repeats, target_s),
-        "gain_schedule_per_step": median_us(
+        "_update": min_us(lambda: estimator._update(P, h, R), repeats, target_s),
+        "_update_fallback": min_us(lambda: estimator._update(singular, h, R),
+                                   repeats, target_s),
+        "step": min_us(lambda: estimator.step(state, y, R, model), repeats, target_s),
+        "gain_schedule_per_step": min_us(
             lambda: estimator.gain_schedule(model, 1.0, T), repeats, target_s) / T,
         # T observations give T + 1 prefixes, the prior alone first
-        "wls_prefixes_per_prefix": median_us(
+        "wls_prefixes_per_prefix": min_us(
             lambda: collections.deque(estimator.wls_prefixes(model, None, 1.0, obs), maxlen=0),
             repeats, target_s) / (T + 1),
-        "advance_observed_evolution": median_us(
+        "advance_observed_evolution": min_us(
             lambda: advance_observed_evolution(model, 1, h, eye), repeats, target_s),
-        "analyze_stability": median_us(
+        "analyze_stability": min_us(
             lambda: stability.analyze_stability(model, 1.0, k_max), repeats, target_s),
-        "check_observability": median_us(
+        "check_observability": min_us(
             lambda: observability.check_observability(model, d), repeats, target_s),
-        "lambda_min_asymptotics": median_us(
+        "lambda_min_asymptotics": min_us(
             lambda: observability.lambda_min_asymptotics(model, 2 * d, report=report),
             repeats, target_s),
     }
@@ -240,11 +247,11 @@ def measure_ltv(tiny):
     }
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "estimates.csv"
-        write_us = median_us(lambda: write_estimates(path), repeats, target_s)
+        write_us = min_us(lambda: write_estimates(path), repeats, target_s)
         config_path = Path(tmp) / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        decode_us = median_us(lambda: cli._read_json(config_path, "--config"),
-                              repeats, target_s)
+        decode_us = min_us(lambda: cli._read_json(config_path, "--config"),
+                           repeats, target_s)
         obs_path = Path(tmp) / "observations.csv"
         harness.write_observations_csv(obs_path, obs)
         estimate = ["estimate", "--config", str(config_path), "--obs", str(obs_path),
@@ -252,26 +259,45 @@ def measure_ltv(tiny):
                     "--quiet"]
         if cli.main(estimate) != 0:
             raise RuntimeError("estimate --batch-check failed on the LTV record")
-        batch_check_us = median_us(lambda: cli.main(estimate), repeats, target_s)
+        batch_check_us = min_us(lambda: cli.main(estimate), repeats, target_s)
     layers = {
         "config_decode": decode_us,
-        "model_validation": median_us(lambda: SystemModel(a_seq, h_seq, r_seq),
-                                      repeats, target_s),
-        "check_observability": median_us(
+        "model_validation": min_us(lambda: SystemModel(a_seq, h_seq, r_seq),
+                                   repeats, target_s),
+        "check_observability": min_us(
             lambda: observability.check_observability(model, horizon), repeats, target_s),
-        "advance_observed_evolution": median_us(
+        "advance_observed_evolution": min_us(
             lambda: advance_observed_evolution(model, T // 2, mid.H_tilde_next, mid.phi),
             repeats, target_s),
-        "observed_evolution_sequence_per_step": median_us(
+        "observed_evolution_sequence_per_step": min_us(
             lambda: observed_evolution_sequence(model, T), repeats, target_s) / T,
-        "simulate_per_step": median_us(lambda: harness.simulate(model, x0, T, 1),
-                                       repeats, target_s) / T,
-        "run_per_step": median_us(lambda: estimator.run(model, None, 1.0, obs),
-                                  repeats, target_s) / T,
+        "simulate_per_step": min_us(lambda: harness.simulate(model, x0, T, 1),
+                                    repeats, target_s) / T,
+        "run_per_step": min_us(lambda: estimator.run(model, None, 1.0, obs),
+                               repeats, target_s) / T,
         "write_estimates_csv": write_us,
         "estimate_batch_check": batch_check_us,
     }
-    return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers}
+    return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers,
+            "sweep": measure_ltv_sweep(d, m, (20, 40) if tiny else (100, 250, 500, 1000, 2000),
+                                       repeats, target_s)}
+
+
+def measure_ltv_sweep(d, m, steps, repeats, target_s):
+    """Per-step walk, simulate and run on the first T steps of one LTV record, for each T."""
+    a_seq, h_seq, r_seq = ltv_record(d, m, max(steps))
+    sweep = {layer: {} for layer in SWEEP_LAYERS}
+    for T in steps:
+        model = SystemModel(a_seq[:T - 1], h_seq[:T], r_seq[:T])
+        x0 = np.ones(d)
+        obs = harness.simulate(model, x0, T, 1)
+        sweep["observed_evolution_sequence_per_step"][str(T)] = min_us(
+            lambda: observed_evolution_sequence(model, T), repeats, target_s) / T
+        sweep["simulate_per_step"][str(T)] = min_us(
+            lambda: harness.simulate(model, x0, T, 1), repeats, target_s) / T
+        sweep["run_per_step"][str(T)] = min_us(
+            lambda: estimator.run(model, None, 1.0, obs), repeats, target_s) / T
+    return sweep
 
 
 def measure_ensemble(tiny):
@@ -280,10 +306,10 @@ def measure_ensemble(tiny):
     T, trials = harness.EXAMPLE_STEPS, 100
     with tempfile.TemporaryDirectory() as tmp:
         layers = {
-            "monte_carlo": median_us(
+            "monte_carlo": min_us(
                 lambda: harness.monte_carlo(model, x0, x_hat0, p0, T, trials, 42),
                 repeats, target_s),
-            "reproduce_example": median_us(
+            "reproduce_example": min_us(
                 lambda: harness.reproduce_example("example1", trials, 42, tmp),
                 repeats, target_s),
         }
@@ -303,16 +329,16 @@ def measure_analyze(tiny):
         stability.analyze_stability(model, 1.0, K, report=obs_report)
 
     layers = {
-        "check_observability": median_us(
+        "check_observability": min_us(
             lambda: observability.check_observability(model, d), repeats, target_s),
-        "lambda_min_asymptotics": median_us(
+        "lambda_min_asymptotics": min_us(
             lambda: observability.lambda_min_asymptotics(model, K, report=report),
             repeats, target_s),
-        "analyze_stability": median_us(
+        "analyze_stability": min_us(
             lambda: stability.analyze_stability(model, 1.0, K, report=report),
             repeats, target_s),
-        "analyze": median_us(analyze, repeats, target_s),
-        "observed_evolution_sequence_per_step": median_us(
+        "analyze": min_us(analyze, repeats, target_s),
+        "observed_evolution_sequence_per_step": min_us(
             lambda: observed_evolution_sequence(model, K), repeats, target_s) / K,
     }
     return {"d": d, "m": m, "L_max": d, "K": K, "layers": layers}
@@ -333,10 +359,12 @@ def main(argv=None):
         "machine": machine(),
         "tiny": args.tiny,
         "unit": "us",
-        "statistic": "median of perf_counter samples",
+        "statistic": "minimum of perf_counter samples",
         "layers": {layer: {str(d): round(by_dim[d][layer], 3) for d in dims}
                    for layer in LAYERS},
-        "ltv": {**ltv, "layers": {layer: round(ltv["layers"][layer], 3) for layer in LTV_LAYERS}},
+        "ltv": {**ltv, "layers": {layer: round(ltv["layers"][layer], 3) for layer in LTV_LAYERS},
+                "sweep": {layer: {T: round(us, 3) for T, us in ltv["sweep"][layer].items()}
+                          for layer in SWEEP_LAYERS}},
         "ensemble": {**ensemble, "layers": {layer: round(ensemble["layers"][layer], 3)
                                             for layer in ENSEMBLE_LAYERS}},
         "analyze": {**analysis, "layers": {layer: round(analysis["layers"][layer], 3)
@@ -349,6 +377,9 @@ def main(argv=None):
         print(f"{layer:24s}" + "".join(f"  d={d}: {by_dim[d][layer]:10.1f}" for d in dims))
     for layer in LTV_LAYERS:
         print(f"ltv {layer:36s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
+    for layer in SWEEP_LAYERS:
+        print(f"ltv sweep {layer:30s}" + "".join(f"  T={T}: {us:8.2f}"
+                                                  for T, us in ltv["sweep"][layer].items()))
     for layer in ENSEMBLE_LAYERS:
         print(f"ensemble {layer:17s} {ensemble['trials']} trials, T={ensemble['T']}: "
               f"{ensemble['layers'][layer]:10.1f}")

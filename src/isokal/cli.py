@@ -1,9 +1,10 @@
 """Command-line interface: simulate, estimate, analyze, reproduce.
 
-Every subcommand is deterministic in (flags, config, seed) and writes a
-manifest next to its outputs recording the resolved inputs, tool version
-and wall-clock duration.  Exit codes: 0 success, 1 invalid flags or
-config, 2 I/O failure, 3 batch-check deviation above threshold.
+Every subcommand is deterministic in its flags and config (``simulate``
+and ``reproduce`` also take a seed) and writes a manifest next to its
+outputs recording the resolved inputs, tool version and wall-clock
+duration.  Exit codes: 0 success, 1 invalid flags or config, 2 I/O
+failure, 3 batch-check deviation above threshold.
 """
 
 import argparse
@@ -124,7 +125,7 @@ def _cmd_estimate(args):
     states = estimator.run(model, x_hat0, p0, obs)
     x_hat = np.array([s.x_hat for s in states])
     harness.write_estimates_csv(args.out, x_hat, [np.trace(s.P) for s in states], truth=truth)
-    _write_manifest(f"{args.out}.manifest.json", "estimate", args.config, args.seed,
+    _write_manifest(f"{args.out}.manifest.json", "estimate", args.config, None,
                     [args.out], started)
     if not args.quiet:
         print(f"wrote {len(x_hat)} estimate rows to {args.out}")
@@ -170,7 +171,7 @@ def _cmd_analyze(args):
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    _write_manifest(f"{args.out}.manifest.json", "analyze", args.config, args.seed,
+    _write_manifest(f"{args.out}.manifest.json", "analyze", args.config, None,
                     [args.out], started)
     if not args.quiet:
         print(f"verdict: {doc['verdict']}  classification: {doc['classification']}")
@@ -191,8 +192,9 @@ def _cmd_reproduce(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
 
     parser = _Parser(prog="isokal",
                      description="Initial-state estimation and error-dynamics analysis "
@@ -200,7 +202,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded],
                        help="generate noisy observations of a known initial state")
     p.add_argument("--config", required=True, help="system config JSON")
     p.add_argument("--x0", required=True, help="true initial state, comma-separated")
@@ -233,7 +235,7 @@ def build_parser():
                    help="scalar initial covariance for the stability traces (default 1)")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[seeded],
                        help="run a bundled example end to end (CSV file set + manifest)")
     p.add_argument("which", choices=list(harness.EXAMPLE_NAMES))
     p.add_argument("--trials", type=int, default=100, help="ensemble size (default 100)")

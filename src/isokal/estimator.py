@@ -261,7 +261,8 @@ def step(state, y_prev, R_prev, model):
     """Consume observation y(state.step) and return the refined state.
 
     The observation must be finite (ValueError otherwise), and so must the
-    state's observer (NonFiniteError naming the step otherwise).
+    state's observer and the new estimate (NonFiniteError naming the step
+    otherwise, as ``run`` names it).
     """
     y_prev = np.asarray(y_prev, dtype=float).reshape(-1)
     if not np.isfinite(y_prev).all():
@@ -274,15 +275,19 @@ def step(state, y_prev, R_prev, model):
         raise ValueError(f"observation has length {y_prev.shape[0]}, expected {h_tilde.shape[0]}")
 
     k_gain, p_next = _update(state.P, h_tilde, R_prev, k=state.step)
-    x_next = state.x_hat + (y_prev - state.x_hat @ h_tilde.T) @ k_gain.T
     try:
-        # An overflowed observer is reported by the next step, not by numpy warnings.
+        # An overflowed estimate is reported below, an overflowed observer by
+        # the next step, not by numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
+            x_next = state.x_hat + (y_prev - state.x_hat @ h_tilde.T) @ k_gain.T
             h_next, phi = advance_observed_evolution(model, state.step + 1, h_tilde, state.phi)
         # Frozen in place, not copied: LTI models hand back the previous phi.
         h_next.flags.writeable = phi.flags.writeable = False
     except HorizonError:
         h_next, phi = None, state.phi
+    if not np.isfinite(x_next).all():
+        raise NonFiniteError(f"estimate at step {state.step + 1} is not finite: "
+                             "it overflowed float64")
     return EstimatorState(step=state.step + 1, x_hat=readonly(x_next), P=readonly(p_next),
                           H_tilde_next=h_next, phi=phi)
 

@@ -91,7 +91,6 @@ class GramianGrowth:
     limit: float | None = None
     converged: bool = False
     beta: float | None = None
-    log_intercept: float | None = None
 
 
 def information_prefixes(model, count, start=0, anchors=1, observations=None):
@@ -119,10 +118,11 @@ def _accumulate(model, count, start=0, anchors=1, observations=None, state=None)
     """Yield the ``_Accumulator`` after each of ``count`` more terms.
 
     The accumulation of ``information_prefixes``, continued from ``state``
-    (an item of an earlier call with the same ``start``, ``anchors`` and
-    ``observations``) or begun at term 0 when it is None.  The terms are
-    added in the same order with the same operations either way, so a
-    continued accumulation carries the bits of one uninterrupted pass.
+    (an item of an earlier call with the same ``start`` and
+    ``observations``, or its leading rows, which then go on alone) or begun
+    at term 0 when it is None.  Each row's terms are added in the same order
+    with the same operations either way, so a continued accumulation carries
+    the bits of one uninterrupted pass.
     """
     if count < 0 or anchors < 1:
         raise ValueError(f"need count >= 0 and anchors >= 1, got {count} and {anchors}")
@@ -192,11 +192,14 @@ def _lambda_min(gramians):
 def check_observability(model, L_max, rho_tol=1e-9):
     """Find the smallest window length certifying (uniform) observability.
 
-    LTI systems need a single window anchored at 0.  For LTV models every
-    anchor inside the finite data horizon is verified; nothing is
-    extrapolated beyond the data.  Not finding a window is a verdict
-    ("NotObservableUpTo"), not an error.  ``rho_tol`` must be finite and
-    positive.
+    An LTI model with constant noise needs the single window anchored at 0;
+    otherwise every anchor inside the finite data horizon is verified, the
+    windows of all anchors growing together, and nothing is extrapolated
+    beyond the data.  Row 0 of that stack is the anchor-0 window, whose
+    lambda_min is the trace entry, so a window length it fails is not
+    decomposed; past the certifying window the trace continues from row 0
+    alone.  Not finding a window is a verdict ("NotObservableUpTo"), not an
+    error.  ``rho_tol`` must be finite and positive.
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
@@ -204,34 +207,21 @@ def check_observability(model, L_max, rho_tol=1e-9):
         raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
-    trace = []
-    for acc in _accumulate(model, k_max):
+    anchors = 1 if model.is_lti and model.isotropic else horizon
+    trace, L, rho = [], k_max, None
+    for acc in _accumulate(model, k_max, anchors=anchors):
         trace.append(_lambda_min(acc.info[0]))
-    trace = np.array(trace)
-
-    def report(L, rho):
-        verdict = "NotObservableUpTo" if rho is None else "Observable"
-        return ObservabilityReport(verdict=verdict, L=L, rho=rho, L_max=L_max,
-                                   rho_tol=rho_tol, lambda_min_trace=trace, _accumulator=acc)
-
-    if model.is_lti and model.isotropic:
-        passing = np.flatnonzero(trace >= rho_tol)
-        if passing.size:
-            return report(int(passing[0]) + 1, float(trace[passing[0]]))
-        return report(k_max, None)
-
-    # Time-varying (a finite horizon): certify every window of length L
-    # inside the horizon, growing the windows of all anchors together.  Row
-    # 0 of the stack is the anchor-0 window, whose lambda_min is trace[L-1]
-    # with the same bits, so a window length it fails is not decomposed.
-    windows = information_prefixes(model, k_max, anchors=horizon)
-    for L, (stack, _) in enumerate(windows, start=1):
-        if trace[L - 1] < rho_tol:
-            continue
-        window_min = _lambda_min(stack).min()
-        if window_min >= rho_tol:
-            return report(L, float(window_min))
-    return report(k_max, None)
+        if trace[-1] >= rho_tol:
+            window_min = trace[-1] if anchors == 1 else _lambda_min(acc.info).min()
+            if window_min >= rho_tol:
+                L, rho = acc.terms, float(window_min)
+                break
+    acc = acc._replace(info=acc.info[:1], h_tilde=acc.h_tilde[:1], phi=acc.phi[:1])
+    for acc in _accumulate(model, k_max - L, state=acc):
+        trace.append(_lambda_min(acc.info[0]))
+    return ObservabilityReport(verdict="NotObservableUpTo" if rho is None else "Observable",
+                               L=L, rho=rho, L_max=L_max, rho_tol=rho_tol,
+                               lambda_min_trace=np.array(trace), _accumulator=acc)
 
 
 def _require_observable(model, report=None):
@@ -257,12 +247,13 @@ def _tail_fit(values, what, first=0):
     """Slope and intercept of the line through log(values[i]) vs k = first + i, tail half.
 
     The tail half, entries len // 2 on, skips the transient; its entries must
-    be positive.  Fewer than 2 points fit no line: ValueError names ``what``.
+    be positive.  A line through fewer than 3 points is no fit, so a shorter
+    tail raises ValueError naming ``what``.
     """
     n = len(values)
-    if n - n // 2 < 2:
+    if n - n // 2 < 3:
         raise ValueError(f"the tail half of {what} holds {n - n // 2} point(s): "
-                         f"a fitted rate needs at least 2")
+                         f"a fitted rate needs at least 3")
     ks = np.arange(first + n // 2, first + n)
     slope, intercept = np.polyfit(ks, np.log(values[n // 2:]), 1)
     return float(slope), float(intercept)
@@ -274,8 +265,8 @@ def lambda_min_asymptotics(model, K, report=None):
     Unbounded when min |eig(A)| > 1, with a log-linear fit of the trace's
     tail half (supporting a lower bound rho * exp(beta k)); a tail entry
     that is not positive, where float64 no longer resolves lambda_min,
-    raises ValueError naming its k instead of a fit.  So does K = 2, whose
-    tail half is a single point.  Convergent to a
+    raises ValueError naming its k instead of a fit.  So does K < 5, whose
+    tail half holds fewer than 3 points.  Convergent to a
     positive limit when min |eig(A)| < 1.  Within the SPECTRAL_BAND_TOL band
     around 1 the class is Undetermined.  A ``check_observability``
     ``report`` of the model certifies it as ``_require_observable`` says.
@@ -293,9 +284,8 @@ def lambda_min_asymptotics(model, K, report=None):
     # The report's trace is row 0 of the same accumulator through the same
     # _lambda_min, and the accumulation continues where it stopped, so every
     # entry carries the bits of one pass from step 0.
-    state = report._accumulator
-    head = list(report.lambda_min_trace[:K]) if state is not None else []
-    more = _accumulate(model, K - len(head), state=state) if len(head) < K else ()
+    head = list(report.lambda_min_trace[:K])
+    more = _accumulate(model, K - len(head), state=report._accumulator) if len(head) < K else ()
     trace = np.array(head + [_lambda_min(acc.info[0]) for acc in more])
     lam_min = float(model.eigs_abs[-1])
 
@@ -306,9 +296,8 @@ def lambda_min_asymptotics(model, K, report=None):
             raise ValueError(f"lambda_min(O(k,0)) = {trace[k - 1]:.3e} at k = {k} is not "
                              f"positive: float64 no longer resolves it, so no growth rate "
                              f"is fitted")
-        slope, intercept = _tail_fit(trace, f"lambda_min(O(k,0)), k = 1..{K},", first=1)
-        return GramianGrowth(growth_class="Unbounded", lambda_min_trace=trace,
-                             beta=slope, log_intercept=intercept)
+        slope, _ = _tail_fit(trace, f"lambda_min(O(k,0)), k = 1..{K},", first=1)
+        return GramianGrowth(growth_class="Unbounded", lambda_min_trace=trace, beta=slope)
     if lam_min < 1.0 - SPECTRAL_BAND_TOL:
         converged = abs(trace[-1] - trace[-2]) <= CONVERGENCE_RTOL * trace[-1]
         return GramianGrowth(growth_class="BoundedLimit", lambda_min_trace=trace,

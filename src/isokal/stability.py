@@ -21,11 +21,6 @@ from . import estimator
 from .observability import (SPECTRAL_BAND_TOL, UnobservableModelError, _require_observable,
                             _tail_fit)
 
-#: Covariances per stacked Psi(k,0)^T Psi(k,0) product of a non-isotropic
-#: P0; one (k_max+1, d, d) product stack would add its size (3.3 MB at
-#: d = 64, k_max = 100) to the peak memory.
-_PSI_CHUNK = 16
-
 UNIFORMLY_ASYMPTOTICALLY_STABLE = "UniformlyAsymptoticallyStable"
 LYAPUNOV_STABLE_ONLY = "LyapunovStableOnly"
 INDETERMINATE = "Indeterminate"
@@ -117,12 +112,10 @@ def exponential_fit(psi_norms):
     A least-squares line through log ||Psi(k,0)|| vs k on the tail half of
     the sequence (skipping transients); values at and after the first
     non-positive entry are dropped, since the decay there is exact.  A
-    tail of fewer than 2 points raises ValueError.  Returns (alpha, beta)
+    tail of fewer than 3 points raises ValueError.  Returns (alpha, beta)
     with beta = -slope.
     """
     norms = np.asarray(psi_norms, dtype=float)
-    if norms.size < 5:
-        raise ValueError(f"need at least 5 norm values, got {norms.size}")
     nonzero = np.flatnonzero(norms <= 0.0)
     if nonzero.size:
         norms = norms[: nonzero[0]]
@@ -161,18 +154,17 @@ def gelfand_diagnostic(a, n_max):
     return out
 
 
-def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
+def analyze_stability(model, P0=1.0, k_max=40, report=None):
     """Assemble a StabilityReport from the deterministic covariance run.
 
     P0 may be a scalar p (meaning p * I); it is checked as ``estimator.init``
-    checks it.  The Lyapunov trace follows
-    z(k) = Psi_k z(k-1) from z0 (default: the normalized all-ones vector);
-    by the covariance-inverse identity z(k) = P_k P0^-1 z0, so it is read
-    off the covariance stack without factorizing any P_k.  The norms are
-    ||P_k||_2 = max |eig(P_k)|, one stacked eigvalsh, and, for P0 = p I
-    (a scalar or a matrix equal to p I), ||Psi(k,0)||_2 = ||P_k||_2 / p,
-    since Psi(k,0) = P_k / p; any other P0 takes
-    sqrt(lambda_max(Psi^T Psi)) in chunks of _PSI_CHUNK covariances.
+    checks it.  The Lyapunov trace follows z(k) = Psi_k z(k-1) from the
+    normalized all-ones vector z0; by the covariance-inverse identity
+    z(k) = P_k P0^-1 z0, so it is read off the covariance stack without
+    factorizing any P_k.  The norms are ||P_k||_2 = max |eig(P_k)|, one
+    stacked eigvalsh, and, for P0 = p I (a scalar or a matrix equal to
+    p I), ||Psi(k,0)||_2 = ||P_k||_2 / p, since Psi(k,0) = P_k / p; any
+    other P0 takes sqrt(lambda_max(Psi^T Psi)) of the stacked products.
     Classification is attempted for observable LTI models and left None
     otherwise; ``report`` certifies the model as ``_require_observable``
     says, and the spectrum is the model's ``eigs_abs``.
@@ -185,16 +177,11 @@ def analyze_stability(model, P0=1.0, k_max=40, z0=None, report=None):
         # Psi(k,0) = P_k / p exactly, so its norm is ||P_k|| / p.
         psi_norms = p_norm_trace / p
     else:
-        psi_sq = []
-        for c in np.split(covs, range(_PSI_CHUNK, len(covs), _PSI_CHUNK)):
-            psi = c @ p0_inv
-            psi_sq.append(np.linalg.eigvalsh(psi.swapaxes(1, 2) @ psi)[:, -1])
-        psi_norms = np.sqrt(np.concatenate(psi_sq))
+        psi = covs @ p0_inv
+        psi_norms = np.sqrt(np.linalg.eigvalsh(psi.swapaxes(1, 2) @ psi)[:, -1])
 
-    if z0 is None:
-        z0 = np.ones(model.d) / np.sqrt(model.d)
     # z(k) = Psi(k,0) z0 = P_k u with u = P0^-1 z0, so V(k, z(k)) = u^T P_k u.
-    u = p0_inv @ np.asarray(z0, dtype=float)
+    u = p0_inv @ (np.ones(model.d) / np.sqrt(model.d))
     v_trace = np.einsum("i,kij,j->k", u, covs, u)
     monotone = bool(np.max(np.diff(v_trace)) <= 1e-12 * v_trace[0]) if k_max >= 1 else True
 

@@ -16,6 +16,7 @@ def test_tiny_run_writes_valid_json(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["tiny"] is True and doc["unit"] == "us"
+    assert doc["statistic"] == "minimum of perf_counter samples"
     machine = doc["machine"]
     for key in ("cpu", "nproc", "python", "numpy", "scipy", "openblas", "blas_threads"):
         assert key in machine
@@ -34,6 +35,11 @@ def test_tiny_run_writes_valid_json(tmp_path):
                                   "observed_evolution_sequence_per_step", "simulate_per_step",
                                   "run_per_step", "write_estimates_csv", "estimate_batch_check"}
     assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
+    assert set(ltv["sweep"]) == {"observed_evolution_sequence_per_step", "simulate_per_step",
+                                 "run_per_step"}
+    for by_steps in ltv["sweep"].values():
+        assert set(by_steps) == {"20", "40"}
+        assert all(math.isfinite(v) and v > 0.0 for v in by_steps.values())
     ensemble = doc["ensemble"]
     assert (ensemble["example"], ensemble["T"], ensemble["trials"]) == ("example1", 40, 100)
     assert set(ensemble["layers"]) == {"monte_carlo", "reproduce_example"}

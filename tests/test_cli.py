@@ -423,9 +423,10 @@ class TestAnalyze:
             calls.append(args)
             return real(*args, **kwargs)
 
-        def counted_accumulate(model, count, *args, **kwargs):
-            terms.append(count)
-            return real_accumulate(model, count, *args, **kwargs)
+        def counted_accumulate(*args, **kwargs):
+            for acc in real_accumulate(*args, **kwargs):
+                terms.append(acc.terms)
+                yield acc
 
         monkeypatch.setattr(observability, "check_observability", counted)
         monkeypatch.setattr(cli, "check_observability", counted)
@@ -436,8 +437,8 @@ class TestAnalyze:
                        f"--rho-tol={rho_tol}", "--out", out, "--quiet") == 0
         assert len(calls) == 1
         # the certificate's 6 information terms, then the growth trace
-        # continues from its accumulator: 30 terms in all, not 36
-        assert terms == [6, 24]
+        # continues from its accumulator: 30 terms added in all, not 36
+        assert terms == list(range(1, 31))
         monkeypatch.undo()
 
         model = load_model(example1_config)
@@ -476,16 +477,28 @@ class TestAnalyze:
         assert "is not positive" in err[0]
         assert not out.exists()
 
-    def test_one_point_growth_tail_exits_1(self, tmp_path, example1_config, capsys):
-        # --k-max 2 leaves example1's growth fit one point: an error, no
-        # RankWarning (filterwarnings = error would raise it) and no report
+    @pytest.mark.parametrize("k_max, points", [(2, 1), (3, 2), (4, 2)])
+    def test_short_growth_tail_exits_1(self, tmp_path, example1_config, capsys, k_max,
+                                       points):
+        # --k-max 2..4 leaves example1's growth fit under 3 points: an error,
+        # no RankWarning (filterwarnings = error would raise it) and no report
         cfg = write_config(tmp_path, example1_config)
         out = tmp_path / "report.json"
-        assert run_cli("analyze", "--config", cfg, "--horizon", "4", "--k-max", "2",
+        assert run_cli("analyze", "--config", cfg, "--horizon", "4", "--k-max", k_max,
                        "--out", out) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("isokal analyze: error: the tail half")
+        assert f"k = 1..{k_max}, holds {points} point(s)" in err[0]
         assert not out.exists()
+
+    def test_shortest_fitted_tail(self, tmp_path, example1_config):
+        # --k-max 5: a 3-point growth tail and a 3-point norm tail, both fitted
+        cfg = write_config(tmp_path, example1_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "4", "--k-max", "5",
+                       "--out", out, "--quiet") == 0
+        doc = json.loads(out.read_text())
+        assert doc["beta_fit"] > 0 and doc["beta"] > 0 and doc["alpha"] > 0
 
     def test_nan_is_never_written(self, tmp_path, example2_config, capsys, monkeypatch):
         cfg = write_config(tmp_path, example2_config)
@@ -608,6 +621,22 @@ class TestFlagErrors:
         assert run_cli(argv[0], "--config", cfg, *argv[1:]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"isokal {argv[0]}: error: {message}"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--obs", "in.csv", "--p0", "0.01", "--out", "est.csv"],
+        ["analyze", "--horizon", "5", "--k-max", "20", "--out", "report.json"],
+    ], ids=["estimate", "analyze"])
+    def test_seed_is_not_an_option(self, tmp_path, example2_config, capsys, argv):
+        # only simulate and reproduce draw random numbers
+        cfg = write_config(tmp_path, example2_config)
+        (tmp_path / "in.csv").write_text("k,y_0\n0,0.5\n")
+        before = sorted(tmp_path.iterdir())
+        argv = [tmp_path / a if a.endswith((".csv", ".json")) else a for a in argv]
+        assert run_cli(argv[0], "--config", cfg, *argv[1:], "--seed", "1") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "isokal: error: unrecognized arguments: --seed 1"
+        assert len(err) == 2 and err[0].startswith("usage: ")
         assert sorted(tmp_path.iterdir()) == before
 
     def test_trials_names_the_flag(self, tmp_path, capsys):

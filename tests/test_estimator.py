@@ -683,6 +683,22 @@ class TestOverflow:
         with pytest.raises(NonFiniteError, match="estimate at step 2 is not finite"):
             run(model, [1e200], 1e-300, np.zeros((2, 1)))
 
+    def test_step_names_the_estimate_run_names(self):
+        # A = -1 and y = 1e308: x^_1 is about 1e308 and H~_1 = -1, so the
+        # innovation of step 2 overflows; step raises at that step, with
+        # run's message and no warning (filterwarnings = error)
+        model = SystemModel([[-1.0]], [[1.0]], 1e-6)
+        obs = np.full((3, 1), 1e308)
+        with pytest.raises(NonFiniteError) as from_run:
+            run(model, [0.0], 1.0, obs)
+        state = init(model, [0.0], 1.0)
+        with pytest.raises(NonFiniteError) as from_step:
+            for y in obs:
+                state = step(state, y, model.R_at(state.step), model)
+        assert state.step == 1
+        assert str(from_step.value) == str(from_run.value) == \
+            "estimate at step 2 is not finite: it overflowed float64"
+
 
 def test_covariance_sequence_matches_run(example2):
     model, x0, x_hat0, p0, _ = example2

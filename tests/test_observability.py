@@ -409,14 +409,15 @@ class TestGrowthClassification:
         with pytest.raises(ValueError, match=f"at k = {k} is not positive"):
             lambda_min_asymptotics(model, K=60)
 
-    @pytest.mark.parametrize("K, fitted", [(2, False), (3, True)])
-    def test_one_point_tail_is_not_fitted(self, example1, K, fitted):
-        # the tail half of K = 2 is k = 2 alone: no line, and no RankWarning
-        # (which filterwarnings = error would raise); K = 3 fits k = 2, 3
-        if fitted:
+    @pytest.mark.parametrize("K, points", [(2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_short_tail_is_not_fitted(self, example1, K, points):
+        # a tail half under 3 points is no fit (and for K = 2, whose tail is
+        # k = 2 alone, no RankWarning, which filterwarnings = error would
+        # raise); K = 5 fits k = 3..5
+        if points >= 3:
             assert lambda_min_asymptotics(example1[0], K=K).beta > 0
         else:
-            with pytest.raises(ValueError, match=r"k = 1\.\.2, holds 1 point"):
+            with pytest.raises(ValueError, match=rf"k = 1\.\.{K}, holds {points} point"):
                 lambda_min_asymptotics(example1[0], K=K)
 
     def test_unit_magnitude_band_undetermined(self):
@@ -562,14 +563,14 @@ class TestReportReuse:
 
     @pytest.mark.parametrize("which", ["example1", "example2", "lti_per_step_r"])
     @pytest.mark.parametrize("L_max", [1, 4, 7])
-    @pytest.mark.parametrize("K", [3, 4, 7, 9])
+    @pytest.mark.parametrize("K", [5, 6, 7, 9])
     @pytest.mark.parametrize("replaced", [False, True], ids=["report", "replaced"])
     def test_growth_trace_continues_the_report_accumulator(self, which, L_max, K, replaced,
                                                            request, monkeypatch):
-        # K below, at and above the report's L_max; a report with L_max < d
-        # certifies afresh and the trace continues from that certificate.
-        # Either way the trace has the bits of one uninterrupted pass, and
-        # each anchor-0 information term is accumulated once.
+        # K below, at and above the report's L_max (K >= 5 fits example1's
+        # growth); a report with L_max < d certifies afresh and the trace
+        # continues from that certificate.  Either way the trace has the bits
+        # of one uninterrupted pass, and each information term is added once.
         model = (ltv_fixture(which) if which == "lti_per_step_r"
                  else request.getfixturevalue(which)[0])
         fresh = np.array([np.linalg.eigvalsh(info[0])[0]
@@ -580,16 +581,17 @@ class TestReportReuse:
         terms = []
         real = observability._accumulate
 
-        def counted(model, count, start=0, anchors=1, observations=None, state=None):
-            if anchors == 1:
-                terms.append(count)
-            return real(model, count, start, anchors, observations, state)
+        def counted(*args, **kwargs):
+            for acc in real(*args, **kwargs):
+                terms.append(acc.terms)
+                yield acc
 
         monkeypatch.setattr(observability, "_accumulate", counted)
         growth = lambda_min_asymptotics(model, K, report=report)
         head = min(model.d, model.horizon or model.d) if L_max < model.d \
             else len(report.lambda_min_trace)
-        assert sum(terms) == (head if L_max < model.d else 0) + max(K - head, 0)
+        first = 0 if L_max < model.d else head
+        assert terms == list(range(first + 1, max(K, head) + 1))
         monkeypatch.undo()
         np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
         np.testing.assert_array_equal(lambda_min_asymptotics(model, K).lambda_min_trace, fresh)

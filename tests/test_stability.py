@@ -173,15 +173,18 @@ class TestExponentialFit:
         assert beta == pytest.approx(0.5, abs=1e-9)
 
     def test_too_few_values_rejected(self):
-        with pytest.raises(ValueError, match="at least 5"):
+        with pytest.raises(ValueError, match="holds 1 point.*needs at least 3"):
             exponential_fit([1.0, 0.5])
 
     def test_one_point_tail_rejected(self):
         # five values, two of them positive: the tail half is one point, so
-        # no line is fitted and no RankWarning leaks
+        # no line is fitted and no RankWarning leaks; four positive values
+        # leave two tail points, five leave three, the fewest fitted
         with pytest.raises(ValueError, match="holds 1 point"):
             exponential_fit([1.0, 0.5, 0.0, 0.0, 0.0])
-        _alpha, beta = exponential_fit([1.0, 0.5, 0.25, 0.0, 0.0])
+        with pytest.raises(ValueError, match="holds 2 point"):
+            exponential_fit([1.0, 0.5, 0.25, 0.125, 0.0])
+        _alpha, beta = exponential_fit([1.0, 0.5, 0.25, 0.125, 0.0625, 0.0])
         assert beta == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_example1_run_decays(self, example1):
