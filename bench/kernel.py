@@ -287,9 +287,9 @@ def measure_ltv_sweep(d, m, steps, repeats, target_s):
     """Per-step walk, simulate and run on the first T steps of one LTV record, for each T."""
     a_seq, h_seq, r_seq = ltv_record(d, m, max(steps))
     sweep = {layer: {} for layer in SWEEP_LAYERS}
+    x0 = np.ones(d)
     for T in steps:
         model = SystemModel(a_seq[:T - 1], h_seq[:T], r_seq[:T])
-        x0 = np.ones(d)
         obs = harness.simulate(model, x0, T, 1)
         sweep["observed_evolution_sequence_per_step"][str(T)] = min_us(
             lambda: observed_evolution_sequence(model, T), repeats, target_s) / T
