@@ -27,7 +27,13 @@ temporary directory); and the analysis of ``isokal analyze --horizon 64
 straddle 1: ``check_observability`` (L_max = 64),
 ``lambda_min_asymptotics`` (K = 100) and ``analyze_stability``
 (k_max = 100, P0 = I), each given that report, the three in a row, and
-the ``observed_evolution_sequence`` walk of K steps, per step.  The LTV
+the ``observed_evolution_sequence`` walk of K steps, per step.  The two
+forms of the filter pass, ``estimator._information_schedule`` and
+``estimator._joseph_schedule``, are timed per step on the same observers
+of that LTV record and of that analysis model (T = K), their samples taken
+in turn, A, B, A, B, in one process, so that a slow phase of the machine
+hits both alike; the JSON gives each minimum, their ratio (Joseph over
+information) and the form the gate picks.  The LTV
 sweep times the walk, ``harness.simulate`` and ``estimator.run`` per step
 on the first T steps of one record of 2000, for T = 100, 250, 500, 1000
 and 2000: each should stay flat in T.
@@ -83,6 +89,7 @@ SWEEP_LAYERS = ("observed_evolution_sequence_per_step", "simulate_per_step", "ru
 ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
 ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
                   "analyze", "observed_evolution_sequence_per_step")
+SCHEDULE_FORMS = ("information", "joseph")
 
 
 def machine():
@@ -173,16 +180,28 @@ def min_us(fn, repeats, target_s):
     Each sample loops ``fn`` for about ``target_s`` seconds, sized by one
     warm-up call.
     """
-    t0 = time.perf_counter()
-    fn()
-    number = max(1, int(target_s / max(time.perf_counter() - t0, 1e-9)))
-    samples = []
-    for _ in range(repeats):
+    return interleaved_min_us([fn], repeats, target_s)[0]
+
+
+def interleaved_min_us(fns, repeats, target_s):
+    """``min_us`` of each of ``fns``, from samples taken in turn: A, B, A, B, ...
+
+    Each function's loop is sized by its own warm-up call; every round takes
+    one sample of each, so a slow phase of the machine hits all alike.
+    """
+    numbers = []
+    for fn in fns:
         t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        samples.append((time.perf_counter() - t0) / number)
-    return min(samples) * 1e6
+        fn()
+        numbers.append(max(1, int(target_s / max(time.perf_counter() - t0, 1e-9))))
+    samples = [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, number, out in zip(fns, numbers, samples):
+            t0 = time.perf_counter()
+            for _ in range(number):
+                fn()
+            out.append((time.perf_counter() - t0) / number)
+    return [min(out) * 1e6 for out in samples]
 
 
 def measure(d, tiny):
@@ -344,6 +363,28 @@ def measure_analyze(tiny):
     return {"d": d, "m": m, "L_max": d, "K": K, "layers": layers}
 
 
+def measure_schedules(tiny):
+    """Both forms of the filter pass, interleaved, on the LTV record and the analysis model."""
+    repeats, target_s = (3, 0.005) if tiny else (15, 0.05)
+    d, m, T = (4, 1, 40) if tiny else (8, 1, 800)
+    cases = {"ltv": SystemModel(*ltv_record(d, m, T))}
+    d, m, K = (16, 2, 20) if tiny else (64, 8, 100)
+    cases["analyze"] = rotation_system(d, m)
+    out = {}
+    for name, model in cases.items():
+        steps = T if name == "ltv" else K
+        p0 = np.eye(model.d)
+        h_tilde = observed_evolution_sequence(model, steps)[0]
+        per_step = [us / steps for us in interleaved_min_us(
+            [lambda: estimator._information_schedule(model, p0, h_tilde),
+             lambda: estimator._joseph_schedule(model, p0, h_tilde)], repeats, target_s)]
+        out[name] = {"d": model.d, "m": model.m, "T": steps,
+                     "gate_form": estimator.gain_schedule(model, p0, steps).form,
+                     "per_step": dict(zip(SCHEDULE_FORMS, per_step)),
+                     "ratio": per_step[1] / per_step[0]}
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="smoke run: d = 2, 8, short repeats")
@@ -355,6 +396,7 @@ def main(argv=None):
     ltv = measure_ltv(args.tiny)
     ensemble = measure_ensemble(args.tiny)
     analysis = measure_analyze(args.tiny)
+    schedules = measure_schedules(args.tiny)
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
@@ -369,6 +411,10 @@ def main(argv=None):
                                             for layer in ENSEMBLE_LAYERS}},
         "analyze": {**analysis, "layers": {layer: round(analysis["layers"][layer], 3)
                                            for layer in ANALYZE_LAYERS}},
+        "schedule": {name: {**case, "per_step": {form: round(us, 3)
+                                                 for form, us in case["per_step"].items()},
+                            "ratio": round(case["ratio"], 3)}
+                     for name, case in schedules.items()},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -386,6 +432,10 @@ def main(argv=None):
     for layer in ANALYZE_LAYERS:
         print(f"analyze {layer:36s} d={analysis['d']}, K={analysis['K']}: "
               f"{analysis['layers'][layer]:10.1f}")
+    for name, case in schedules.items():
+        print(f"schedule {name:8s} d={case['d']}, T={case['T']}, gate: {case['gate_form']:11s}"
+              + "".join(f"  {form}: {us:8.2f}" for form, us in case["per_step"].items())
+              + f"  ratio: {case['ratio']:.2f}")
     return 0
 
 

@@ -43,6 +43,25 @@ def spd_inverse(m, what="matrix"):
     return symmetrize(spd_solve(m, np.eye(d), what))
 
 
+def tril_solve(lower, b, trans=False):
+    """Solve L X = B, or L^T X = B with ``trans``, for lower-triangular L.
+
+    ``lower`` and ``b`` may be stacks that broadcast.  Substitution row by
+    row, each row one batched product over the whole stack, so a long stack
+    of small systems costs n numpy calls instead of one LAPACK call per
+    system.
+    """
+    n = lower.shape[-1]
+    x = np.empty(np.broadcast_shapes(lower.shape[:-1] + b.shape[-1:], b.shape))
+    for i in reversed(range(n)) if trans else range(n):
+        if trans:
+            known = np.swapaxes(lower[..., i + 1:, i:i + 1], -1, -2) @ x[..., i + 1:, :]
+        else:
+            known = lower[..., i:i + 1, :i] @ x[..., :i, :]
+        x[..., i, :] = (b[..., i, :] - known[..., 0, :]) / lower[..., i, i, None]
+    return x
+
+
 def spectral_norm(m):
     """Largest singular value."""
     m = np.atleast_2d(m)

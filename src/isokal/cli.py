@@ -9,6 +9,7 @@ failure, 3 batch-check deviation above threshold.
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -86,7 +87,7 @@ def _parse_p0(text):
     return _as_array(_read_json(text, name), name)
 
 
-def _write_manifest(path, command, config, seed, outputs, started):
+def _write_manifest(path, command, config, seed, outputs, started, **fields):
     doc = {
         "command": command,
         "config": str(Path(config).resolve()) if config else None,
@@ -94,6 +95,7 @@ def _write_manifest(path, command, config, seed, outputs, started):
         "outputs": sorted(str(Path(p)) for p in outputs),
         "version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
+        **fields,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -122,11 +124,13 @@ def _cmd_estimate(args):
     p0 = _parse_p0(args.p0)
     truth = _parse_state(args.truth, model.d, "--truth") if args.truth else None
 
-    states = estimator.run(model, x_hat0, p0, obs)
-    x_hat = np.array([s.x_hat for s in states])
-    harness.write_estimates_csv(args.out, x_hat, [np.trace(s.P) for s in states], truth=truth)
+    schedule, x_hat = estimator._estimate(model, x_hat0, p0, obs)[:2]
+    harness.write_estimates_csv(args.out, x_hat, np.trace(schedule.P, axis1=1, axis2=2),
+                                truth=truth)
+    bound = schedule.cond_bound
     _write_manifest(f"{args.out}.manifest.json", "estimate", args.config, None,
-                    [args.out], started)
+                    [args.out], started, schedule_form=schedule.form,
+                    schedule_cond_bound=bound if math.isfinite(bound) else None)
     if not args.quiet:
         print(f"wrote {len(x_hat)} estimate rows to {args.out}")
 

@@ -10,9 +10,12 @@ where H~_k = H_k A(k,0) observes the evolved initial state.  The covariance
 is propagated in the Joseph form above (PSD-preserving under rounding); the
 algebraically equal short form (I - K H~) P is checked against it at every
 update.  P_k, K_k and H~_k never depend on the observed values, so
-``gain_schedule``, the Joseph recursion over one ``observed_evolution_sequence``
-walk, computes them once for any number of streams, and ``run`` folds the
-estimate update over it; ``step`` takes one observation at a time.
+``gain_schedule`` computes them once for any number of streams, over one
+``observed_evolution_sequence`` walk, and ``run`` folds the estimate update
+over it; ``step`` takes one observation at a time.  A pass whose information
+matrices P_k^-1 = P0^-1 + O(k,0) are provably well conditioned is computed
+in information form, as batched prefix sums and factorizations, and any
+other pass by the Joseph recursion of ``step``.
 ``wls_prefixes`` solves the same weighted least-squares problem from the
 normal equations and serves as an independent cross-check.
 
@@ -29,7 +32,8 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._linalg import asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
+from ._linalg import (asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize,
+                      tril_solve)
 from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
                     observed_evolution_sequence)
 from .observability import information_prefixes
@@ -39,7 +43,9 @@ from .observability import information_prefixes
 PSD_SLACK = 1e-12
 
 #: Mixed absolute/relative bound on the spectral-norm gap between the
-#: Joseph and short-form covariance updates.
+#: Joseph and short-form covariance updates.  The information form of a
+#: pass uses it twice: as the limit on d eps times its condition bound, and
+#: as the bound on every residual ||P_k N_k - I||_F.
 JOSEPH_TOL = 1e-8
 
 
@@ -68,6 +74,8 @@ class GainSchedule:
     h_tilde: np.ndarray       # (T, m, d): H~_k, k = 0..T-1
     gain: np.ndarray          # (T, d, m): K_k+1, applied to y(k)
     P: np.ndarray             # (T+1, d, d): P_k, k = 0..T
+    form: str                 # "information" or "joseph": the recursion that ran
+    cond_bound: float         # the bound on cond_2(P_k^-1) that chose it
 
 
 def _state_vector(value, d, name):
@@ -306,34 +314,139 @@ def _as_observations(observations, m):
     return obs
 
 
-def _pass(model, P0, T):
-    """The observation-independent part of a T-step filter pass from a checked P0.
+def _joseph_schedule(model, P0, h_tilde):
+    """Gains and covariances of the Joseph recursion over the observers ``h_tilde``.
 
-    Returns the GainSchedule and the read-only observers and transitions
-    A(k,0), k = 0..T, of one ``observed_evolution_sequence`` walk; past the
-    horizon of a time-varying model there is no observer H~_T, and the
-    walk stops at step T-1.  Every update has the checks of ``step``; the
-    factors of R_k are the model's own.
+    Every update has the checks of ``step``; the factors of R_k are the
+    model's own.  Returns the writable (T, d, m) gains and (T+1, d, d)
+    covariances, P_0 = P0.
     """
-    horizon = model.horizon
-    if horizon is not None and T > horizon:
-        raise HorizonError(f"no observation available at step {horizon}")
-    observers, transitions = observed_evolution_sequence(
-        model, T if T == horizon and not model.is_lti else T + 1)
+    T = len(h_tilde)
     gains = np.empty((T, model.d, model.m))
     covs = np.empty((T + 1, model.d, model.d))
     covs[0] = P0
     r_factors = model.noise_factors(T)
     # An overflowed observer is reported by _check_observer, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, h in enumerate(observers[:T]):
+        for k, h in enumerate(h_tilde):
             try:
                 gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
             except (ValueError, np.linalg.LinAlgError):
                 _check_observer(h, k)
                 raise
+    return gains, covs
+
+
+def _information_bound(model, P0, h_tilde):
+    """A priori bound on cond_2(N_k), N_k = P0^-1 + O(k,0), for every k = 0..T.
+
+    N_0 <= N_k <= N_T, so cond_2(N_k) <= lambda_max(N_T) / lambda_min(N_0),
+    and lambda_max(N_T) <= 1 / lambda_min(P0) + sum_k ||C_k^-1 H~_k||_F^2
+    with ||C_k^-1 H~_k||_F^2 <= ||H~_k||_F^2 / lambda_min(R_k), an equality
+    for isotropic noise and for m = 1.  One pass over the observers and one
+    eigvalsh of P0; an observer that overflowed makes the bound inf or NaN.
+    """
+    w = np.linalg.eigvalsh(P0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_trace = np.einsum("kij,kij,k->", h_tilde, h_tilde,
+                               1.0 / model.noise_floors(len(h_tilde)))
+        return float((1.0 / w[0] + gram_trace) * w[-1])
+
+
+def _inverse_residuals(covs, info):
+    """||P_k N_k - I||_F for stacks of covariances P_k and information matrices N_k."""
+    residual = covs @ info - np.eye(info.shape[-1])
+    return np.sqrt(np.einsum("kij,kij->k", residual, residual))
+
+
+def _spd_inverses(info):
+    """N_k^-1 for a stack of SPD N_k, from one batched Cholesky N_k = L_k L_k^T.
+
+    Each L_k^-T L_k^-1 takes one symmetrized Newton step
+    P <- P - (P N - I) P where that keeps ||P N - I||_F within JOSEPH_TOL.
+    The step removes most of the rounding of the factor's inverse when N_k
+    is moderately conditioned, but the symmetric part of its rounding
+    raises the residual like cond(N_k)^2 eps, so near the gate's limit the
+    factor's inverse, whose residual stays near d eps cond(N_k), is kept.
+    A N_k that Cholesky rejects raises LinAlgError naming the first such k.
+    """
+    try:
+        factor = np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        k = next(k for k, n in enumerate(info) if dpotrf(n, lower=1)[1])
+        raise np.linalg.LinAlgError(f"information matrix P0^-1 + O({k},0) is not positive "
+                                    "definite") from None
+    eye = np.eye(info.shape[-1])
+    inv = tril_solve(factor, eye)
+    covs = symmetrize(np.swapaxes(inv, 1, 2) @ inv)
+    refined = symmetrize(covs - (covs @ info - eye) @ covs)
+    keep = _inverse_residuals(refined, info) <= JOSEPH_TOL
+    covs[keep] = refined[keep]
+    return covs
+
+
+def _information_schedule(model, P0, h_tilde):
+    """Gains and covariances of the information form over the observers ``h_tilde``.
+
+    With the whitened observers W_k = C_k^-1 H~_k (a batched substitution
+    against the model's noise factors), N_k = P0^-1 + sum_{j<k} W_j^T W_j
+    is a prefix sum and P_k = N_k^-1 comes from ``_spd_inverses``; P_0 is
+    P0 itself.  The gains are those of ``step``, from P_k.  Every P_k must
+    satisfy ||P_k N_k - I||_F <= JOSEPH_TOL (LinAlgError naming the first k
+    that does not).  Returns the writable (T, d, m) gains and (T+1, d, d)
+    covariances.
+    """
+    T, d = len(h_tilde), model.d
+    factors = model.noise_factors(T)
+    whitened = tril_solve(factors, h_tilde)
+    info = np.empty((T + 1, d, d))
+    info[0] = spd_inverse(P0, "P0")
+    np.cumsum(np.swapaxes(whitened, 1, 2) @ whitened, axis=0, out=info[1:])
+    info[1:] += info[0]
+    covs = _spd_inverses(info)
+    covs[0] = P0
+    gap = _inverse_residuals(covs, info)
+    bad = np.flatnonzero(~(gap <= JOSEPH_TOL))
+    if bad.size:
+        k = int(bad[0])
+        raise np.linalg.LinAlgError(f"information-form covariance P_{k} is not the inverse of "
+                                    f"P0^-1 + O({k},0): ||P_k N_k - I||_F = {gap[k]:.3e} "
+                                    f"> {JOSEPH_TOL:.0e}")
+    # The gain of step, K_k+1 = P_k H~_k^T (H~_k P_k H~_k^T + R_k)^-1, is
+    # (C_k^-T S_k^-1 W_k P_k)^T with S_k = W_k P_k W_k^T + I >= I.  The equal
+    # P_k+1 H~_k^T R_k^-1 reads P_k+1 along the directions just observed,
+    # where it is smallest, and loses up to cond(N_k+1) in relative accuracy.
+    wp = whitened @ covs[:-1]
+    innovation = wp @ np.swapaxes(whitened, 1, 2) + np.eye(model.m)
+    gains = np.swapaxes(tril_solve(factors, np.linalg.solve(innovation, wp), trans=True), 1, 2)
+    return gains, covs
+
+
+def _pass(model, P0, T):
+    """The observation-independent part of a T-step filter pass from a checked P0.
+
+    Returns the GainSchedule and the read-only observers and transitions
+    A(k,0), k = 0..T, of one ``observed_evolution_sequence`` walk; past the
+    horizon of a time-varying model there is no observer H~_T, and the
+    walk stops at step T-1.  The schedule is the information form when
+    ``_information_bound`` times d eps is at most JOSEPH_TOL, so every
+    N_k = P_k^-1 is well conditioned, and the Joseph recursion of ``step``
+    otherwise (also for a bound that is not finite).
+    """
+    horizon = model.horizon
+    if horizon is not None and T > horizon:
+        raise HorizonError(f"no observation available at step {horizon}")
+    observers, transitions = observed_evolution_sequence(
+        model, T if T == horizon and not model.is_lti else T + 1)
+    h_tilde = observers[:T]
+    bound = _information_bound(model, P0, h_tilde)
+    if model.d * np.finfo(float).eps * bound <= JOSEPH_TOL:
+        form, (gains, covs) = "information", _information_schedule(model, P0, h_tilde)
+    else:
+        form, (gains, covs) = "joseph", _joseph_schedule(model, P0, h_tilde)
     gains.flags.writeable = covs.flags.writeable = False
-    return GainSchedule(h_tilde=observers[:T], gain=gains, P=covs), observers, transitions
+    schedule = GainSchedule(h_tilde=h_tilde, gain=gains, P=covs, form=form, cond_bound=bound)
+    return schedule, observers, transitions
 
 
 def _fold(schedule, x_hat0, observations):
@@ -359,19 +472,28 @@ def _fold(schedule, x_hat0, observations):
     return x_hat
 
 
+def _estimate(model, x_hat0, P0, observations):
+    """One filter pass of ``run``: its schedule and read-only (T+1, d) estimates.
+
+    Also returns the observers and transitions of the pass's walk.
+    """
+    observations = _as_observations(observations, model.m)
+    x_hat0, P0 = _prior(model, x_hat0, P0)
+    schedule, observers, transitions = _pass(model, P0, len(observations))
+    return schedule, _fold(schedule, x_hat0, observations), observers, transitions
+
+
 def run(model, x_hat0, P0, observations):
     """Filter observations y(0), y(1), ... and return every state.
 
     One pass computes the ``gain_schedule`` of the observations; the
     estimates are the fold of ``step``'s update over it.  Returns the full
-    list of states [state_0, ..., state_N], equal bit for bit to N calls
-    of ``step``, so every intermediate (real-time) estimate is available;
-    an empty observation sequence returns just the initial state.
+    list of states [state_0, ..., state_N], so every intermediate
+    (real-time) estimate is available; on the Joseph form of the schedule
+    they equal N calls of ``step`` bit for bit.  An empty observation
+    sequence returns just the initial state.
     """
-    observations = _as_observations(observations, model.m)
-    x_hat0, P0 = _prior(model, x_hat0, P0)
-    schedule, observers, transitions = _pass(model, P0, len(observations))
-    x_hat = _fold(schedule, x_hat0, observations)
+    schedule, x_hat, observers, transitions = _estimate(model, x_hat0, P0, observations)
     # A walk cut short by the horizon leaves the last state no observer and A(T-1,0).
     observers, transitions = chain(observers, [None]), chain(transitions, transitions[-1:])
     return [EstimatorState(step=k, x_hat=x, P=p, H_tilde_next=h, phi=phi)
@@ -381,9 +503,10 @@ def run(model, x_hat0, P0, observations):
 def gain_schedule(model, P0, T):
     """Observers, gains and covariances of a T-step filter pass from P0.
 
-    One pass of the same recursion ``step`` runs, with the same checks at
-    every step; the result applies to every observation stream of the
-    model.
+    The information form when its a priori condition bound admits it, and
+    otherwise one pass of the Joseph recursion ``step`` runs, with the same
+    checks at every step (``schedule.form`` says which); the result applies
+    to every observation stream of the model.
     """
     return _pass(model, _prior(model, None, P0)[1], T)[0]
 

@@ -120,7 +120,7 @@ def _noise_factors(stack, name):
 
 
 def _check_noise_cov(stack, m, floor, name):
-    """Validate a stack of noise covariances; return their Cholesky factors."""
+    """Validate a stack of noise covariances; return their Cholesky factors and lambda_min."""
     if stack.shape[1:] != (m, m):
         raise ConfigError(name(0), f"expected {m}x{m}, got {stack.shape[1]}x{stack.shape[2]}")
     _check_finite(stack, name)
@@ -130,7 +130,7 @@ def _check_noise_cov(stack, m, floor, name):
     _reject_first(lam_min < floor, name,
                   lambda t: f"covariance not positive definite above the floor "
                             f"(lambda_min={lam_min[t]:.3e} < {floor:.1e})")
-    return _noise_factors(sym, name)
+    return _noise_factors(sym, name), lam_min
 
 
 class SystemModel:
@@ -155,7 +155,7 @@ class SystemModel:
     is None.  Every sequence is validated as a whole, and a bad entry is
     reported by the config path of the first one.  The noise covariances
     are Cholesky-factorized here, once; ``noise_factors`` hands the factors
-    out.
+    out, and ``noise_floors`` the smallest eigenvalues the validation took.
 
     ``horizon`` is the number of usable observation steps, or None when
     unlimited: step k is usable when H_k, R_k and the transitions A_1..A_k
@@ -192,12 +192,14 @@ class SystemModel:
                                   f"must be >= {self.sigma2_floor:.1e}, got {sigma2!r}")
             self.sigma2 = sigma2
             self._r_factors = readonly(_noise_factors(self.R_at(0)[None], lambda t: "noise.sigma2"))
+            self._r_floors = readonly([sigma2])
         else:
             rs = _as_array(noise, "noise")
             if rs.ndim != 3 or rs.shape[0] == 0:
                 raise ConfigError("noise", "pass a scalar sigma2 or a non-empty sequence of R matrices")
-            self._r_factors = readonly(_check_noise_cov(rs, self.m, self.sigma2_floor,
-                                                        lambda t: f"noise.R_seq[{t}]"))
+            factors, floors = _check_noise_cov(rs, self.m, self.sigma2_floor,
+                                               lambda t: f"noise.R_seq[{t}]")
+            self._r_factors, self._r_floors = readonly(factors), readonly(floors)
             self.R_seq = readonly(rs)
 
         limits = [len(seq) + shift
@@ -269,6 +271,16 @@ class SystemModel:
         if self.isotropic:
             return np.broadcast_to(self._r_factors[0], (count, self.m, self.m))
         return self._r_factors[start:start + count]
+
+    def noise_floors(self, count, start=0):
+        """lambda_min(R_k) for k = start..start+count-1, as ``noise_factors`` cuts them.
+
+        A read-only (n,) stack of the eigenvalues the model's validation
+        computed: sigma2 for isotropic noise.
+        """
+        if self.isotropic:
+            return np.broadcast_to(self._r_floors, (count,))
+        return self._r_floors[start:start + count]
 
     def __repr__(self):
         kind = "LTI" if self.is_lti else "LTV"

@@ -50,3 +50,13 @@ def test_tiny_run_writes_valid_json(tmp_path):
                                       "analyze_stability", "analyze",
                                       "observed_evolution_sequence_per_step"}
     assert all(math.isfinite(v) and v > 0.0 for v in analyze["layers"].values())
+    schedule = doc["schedule"]
+    assert set(schedule) == {"ltv", "analyze"}
+    assert {name: (case["d"], case["m"], case["T"]) for name, case in schedule.items()} == \
+        {"ltv": (4, 1, 40), "analyze": (16, 2, 20)}
+    for case in schedule.values():
+        assert case["gate_form"] in ("information", "joseph")
+        assert set(case["per_step"]) == {"information", "joseph"}
+        assert all(math.isfinite(v) and v > 0.0 for v in case["per_step"].values())
+        ratio = case["per_step"]["joseph"] / case["per_step"]["information"]
+        assert math.isclose(case["ratio"], ratio, rel_tol=1e-2)

@@ -24,6 +24,27 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def ltv_record_config(d=4, T=40):
+    """Seeded config of the ltv_record workload's shape: d = 4, m = 1, per-step A, H and R.
+
+    A_k = U_k D_k U_{k-1}^T with random orthogonal frames U_k and a
+    near-identity diagonal D_k, and H_k = c_k^T U_k^T with c_k cycling
+    through a perturbed standard basis, so every window of d steps observes
+    the state.
+    """
+    rng = np.random.default_rng(8080)
+    frames = [np.eye(d)] + [np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(T - 1)]
+    a_seq = [(frames[k] * np.exp(rng.uniform(-0.01, 0.01, d))) @ frames[k - 1].T
+             for k in range(1, T)]
+    h_seq = [(np.eye(d)[[k % d]] + 0.1 * rng.standard_normal((1, d))) @ frames[k].T
+             for k in range(T)]
+    r_seq = 1e-2 * (1.0 + rng.uniform(0.0, 1.0, (T, 1, 1)))
+    return {"d": d, "m": 1,
+            "dynamics": {"kind": "ltv", "A_seq": np.array(a_seq).tolist()},
+            "observation": {"kind": "ltv", "H_seq": np.array(h_seq).tolist()},
+            "noise": {"kind": "per_step", "R_seq": r_seq.tolist()}}
+
+
 class TestSimulate:
     def test_row_count(self, tmp_path, example2_config):
         cfg = write_config(tmp_path, example2_config)
@@ -299,12 +320,52 @@ class TestEstimate:
                               "at prefix 48: its condition number is past 1/eps")
 
     def test_joseph_disagreement_exits_1(self, tmp_path, example2_config, capsys, scaled_gain):
+        # 20 steps of example2 are past the information form's condition
+        # bound (6 are not), so the pass is the Joseph recursion
         cfg = write_config(tmp_path, example2_config)
-        obs = self._simulate(tmp_path, cfg)
+        obs = self._simulate(tmp_path, cfg, steps=20)
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
                        "--out", tmp_path / "est.csv", "--quiet")
         assert code == 1
         assert "Joseph and short-form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, form", [("ltv", "information"), ("example2", "joseph")])
+    def test_manifest_names_the_schedule_form(self, tmp_path, example2_config, case, form):
+        # an ltv_record-shaped record is well conditioned; example2 over 40
+        # steps is not (|eig A| = 1.5 with sigma2 = 1e-6)
+        doc, x0 = (ltv_record_config(), "1,-1,0.5,2") if case == "ltv" else \
+            (example2_config, "0.83053274,0.35472554")
+        cfg = write_config(tmp_path, doc)
+        obs, out = tmp_path / "obs.csv", tmp_path / "est.csv"
+        assert run_cli("simulate", "--config", cfg, "--x0", x0, "--steps", 40, "--seed", 3,
+                       "--out", obs, "--quiet") == 0
+        assert run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", out, "--quiet") == 0
+        manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
+        schedule = estimator.gain_schedule(load_model(doc), 0.01, 40)
+        assert manifest["schedule_form"] == schedule.form == form
+        assert manifest["schedule_cond_bound"] == schedule.cond_bound
+        admitted = len(x0.split(",")) * np.finfo(float).eps * schedule.cond_bound \
+            <= estimator.JOSEPH_TOL
+        assert admitted == (form == "information")
+
+    def test_information_residual_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # covariances that are not the inverses of their information
+        # matrices fail the information form's check, naming the step
+        real = estimator._spd_inverses
+        monkeypatch.setattr(estimator, "_spd_inverses", lambda info: real(info) * (1.0 + 1e-6))
+        cfg = write_config(tmp_path, ltv_record_config())
+        obs, out = tmp_path / "obs.csv", tmp_path / "est.csv"
+        assert run_cli("simulate", "--config", cfg, "--x0", "1,-1,0.5,2", "--steps", 40,
+                       "--out", obs, "--quiet") == 0
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--out", out, "--quiet")
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("isokal estimate: error: information-form covariance P_1 is "
+                                 "not the inverse of P0^-1 + O(1,0): ||P_k N_k - I||_F = ")
 
     def test_non_finite_observations_exit_1(self, tmp_path, example2_config, capsys):
         cfg = write_config(tmp_path, example2_config)

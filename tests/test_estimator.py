@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf
 
@@ -12,7 +12,7 @@ from isokal._linalg import spd_inverse, spectral_norm, symmetrize
 from isokal.estimator import batch_wls, gain_schedule, init, run, step, wls_prefixes
 from isokal.harness import monte_carlo, simulate, trial_seed
 from isokal.model import (HorizonError, NonFiniteError, SystemModel, observed_evolution,
-                          transition)
+                          observed_evolution_sequence, transition)
 from isokal.observability import gramian
 from isokal.stability import analyze_stability
 from test_harness import per_step_noise_ltv
@@ -707,3 +707,170 @@ def test_covariance_sequence_matches_run(example2):
     states = run(model, x_hat0, p0, obs)
     for c, s in zip(covs, states):
         np.testing.assert_array_equal(c, s.P)
+
+
+def straddling_lti(d=64, m=8):
+    """Seeded LTI model of the wide_lti workload's shape: d = 64, m = 8, sigma2 = 1e-2.
+
+    Rotation blocks with radii alternating between 0.96-0.99 and 1.01-1.04,
+    hidden by a random rotation; output i sees its own group of blocks.
+    """
+    rng = np.random.default_rng(6400)
+    per = d // (2 * m)
+    blocks, h = np.zeros((d, d)), 0.05 * rng.standard_normal((m, d))
+    for b in range(0, d, 2):
+        r = rng.uniform(0.96, 0.99) if b % 4 == 0 else rng.uniform(1.01, 1.04)
+        theta = (b // 2 % per + 0.5 + rng.uniform(-0.1, 0.1)) * np.pi / per
+        blocks[b:b + 2, b:b + 2] = r * np.array([[np.cos(theta), -np.sin(theta)],
+                                                 [np.sin(theta), np.cos(theta)]])
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        h[b // (2 * per), b:b + 2] += [np.cos(phase), np.sin(phase)]
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return SystemModel(q @ blocks @ q.T, h @ q.T, 1e-2)
+
+
+@st.composite
+def filter_cases(draw):
+    """An LTI or LTV model with d <= 6, a prior and T <= 60 observations.
+
+    The singular values of each A (or A_k) spread around exp(log_radius),
+    so H~_k may grow by up to 2.4 per step, and the prior spans 1e-4 to
+    1e4, so the gate sees both well- and ill-conditioned passes.
+    """
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, d))
+    T = draw(st.integers(1, 60))
+    ltv = draw(st.booleans())
+    log_radius = draw(st.floats(-0.3, 0.7))
+    p = 10.0 ** draw(st.floats(-4.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def orthogonal():
+        return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+    def dynamics():
+        return orthogonal() * np.exp(log_radius + rng.uniform(-0.2, 0.2, d)) @ orthogonal()
+
+    if ltv:
+        g = rng.standard_normal((T, m, m))
+        scale = 10.0 ** rng.uniform(-3.0, 0.0, (T, 1, 1))
+        model = SystemModel(np.stack([dynamics() for _ in range(T - 1)] or [np.eye(d)]),
+                            rng.standard_normal((T, m, d)),
+                            scale * (np.eye(m) + g @ np.swapaxes(g, 1, 2)))
+    else:
+        model = SystemModel(dynamics(), rng.standard_normal((m, d)),
+                            float(10.0 ** rng.uniform(-3.0, 0.0)))
+    q = orthogonal()
+    p0 = symmetrize(q * (p * rng.uniform(0.3, 1.0, d)) @ q.T)
+    obs = simulate(model, rng.standard_normal(d), T, 5)
+    return model, rng.standard_normal(d), p0, obs
+
+
+class TestInformationForm:
+    """The gate and the information form of the filter pass."""
+
+    @given(case=filter_cases())
+    @settings(max_examples=25)
+    def test_admitted_passes_match_the_oracle_and_the_joseph_form(self, case, oracle):
+        # Where the gate admits the information form, its covariances, gains
+        # and estimates match the exact posterior and the Joseph form within
+        # 2 (d + T) eps times the condition bound: each pass rounds once per
+        # state dimension and once per step (the prefix sums, the Joseph
+        # recursion and the estimate fold), and the 2 is for comparing two
+        # rounded results.  The estimates are measured against the largest
+        # estimate of the pass, the scale of the fold's absolute rounding.
+        model, x_hat0, p0, obs = case
+        T, d = len(obs), model.d
+        schedule = gain_schedule(model, p0, T)
+        joseph = estimator._joseph_schedule(model, symmetrize(p0), schedule.h_tilde)
+        bound = schedule.cond_bound
+        if not d * np.finfo(float).eps * bound <= estimator.JOSEPH_TOL:
+            # the Joseph recursion runs, unchanged
+            assert schedule.form == "joseph"
+            np.testing.assert_array_equal(schedule.gain, joseph[0])
+            np.testing.assert_array_equal(schedule.P, joseph[1])
+            return
+        assert schedule.form == "information"
+        exact_p, exact_x = oracle(model, p0, x_hat0, obs)
+        # the bound holds: N_0 <= N_k <= N_T
+        w = np.linalg.eigvalsh(exact_p)
+        assert np.all(w[:, -1] / w[:, 0] <= bound * (1.0 + 1e-9))
+        exact_gain = np.stack([
+            np.linalg.solve(model.R_at(k), schedule.h_tilde[k] @ exact_p[k + 1]).T
+            for k in range(T)])
+        x_hat = estimator._fold(schedule, x_hat0, obs)
+        x_joseph = estimator._fold(
+            estimator.GainSchedule(schedule.h_tilde, *joseph, "joseph", bound), x_hat0, obs)
+        tol = 2 * (d + T) * np.finfo(float).eps * bound
+        for got, references in ((schedule.P, (exact_p, joseph[1])),
+                                (schedule.gain, (exact_gain, joseph[0]))):
+            for want in references:
+                gap = np.linalg.norm(got - want, axis=(1, 2))
+                assert np.all(gap <= tol * np.linalg.norm(want, axis=(1, 2)))
+        for want in (exact_x, x_joseph):
+            gap = np.linalg.norm(x_hat - want, axis=1)
+            assert np.all(gap <= tol * np.linalg.norm(want, axis=1).max())
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "wide_lti"])
+    def test_ill_conditioned_passes_keep_the_joseph_bits(self, case, example1, example2):
+        if case == "wide_lti":
+            model, p0, T = straddling_lti(), np.eye(64), 100
+        else:
+            model, _x0, _x_hat0, p0, _ = example1 if case == "example1" else example2
+            T = 40
+        schedule = gain_schedule(model, p0, T)
+        assert schedule.form == "joseph"
+        assert model.d * np.finfo(float).eps * schedule.cond_bound > estimator.JOSEPH_TOL
+        factors = model.noise_factors(T)
+        P = p0
+        for k, h in enumerate(schedule.h_tilde):
+            gain, P = estimator._update(P, h, model.R_at(k), factors[k], k)
+            assert gain.tobytes() == schedule.gain[k].tobytes()
+            assert P.tobytes() == schedule.P[k + 1].tobytes()
+
+    def test_prior_keeps_its_bits(self, example2):
+        # a rounding-level asymmetric P0 enters as its symmetric part, bit for bit
+        p0 = np.array([[1e-2, 5e-3], [5e-3 * (1.0 + 1e-13), 1e-2]])
+        schedule = gain_schedule(example2[0], p0, 6)
+        assert schedule.form == "information"
+        np.testing.assert_array_equal(schedule.P[0], symmetrize(p0))
+
+    def test_passes_at_the_gate_edge_pass_the_residual_check(self):
+        # Priors whose spread puts d eps B within a factor 100 of JOSEPH_TOL:
+        # every admitted pass must pass ||P_k N_k - I||_F <= JOSEPH_TOL (a
+        # Newton step applied at every k failed it on most of them) and match the
+        # Joseph form within 2 (d + T) eps B.
+        rng = np.random.default_rng(1818)
+        admitted = 0
+        for _ in range(40):
+            d, T = int(rng.integers(2, 7)), int(rng.integers(1, 30))
+            m = int(rng.integers(1, d + 1))
+            a = np.linalg.qr(rng.standard_normal((d, d)))[0] * np.exp(rng.uniform(-0.3, 0.3, d))
+            model = SystemModel(a, rng.standard_normal((m, d)), float(10.0 ** rng.uniform(-3, 0)))
+            spread = estimator.JOSEPH_TOL / (d * np.finfo(float).eps) * 10.0 ** rng.uniform(-2, 0)
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            p0 = symmetrize(q * np.geomspace(1.0, 1.0 / spread, d) @ q.T)
+            schedule = gain_schedule(model, p0, T)
+            if schedule.form == "joseph":
+                continue
+            admitted += 1
+            joseph = estimator._joseph_schedule(model, p0, schedule.h_tilde)
+            tol = 2 * (d + T) * np.finfo(float).eps * schedule.cond_bound
+            for got, want in zip((schedule.gain, schedule.P), joseph):
+                gap = np.linalg.norm(got - want, axis=(1, 2))
+                assert np.all(gap <= tol * np.linalg.norm(want, axis=(1, 2)))
+        assert admitted >= 20
+
+    def test_bound_of_an_overflowed_observer_is_not_finite(self, example2):
+        # the walk's overflowed observers make the bound inf, so the Joseph
+        # recursion runs and names the step (TestOverflow)
+        model, _x0, _x_hat0, p0, _ = example2
+        h_tilde = observed_evolution_sequence(model, 1800)[0]
+        assert not np.isfinite(estimator._information_bound(model, p0, h_tilde))
+
+    def test_non_positive_definite_information_names_the_step(self):
+        info = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^information matrix P0\^-1 \+ O\(2,0\) is not positive "
+                                 r"definite$"):
+            estimator._spd_inverses(info)

@@ -115,6 +115,20 @@ class TestInformationOverflow:
         with pytest.raises(NonFiniteError, match="anchored at 0 is not finite at step 0"):
             list(information_prefixes(example2[0], 3, observations=observations))
 
+    def test_finite_windows_whose_sum_overflows_pass(self):
+        # three windows of information 8.1e307 each: the screen's sum of the
+        # diagonals overflows, and the per-window scan finds every one finite
+        model = SystemModel(np.stack([np.eye(2)] * 3), np.full((4, 1, 2), [[9e153, 0.0]]), 1.0)
+        (info, _), = information_prefixes(model, 1, anchors=3)
+        assert np.isfinite(info).all() and sum(np.trace(info, axis1=1, axis2=2).tolist()) == np.inf
+
+    def test_finite_information_is_screened_by_one_scalar(self, example2, monkeypatch):
+        scans = []
+        monkeypatch.setattr(observability, "_raise_overflow", lambda *args: scans.append(args))
+        check_observability(per_step_noise_ltv()[0], 6)
+        lambda_min_asymptotics(example2[0], 40)
+        assert scans == []
+
 
 def ltv_fixture(case):
     """LTV models (and one LTI model with per-step R) for the certificate tests."""
