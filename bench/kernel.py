@@ -26,8 +26,9 @@ temporary directory); and the analysis of ``isokal analyze --horizon 64
 --k-max 100`` on a d = 64, m = 8 LTI model of rotation blocks whose radii
 straddle 1: ``check_observability`` (L_max = 64),
 ``lambda_min_asymptotics`` (K = 100) and ``analyze_stability``
-(k_max = 100, P0 = I), each given that report, the three in a row, and
-the ``observed_evolution_sequence`` walk of K steps, per step.  The two
+(k_max = 100, P0 = I), each given that report, the three in a row, the
+``observed_evolution_sequence`` walk of K steps, per step, and
+``estimator.wls_prefixes`` of K observations, per prefix.  The two
 forms of the filter pass, ``estimator._information_schedule`` and
 ``estimator._joseph_schedule``, are timed per step on the same observers
 of that LTV record and of that analysis model (T = K), their samples taken
@@ -88,7 +89,7 @@ LTV_LAYERS = ("config_decode", "model_validation", "check_observability",
 SWEEP_LAYERS = ("observed_evolution_sequence_per_step", "simulate_per_step", "run_per_step")
 ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
 ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
-                  "analyze", "observed_evolution_sequence_per_step")
+                  "analyze", "observed_evolution_sequence_per_step", "wls_prefixes_per_prefix")
 SCHEDULE_FORMS = ("information", "joseph")
 
 
@@ -341,6 +342,7 @@ def measure_analyze(tiny):
     d, m, K = (16, 2, 20) if tiny else (64, 8, 100)
     model = rotation_system(d, m)
     report = observability.check_observability(model, d)
+    obs = harness.simulate(model, np.ones(d), K, 1)
 
     def analyze():
         obs_report = observability.check_observability(model, d)
@@ -359,6 +361,9 @@ def measure_analyze(tiny):
         "analyze": min_us(analyze, repeats, target_s),
         "observed_evolution_sequence_per_step": min_us(
             lambda: observed_evolution_sequence(model, K), repeats, target_s) / K,
+        "wls_prefixes_per_prefix": min_us(
+            lambda: collections.deque(estimator.wls_prefixes(model, None, 1.0, obs), maxlen=0),
+            repeats, target_s) / (K + 1),
     }
     return {"d": d, "m": m, "L_max": d, "K": K, "layers": layers}
 

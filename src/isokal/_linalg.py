@@ -4,6 +4,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 
+class NonFiniteError(ValueError):
+    """A quantity overflowed float64; the message names it, and the first step it did."""
+
+
 def _transpose(m):
     return np.asarray(m).swapaxes(-1, -2)
 
@@ -32,15 +36,12 @@ def spd_factor(m, what="matrix"):
         raise np.linalg.LinAlgError(f"{what} is not positive definite") from exc
 
 
-def spd_solve(m, b, what="matrix"):
-    """Solve m @ x = b for SPD ``m`` via Cholesky (never forms m^-1)."""
-    return cho_solve(spd_factor(m, what), np.asarray(b, dtype=float))
-
-
 def spd_inverse(m, what="matrix"):
-    """m^-1 for SPD ``m``, symmetrized."""
-    d = m.shape[0]
-    return symmetrize(spd_solve(m, np.eye(d), what))
+    """m^-1 for SPD ``m`` by Cholesky, symmetrized; NonFiniteError naming ``what`` on overflow."""
+    inverse = symmetrize(cho_solve(spd_factor(m, what), np.eye(m.shape[0])))
+    if not np.isfinite(inverse).all():
+        raise NonFiniteError(f"the inverse of {what} is not finite: it overflowed float64")
+    return inverse
 
 
 def tril_solve(lower, b, trans=False):

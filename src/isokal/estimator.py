@@ -17,7 +17,7 @@ matrices P_k^-1 = P0^-1 + O(k,0) are provably well conditioned is computed
 in information form, as batched prefix sums and factorizations, and any
 other pass by the Joseph recursion of ``step``.
 ``wls_prefixes`` solves the same weighted least-squares problem from the
-normal equations and serves as an independent cross-check.
+normal equations over the same observer walk, an independent cross-check.
 
 Adjoints are written as transposes: all data is real, and a complex
 extension would only swap in conjugate transposes.
@@ -36,7 +36,6 @@ from ._linalg import (asymmetry, readonly, spd_factor, spd_inverse, spectral_nor
                       tril_solve)
 from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
                     observed_evolution_sequence)
-from .observability import information_prefixes
 
 # Stored covariances may carry rounding-level negative eigenvalues; anything
 # below -PSD_SLACK * trace(P) signals a genuinely corrupted state.
@@ -422,22 +421,26 @@ def _information_schedule(model, P0, h_tilde):
     return gains, covs
 
 
+def _walk(model, T):
+    """Read-only observers H~_k and transitions A(k,0), k = 0..T, of a T-step pass.
+
+    Past the horizon of a time-varying model there is no H~_T: the walk stops at T-1.
+    """
+    if model.horizon is not None and T > model.horizon:
+        raise HorizonError(f"no observation available at step {model.horizon}")
+    return observed_evolution_sequence(
+        model, T if T == model.horizon and not model.is_lti else T + 1)
+
+
 def _pass(model, P0, T):
     """The observation-independent part of a T-step filter pass from a checked P0.
 
-    Returns the GainSchedule and the read-only observers and transitions
-    A(k,0), k = 0..T, of one ``observed_evolution_sequence`` walk; past the
-    horizon of a time-varying model there is no observer H~_T, and the
-    walk stops at step T-1.  The schedule is the information form when
-    ``_information_bound`` times d eps is at most JOSEPH_TOL, so every
-    N_k = P_k^-1 is well conditioned, and the Joseph recursion of ``step``
-    otherwise (also for a bound that is not finite).
+    Returns the GainSchedule and the ``_walk`` it read.  The schedule is the
+    information form when ``_information_bound`` times d eps is at most
+    JOSEPH_TOL, so every N_k = P_k^-1 is well conditioned, and the Joseph
+    recursion of ``step`` otherwise (also for a bound that is not finite).
     """
-    horizon = model.horizon
-    if horizon is not None and T > horizon:
-        raise HorizonError(f"no observation available at step {horizon}")
-    observers, transitions = observed_evolution_sequence(
-        model, T if T == horizon and not model.is_lti else T + 1)
+    observers, transitions = _walk(model, T)
     h_tilde = observers[:T]
     bound = _information_bound(model, P0, h_tilde)
     if model.d * np.finfo(float).eps * bound <= JOSEPH_TOL:
@@ -545,25 +548,36 @@ def wls_prefixes(model, x_hat0, P0, observations):
             + sum_{j<k} (y(j) - H~_j x)^T R_j^-1 (y(j) - H~_j x)
 
     by factorizing the SPD normal matrix P0^-1 + O(k,0) and solving against
-    P0^-1 x^_0 + sum_{j<k} H~_j^T R_j^-1 y(j).  The sums are the running
-    information of ``information_prefixes``, consumed one step at a time.
-    A normal matrix that Cholesky rejects raises LinAlgError naming the
-    prefix, and the exhausted precision when that is the cause.
+    P0^-1 x^_0 + sum_{j<k} H~_j^T R_j^-1 y(j).  Each row [H~_j | y(j)] of the
+    pass's ``_walk`` is whitened by R_j's factor C_j, and one running block
+    [normal | right-hand side] adds its Gram product.  Prefixes are solved in
+    order, so the first failure is raised: a normal matrix that Cholesky
+    rejects raises LinAlgError naming the prefix, and the exhausted
+    precision when that is the cause; sums past float64 raise NonFiniteError
+    naming the step, and no numpy warning.
     """
     x_hat0, P0 = _prior(model, x_hat0, P0)
     observations = _as_observations(observations, model.m)
+    T, d = observations.shape[0], model.d
+    rows = np.dstack([_walk(model, T)[0][:T], observations[:, :, None]])
     p0_inv = spd_inverse(P0, "P0")
-    p0_x = p0_inv @ x_hat0
-    prefixes = ((info[0], score[0]) for info, score in
-                information_prefixes(model, observations.shape[0], observations=observations))
-    # The prior alone, then one more observation per prefix.
-    for k, (info, score) in enumerate(chain([(0.0, 0.0)], prefixes)):
-        normal = p0_inv + info
+    # Overflow is reported by the check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = tril_solve(model.noise_factors(T), rows)
+        sums = np.column_stack([p0_inv, p0_inv @ x_hat0])
+    for k in range(T + 1):
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = sums + whitened[k - 1, :, :d].T @ whitened[k - 1]
+        if not np.isfinite(sums).all():
+            where = f"step {k - 1}" if k else "the prior"
+            raise NonFiniteError(f"normal equations of prefix {k} overflowed float64 at {where}")
+        normal = sums[:, :d]
         try:
             factor = spd_factor(normal, "normal matrix")
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(_indefinite_normal(normal, k)) from exc
-        yield cho_solve(factor, p0_x + score)
+        yield cho_solve(factor, sums[:, d])
 
 
 def batch_wls(model, x_hat0, P0, observations):

@@ -18,7 +18,7 @@ from reprlib import repr as brief
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from ._linalg import asymmetry, eig_abs_sorted, readonly, symmetrize
+from ._linalg import NonFiniteError, asymmetry, eig_abs_sorted, readonly, symmetrize
 
 # A_k invertibility: smallest singular value must exceed this fraction of the
 # largest (condition estimate below 1e12).
@@ -37,10 +37,6 @@ class ConfigError(ValueError):
 
 class HorizonError(ValueError):
     """A step index beyond the finite horizon of an LTV sequence."""
-
-
-class NonFiniteError(ValueError):
-    """A quantity overflowed float64; the message names the first step it did."""
 
 
 def _as_array(value, path):

@@ -7,7 +7,8 @@ The windowed Gramian
 is positive definite exactly when the initial state is recoverable from the
 window's observations.  A system is uniformly observable when one window
 length L and bound rho > 0 work for every anchor k0; for LTI systems this
-reduces to observability of a single window anchored at 0.
+reduces to observability of a single window anchored at 0.  Every Gramian
+here is a sum of ``information_prefixes``, the one accumulator of them.
 """
 
 import math
@@ -35,14 +36,13 @@ class UnobservableModelError(ValueError):
 class _Accumulator(NamedTuple):
     """The information accumulator after ``terms`` terms (see ``information_prefixes``).
 
-    ``info`` and ``score`` are the running sums of the windows still inside
-    the horizon; ``h_tilde`` and ``phi`` are the observers and transitions
-    of the last term, from which the next term advances.
+    ``info`` stacks the Gramians of the windows still inside the horizon;
+    ``h_tilde`` and ``phi`` are the observers and transitions of the last
+    term, from which the next term advances.
     """
 
     terms: int
     info: np.ndarray
-    score: np.ndarray | None
     h_tilde: np.ndarray
     phi: np.ndarray
 
@@ -94,15 +94,13 @@ class GramianGrowth:
     beta: float | None = None
 
 
-def information_prefixes(model, count, start=0, anchors=1, observations=None):
-    """Yield the running information of windows anchored at start, start+1, ...
+def information_prefixes(model, count, start=0, anchors=1):
+    """Yield the Gramians of windows anchored at start, start+1, ..., one term at a time.
 
-    Item k (k = 1..count) stacks (O(a+k, a), b_k(a)) over the anchors
+    Item k (k = 1..count) stacks O(a+k, a) over the anchors
     a = start..start+anchors-1 whose window still ends inside the horizon:
     anchors drop off the end of the stack as the windows grow, and row 0 is
-    the window anchored at ``start``.  b_k(a) = sum_{j=a}^{a+k-1}
-    H~_j^T R_j^-1 y(j), with H~_j = H_j A(j,a) and y(j) row j - start of
-    ``observations``; the scores are None without observations.
+    the window anchored at ``start``.
 
     With the model's Cholesky factors R_j = C_j C_j^T, every term adds the
     Gram product W^T W of the whitened observer W = C_j^-1 H~_j (a linear
@@ -111,26 +109,26 @@ def information_prefixes(model, count, start=0, anchors=1, observations=None):
     arrays, so a caller may keep them.  Information that overflows float64
     raises NonFiniteError naming the step, and no numpy warning.
     """
-    for acc in _accumulate(model, count, start, anchors, observations):
-        yield acc.info, acc.score
+    for acc in _accumulate(model, count, start, anchors):
+        yield acc.info
 
 
-def _accumulate(model, count, start=0, anchors=1, observations=None, state=None):
+def _accumulate(model, count, start=0, anchors=1, state=None):
     """Yield the ``_Accumulator`` after each of ``count`` more terms.
 
     The accumulation of ``information_prefixes``, continued from ``state``
-    (an item of an earlier call with the same ``start`` and
-    ``observations``, or its leading rows, which then go on alone) or begun
-    at term 0 when it is None.  Each row's terms are added in the same order
-    with the same operations either way, so a continued accumulation carries
-    the bits of one uninterrupted pass.
+    (an item of an earlier call with the same ``start``, or its leading
+    rows, which then go on alone) or begun at term 0 when it is None.  Each
+    row's terms are added in the same order with the same operations either
+    way, so a continued accumulation carries the bits of one uninterrupted
+    pass.
     """
     if count < 0 or anchors < 1:
         raise ValueError(f"need count >= 0 and anchors >= 1, got {count} and {anchors}")
     d, horizon = model.d, model.horizon
     done, n = 0, anchors
     if state is not None:
-        done, info, score, h_tilde, phi = state
+        done, info, h_tilde, phi = state
         n = info.shape[0]
     factors = model.noise_factors(n + done + count - 1, start)
     for j in range(done, done + count):
@@ -146,39 +144,28 @@ def _accumulate(model, count, start=0, anchors=1, observations=None, state=None)
                            if model.lti_observation else model.H_seq[k:k + n])
                 phi = np.broadcast_to(np.eye(d), (n, d, d))
                 info = np.zeros((n, d, d))
-                score = None if observations is None else np.zeros((n, d))
             else:
                 h_tilde, phi = advance_observed_evolution(model, k, h_tilde[:n], phi[:n])
-            rhs = h_tilde if observations is None else np.concatenate(
-                [h_tilde, observations[j:j + n, :, None]], axis=2)
-            whitened = np.linalg.solve(factors[j:j + n], rhs)
-            w_t = np.swapaxes(whitened[..., :d], 1, 2)
-            info = symmetrize(info[:n] + w_t @ whitened[..., :d])
+            whitened = np.linalg.solve(factors[j:j + n], h_tilde)
+            info = symmetrize(info[:n] + np.swapaxes(whitened, 1, 2) @ whitened)
             # A PSD Gram sum has |info_ij| <= sqrt(info_ii info_jj), so finite
             # diagonals bound every entry, and one scalar screens the stack.
             total = info.reshape(n, -1)[:, ::d + 1].sum()
-            if observations is not None:
-                score = score[:n] + (w_t @ whitened[..., d:])[..., 0]
-                total += score.sum()
         if not math.isfinite(total):
-            _raise_overflow(info, score, k, start)
-        yield _Accumulator(j + 1, info, score, h_tilde, phi)
+            _raise_overflow(info, k, start)
+        yield _Accumulator(j + 1, info, h_tilde, phi)
 
 
-def _raise_overflow(info, score, k, start):
+def _raise_overflow(info, k, start):
     """NonFiniteError naming the first window whose information left float64 at step k.
 
     Nothing is raised when every window is finite: the screen's sum of
     finite entries can overflow on its own.
     """
-    finite = np.isfinite(info).all(axis=(1, 2))
-    if score is not None:
-        finite &= np.isfinite(score).all(axis=1)
-    bad = np.flatnonzero(~finite)
+    bad = np.flatnonzero(~np.isfinite(info).all(axis=(1, 2)))
     if bad.size:
-        i = int(bad[0])
-        raise NonFiniteError(f"information of the window anchored at {start + i} is not "
-                             f"finite at step {k + i}: the Gramian overflowed float64")
+        raise NonFiniteError(f"information of the window anchored at {start + bad[0]} is not "
+                             f"finite at step {k + bad[0]}: the Gramian overflowed float64")
 
 
 def gramian(model, k0, L):
@@ -190,7 +177,7 @@ def gramian(model, k0, L):
     if L < 0:
         raise ValueError(f"window length must be non-negative, got {L}")
     info = np.zeros((1, model.d, model.d))
-    for info, _ in information_prefixes(model, L, start=k0):
+    for info in information_prefixes(model, L, start=k0):
         pass
     return info[0]
 

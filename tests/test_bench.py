@@ -48,7 +48,8 @@ def test_tiny_run_writes_valid_json(tmp_path):
     assert (analyze["d"], analyze["m"], analyze["L_max"], analyze["K"]) == (16, 2, 16, 20)
     assert set(analyze["layers"]) == {"check_observability", "lambda_min_asymptotics",
                                       "analyze_stability", "analyze",
-                                      "observed_evolution_sequence_per_step"}
+                                      "observed_evolution_sequence_per_step",
+                                      "wls_prefixes_per_prefix"}
     assert all(math.isfinite(v) and v > 0.0 for v in analyze["layers"].values())
     schedule = doc["schedule"]
     assert set(schedule) == {"ltv", "analyze"}

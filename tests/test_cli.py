@@ -319,6 +319,19 @@ class TestEstimate:
         assert err.startswith("isokal estimate: error: normal matrix is not positive definite "
                               "at prefix 48: its condition number is past 1/eps")
 
+    def test_p0_whose_inverse_overflows_exits_1(self, tmp_path, example2_config, capsys):
+        # P0 = 1e-310 I is positive definite, but 1 / 1e-310 is past float64:
+        # the estimates are written, then the check names P0, with no warning
+        cfg = write_config(tmp_path, example2_config)
+        obs = self._simulate(tmp_path, cfg)
+        out = tmp_path / "est.csv"
+        code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "1e-310",
+                       "--out", out, "--batch-check", "--quiet")
+        assert code == 1
+        assert out.exists()
+        assert capsys.readouterr().err == ("isokal estimate: error: the inverse of P0 is not "
+                                           "finite: it overflowed float64\n")
+
     def test_joseph_disagreement_exits_1(self, tmp_path, example2_config, capsys, scaled_gain):
         # 20 steps of example2 are past the information form's condition
         # bound (6 are not), so the pass is the Joseph recursion
@@ -584,6 +597,18 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", cfg, "--horizon", "1800", "--k-max", "1000",
                        "--out", out) == 1
         assert "not finite at step 859" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_p0_whose_inverse_overflows_exits_1(self, tmp_path, example2_config, capsys):
+        # the Lyapunov trace reads P0^-1, which is past float64 for
+        # P0 = 1e-310 I: an error naming P0, not a report of a P_k = P0
+        # that is not monotone
+        cfg = write_config(tmp_path, example2_config)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--config", cfg, "--horizon", "10", "--k-max", "40",
+                       "--p0", "1e-310", "--out", out) == 1
+        assert capsys.readouterr().err == ("isokal analyze: error: the inverse of P0 is not "
+                                           "finite: it overflowed float64\n")
         assert not out.exists()
 
     def test_window_longer_than_d_certifies(self, tmp_path, example2_config):

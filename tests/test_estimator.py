@@ -579,6 +579,9 @@ class TestBatchWls:
     def test_prefixes_match_normal_equations(self, make_system):
         # every prefix against the normal equations assembled with numpy
         cases = [make_system(515, i) for i in range(6)] + [per_step_noise_ltv()]
+        # the wide_lti workload's shape, d = 64 and m = 8
+        cases.append((straddling_lti(), np.linspace(-1.0, 1.0, 64), np.full(64, 0.1),
+                      np.eye(64)))
         for model, x0, x_hat0, p0 in cases:
             n = min(20, model.horizon or 20)
             obs = simulate(model, x0, n, 6)
@@ -619,6 +622,18 @@ class TestBatchWls:
             list(wls_prefixes(model, x_hat0, p0, np.zeros((60, 1))))
         with pytest.raises(np.linalg.LinAlgError, match=pattern):
             batch_wls(model, x_hat0, p0, np.zeros((60, 1)))
+        # prefixes fail in order: the sums of 900 observations overflow
+        # float64 at step 859, but prefix 48 fails first
+        with pytest.raises(np.linalg.LinAlgError, match=pattern):
+            list(wls_prefixes(model, x_hat0, p0, np.zeros((900, 1))))
+
+    def test_overflowed_sums_name_the_step(self, example2):
+        model, _x0, x_hat0, p0, _ = example2
+        first = wls_prefixes(model, x_hat0, p0, np.full((3, 1), 1e307))
+        next(first)
+        with pytest.raises(NonFiniteError,
+                           match=r"^normal equations of prefix 1 overflowed float64 at step 0$"):
+            next(first)
 
 
 class TestGainSchedule:

@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 from isokal import observability
 from isokal._linalg import spectral_norm, symmetrize
-from isokal.harness import simulate
 from isokal.model import HorizonError, NonFiniteError, SystemModel, observed_evolution_sequence
 from isokal.observability import (
     UnobservableModelError,
@@ -63,17 +62,14 @@ class TestInformationPrefixes:
     def test_anchor_stack_matches_one_anchor_calls(self):
         # anchors 2..10 of a horizon-12 model: a window of length k fits
         # while anchor + k <= 12, so anchors drop off the end of the stack
-        model, x0, _xh, _p0 = per_step_noise_ltv()
-        obs = simulate(model, x0, 12, seed=3)
-        items = list(information_prefixes(model, 5, start=2, anchors=9, observations=obs[2:]))
-        assert [len(info) for info, _ in items] == [9, 9, 8, 7, 6]
+        model = per_step_noise_ltv()[0]
+        items = list(information_prefixes(model, 5, start=2, anchors=9))
+        assert [len(info) for info in items] == [9, 9, 8, 7, 6]
         for i in range(9):
-            one = information_prefixes(model, min(5, 10 - i), start=2 + i,
-                                       observations=obs[2 + i:])
-            for (info, score), (info_1, score_1) in zip(items, one):
+            one = information_prefixes(model, min(5, 10 - i), start=2 + i)
+            for info, info_1 in zip(items, one):
                 assert len(info_1) == 1
                 np.testing.assert_array_equal(info[i], info_1[0])
-                np.testing.assert_array_equal(score[i], score_1[0])
 
     def test_window_past_the_horizon_raises(self):
         model = per_step_noise_ltv()[0]
@@ -110,16 +106,11 @@ class TestInformationOverflow:
         with pytest.raises(NonFiniteError, match="anchored at 3 is not finite at step 3"):
             check_observability(model, 3)
 
-    def test_score_overflow(self, example2):
-        observations = np.full((3, 1), 1e307)
-        with pytest.raises(NonFiniteError, match="anchored at 0 is not finite at step 0"):
-            list(information_prefixes(example2[0], 3, observations=observations))
-
     def test_finite_windows_whose_sum_overflows_pass(self):
         # three windows of information 8.1e307 each: the screen's sum of the
         # diagonals overflows, and the per-window scan finds every one finite
         model = SystemModel(np.stack([np.eye(2)] * 3), np.full((4, 1, 2), [[9e153, 0.0]]), 1.0)
-        (info, _), = information_prefixes(model, 1, anchors=3)
+        info, = information_prefixes(model, 1, anchors=3)
         assert np.isfinite(info).all() and sum(np.trace(info, axis1=1, axis2=2).tolist()) == np.inf
 
     def test_finite_information_is_screened_by_one_scalar(self, example2, monkeypatch):
@@ -300,9 +291,9 @@ class TestCertificateScreen:
         """Verdict, L, rho and trace with every window's anchor stack decomposed."""
         k_max = min(L_max, model.horizon)
         trace = np.array([np.linalg.eigvalsh(info[0])[0]
-                          for info, _ in information_prefixes(model, k_max)])
+                          for info in information_prefixes(model, k_max)])
         windows = information_prefixes(model, k_max, anchors=model.horizon)
-        for L, (stack, _) in enumerate(windows, start=1):
+        for L, stack in enumerate(windows, start=1):
             window_min = np.linalg.eigvalsh(stack)[:, 0].min()
             if window_min >= rho_tol:
                 return "Observable", L, float(window_min), trace
@@ -336,8 +327,7 @@ class TestCertificateScreen:
     @staticmethod
     def assert_row0_is_the_anchor0_window(model, k_max):
         stacked = information_prefixes(model, k_max, anchors=model.horizon)
-        for (stack, _), (one, _) in zip(stacked, information_prefixes(model, k_max),
-                                        strict=True):
+        for stack, one in zip(stacked, information_prefixes(model, k_max), strict=True):
             np.testing.assert_array_equal(stack[0], one[0])
 
     @pytest.mark.parametrize("case", LTV_FIXTURES)
@@ -418,7 +408,7 @@ class TestGrowthClassification:
         # first non-positive entry of the fitted tail (k = 31..60) is named
         model = example1[0]
         trace = np.array([observability._lambda_min(info[0])
-                          for info, _ in information_prefixes(model, 60)])
+                          for info in information_prefixes(model, 60)])
         k = 31 + int(np.flatnonzero(trace[30:] <= 0.0)[0])
         with pytest.raises(ValueError, match=f"at k = {k} is not positive"):
             lambda_min_asymptotics(model, K=60)
@@ -588,7 +578,7 @@ class TestReportReuse:
         model = (ltv_fixture(which) if which == "lti_per_step_r"
                  else request.getfixturevalue(which)[0])
         fresh = np.array([np.linalg.eigvalsh(info[0])[0]
-                          for info, _ in information_prefixes(model, K)])
+                          for info in information_prefixes(model, K)])
         report = check_observability(model, L_max=L_max)
         if replaced:
             report = dataclasses.replace(report, rho=float("nan"))
