@@ -11,7 +11,9 @@ prefix), ``model.advance_observed_evolution`` (one step),
 that report) at d = 2, 8, 32 and 128 on seeded random LTI systems.  It
 also times the layers of one long LTV record (d = 8, m = 1, T = 800,
 per-step A, H and R): ``cli._read_json`` of its config, written once as
-JSON (the decode ``--config`` pays), ``SystemModel`` validation,
+JSON (the decode ``--config`` pays), ``cli._load_config`` of that file (the
+decode and the validation, as every command that takes ``--config`` pays
+them), ``SystemModel`` validation,
 ``check_observability`` (L_max = 16, every anchor), one
 ``advance_observed_evolution`` step in the middle of the record (its
 transition carried), the ``model.observed_evolution_sequence`` walk of the
@@ -19,7 +21,12 @@ record, ``harness.simulate`` and ``estimator.run`` per step,
 ``harness.write_estimates_csv`` of the run's states as the CLI's
 ``estimate --truth`` writes them (stacking included), and one
 ``isokal estimate --batch-check`` of the record end to end through
-``cli.main`` (config and observations read from a temporary directory); one
+``cli.main`` (config and observations read from a temporary directory).
+For that same ``estimate`` it also counts, over a fixed run of consecutive
+calls, the cyclic garbage collections per call by generation and the
+seconds they take, from ``gc.callbacks``: the minimum over samples that
+the layers report leaves out the collections that only some calls pay.
+One
 ``harness.monte_carlo`` ensemble and one ``harness.reproduce_example`` of
 example1 (d = 4, T = 40, 100 trials, the CSV file set written to a
 temporary directory); and the analysis of ``isokal analyze --horizon 64
@@ -59,6 +66,7 @@ import argparse  # noqa: E402
 import collections  # noqa: E402
 import contextlib  # noqa: E402
 import ctypes  # noqa: E402
+import gc  # noqa: E402
 import glob  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -82,7 +90,7 @@ from isokal.model import (SystemModel, advance_observed_evolution,  # noqa: E402
 LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
           "wls_prefixes_per_prefix", "advance_observed_evolution", "analyze_stability",
           "check_observability", "lambda_min_asymptotics")
-LTV_LAYERS = ("config_decode", "model_validation", "check_observability",
+LTV_LAYERS = ("config_decode", "load_config", "model_validation", "check_observability",
               "advance_observed_evolution", "observed_evolution_sequence_per_step",
               "simulate_per_step", "run_per_step", "write_estimates_csv",
               "estimate_batch_check")
@@ -205,6 +213,34 @@ def interleaved_min_us(fns, repeats, target_s):
     return [min(out) * 1e6 for out in samples]
 
 
+def gc_per_call(fn, calls):
+    """Cyclic GC per call of ``fn`` over ``calls`` consecutive calls, from ``gc.callbacks``.
+
+    A full collection first gives every run the same start.  Returns the
+    call count, the seconds spent collecting and the collections of each
+    generation, each divided by the call count.
+    """
+    seconds, started, collections_by_gen = 0.0, 0.0, [0, 0, 0]
+
+    def callback(phase, info):
+        nonlocal seconds, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            seconds += time.perf_counter() - started
+            collections_by_gen[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        for _ in range(calls):
+            fn()
+    finally:
+        gc.callbacks.remove(callback)
+    return {"calls": calls, "seconds": seconds / calls,
+            "collections": {str(g): n / calls for g, n in enumerate(collections_by_gen)}}
+
+
 def measure(d, tiny):
     repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
     T, k_max = (4, 5) if tiny else (50, 40)
@@ -272,6 +308,7 @@ def measure_ltv(tiny):
         config_path.write_text(json.dumps(config), encoding="utf-8")
         decode_us = min_us(lambda: cli._read_json(config_path, "--config"),
                            repeats, target_s)
+        load_us = min_us(lambda: cli._load_config(config_path), repeats, target_s)
         obs_path = Path(tmp) / "observations.csv"
         harness.write_observations_csv(obs_path, obs)
         estimate = ["estimate", "--config", str(config_path), "--obs", str(obs_path),
@@ -280,8 +317,10 @@ def measure_ltv(tiny):
         if cli.main(estimate) != 0:
             raise RuntimeError("estimate --batch-check failed on the LTV record")
         batch_check_us = min_us(lambda: cli.main(estimate), repeats, target_s)
+        gc_calls = gc_per_call(lambda: cli.main(estimate), 5 if tiny else 30)
     layers = {
         "config_decode": decode_us,
+        "load_config": load_us,
         "model_validation": min_us(lambda: SystemModel(a_seq, h_seq, r_seq),
                                    repeats, target_s),
         "check_observability": min_us(
@@ -299,6 +338,7 @@ def measure_ltv(tiny):
         "estimate_batch_check": batch_check_us,
     }
     return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers,
+            "gc_per_estimate_call": gc_calls,
             "sweep": measure_ltv_sweep(d, m, (20, 40) if tiny else (100, 250, 500, 1000, 2000),
                                        repeats, target_s)}
 
@@ -428,6 +468,10 @@ def main(argv=None):
         print(f"{layer:24s}" + "".join(f"  d={d}: {by_dim[d][layer]:10.1f}" for d in dims))
     for layer in LTV_LAYERS:
         print(f"ltv {layer:36s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
+    gc_calls = ltv["gc_per_estimate_call"]
+    print(f"ltv gc per estimate call ({gc_calls['calls']} calls): "
+          f"{gc_calls['seconds'] * 1e3:.3f} ms, collections by generation "
+          + " ".join(f"{n:.2f}" for n in gc_calls["collections"].values()))
     for layer in SWEEP_LAYERS:
         print(f"ltv sweep {layer:30s}" + "".join(f"  T={T}: {us:8.2f}"
                                                   for T, us in ltv["sweep"][layer].items()))

@@ -29,11 +29,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._linalg import (asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize,
-                      tril_solve)
+from ._linalg import asymmetry, readonly, spd_inverse, spectral_norm, symmetrize, tril_solve
 from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
                     observed_evolution_sequence)
 
@@ -548,7 +546,8 @@ def wls_prefixes(model, x_hat0, P0, observations):
             + sum_{j<k} (y(j) - H~_j x)^T R_j^-1 (y(j) - H~_j x)
 
     by factorizing the SPD normal matrix P0^-1 + O(k,0) and solving against
-    P0^-1 x^_0 + sum_{j<k} H~_j^T R_j^-1 y(j).  Each row [H~_j | y(j)] of the
+    P0^-1 x^_0 + sum_{j<k} H~_j^T R_j^-1 y(j), one LAPACK ``dpotrf`` and
+    ``dpotrs`` per prefix.  Each row [H~_j | y(j)] of the
     pass's ``_walk`` is whitened by R_j's factor C_j, and one running block
     [normal | right-hand side] adds its Gram product.  Prefixes are solved in
     order, so the first failure is raised: a normal matrix that Cholesky
@@ -572,12 +571,11 @@ def wls_prefixes(model, x_hat0, P0, observations):
         if not np.isfinite(sums).all():
             where = f"step {k - 1}" if k else "the prior"
             raise NonFiniteError(f"normal equations of prefix {k} overflowed float64 at {where}")
-        normal = sums[:, :d]
-        try:
-            factor = spd_factor(normal, "normal matrix")
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(_indefinite_normal(normal, k)) from exc
-        yield cho_solve(factor, sums[:, d])
+        normal = symmetrize(sums[:, :d])
+        factor, info = dpotrf(normal, lower=1, clean=0)
+        if info:
+            raise np.linalg.LinAlgError(_indefinite_normal(normal, k))
+        yield dpotrs(factor, sums[:, d], lower=1)[0]
 
 
 def batch_wls(model, x_hat0, P0, observations):

@@ -19,10 +19,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from orjson import OPT_SERIALIZE_NUMPY, dumps
 
 from . import estimator
 from ._linalg import readonly
 from .model import NonFiniteError, SystemModel, observed_evolution_sequence
+
+
+# Cells per orjson.dumps of write_csv: bounds the Python floats alive at once.
+_CELLS_PER_DUMP = 2048
 
 
 @dataclass(frozen=True)
@@ -192,16 +197,34 @@ def example_system(which, sigma_is_variance=False):
 def write_csv(path, header, steps, values):
     """Write a CSV: the header, then per step its index and that row of ``values``.
 
-    ``values`` is a 2-D float array.  Floats are written in their shortest
-    round-trip decimal form (``repr``), fixed across platforms for a value.
-    The bytes are those of csv.writer's default dialect (CRLF line ends):
-    no header name or float needs quoting.
+    ``values`` is a 2-D float array and ``steps`` a sequence of one integer
+    per row.  Floats are written in their shortest round-trip decimal form,
+    spelled as ``repr`` spells it, fixed across platforms for a value.  The
+    bytes are those of csv.writer's default dialect (CRLF line ends) with
+    every float in its ``repr``: no header name or float needs quoting.
+
+    Each block of rows is one ``orjson.dumps``.  orjson writes repr's
+    digits, and spells them as repr does for zero and for 1e-4 <= |x| < 1e16;
+    every other cell (exponent form, 1e-5 <= |x| < 1e-4, which orjson writes
+    positionally, and NaN and inf, which it writes as null) goes in as its
+    ``repr`` string, whose quotes are then dropped.  A block holds about
+    _CELLS_PER_DUMP cells, so the Python floats of a long table are never
+    all alive at once.
     """
-    lines = [",".join(header)]
-    lines += [f"{k}," + ",".join(map(repr, row))
-              for k, row in zip(steps, np.asarray(values, dtype=float).tolist())]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    values = np.asarray(values, dtype=float)
+    size = np.abs(values)
+    respelled = (size != 0.0) & ~((size >= 1e-4) & (size < 1e16))
+    block = max(1, _CELLS_PER_DUMP // max(values.shape[1], 1))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, len(values), block):
+            rows = [[k, *row] for k, row in zip(steps[start:start + block],
+                                                values[start:start + block].tolist())]
+            for i, j in np.argwhere(respelled[start:start + block]).tolist():
+                rows[i][j + 1] = repr(rows[i][j + 1])
+            # [[k,v,...],[k,v,...]] -> k,v,...\r\nk,v,...
+            text = dumps(rows, option=OPT_SERIALIZE_NUMPY).replace(b"],[", b"\r\n")
+            fh.write(text[2:-2].replace(b'"', b"") + b"\r\n")
 
 
 def write_observations_csv(path, observations):

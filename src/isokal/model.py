@@ -311,10 +311,14 @@ def observed_evolution(model, k):
 def observed_evolution_sequence(model, count, start=0):
     """Observers H_j A(j,start) and transitions A(j,start), j = start..start+count-1.
 
-    Read-only stacks (count, m, d) and (count, d, d) from one walk of
-    ``advance_observed_evolution``; fully LTI transitions stay a broadcast
-    identity.  HorizonError past a time-varying model's horizon; overflow
-    leaves non-finite rows and no numpy warning.
+    Read-only stacks (count, m, d) and (count, d, d).  Fully LTI models
+    right-multiply the observer, H~_j = H~_j-1 A, and their transitions stay
+    a broadcast identity.  Anything time-varying carries the transition
+    forward, A(j,start) = A_j A(j-1,start), one matrix product per step, and
+    takes every observer H_j A(j,start) in one batched product; each row has
+    the bits of the ``advance_observed_evolution`` step to it.  HorizonError
+    past a time-varying model's horizon; overflow leaves non-finite rows and
+    no numpy warning.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -322,16 +326,22 @@ def observed_evolution_sequence(model, count, start=0):
     h_tilde = np.empty((count, model.m, d))
     phi = np.broadcast_to(np.eye(d), (count, d, d)) if lti else np.empty((count, d, d))
     if count:
-        if not lti:
-            model._check_horizon(start + count - 1)
-            phi[0] = np.eye(d)
-        h_tilde[0] = model.H_at(start)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, count):
-                h, p = advance_observed_evolution(model, start + i, h_tilde[i - 1], phi[i - 1])
-                h_tilde[i] = h
-                if not lti:
-                    phi[i] = p
+            if lti:
+                h_tilde[0] = model.H_at(start)
+                for i in range(1, count):
+                    h_tilde[i] = advance_observed_evolution(model, start + i, h_tilde[i - 1],
+                                                            phi[i - 1])[0]
+            else:
+                last = start + count - 1
+                model._check_horizon(last)
+                a = (np.broadcast_to(model._a, (count - 1, d, d)) if model.lti_dynamics
+                     else model.A_seq[start:last])
+                phi[0] = np.eye(d)
+                for i in range(1, count):
+                    np.matmul(a[i - 1], phi[i - 1], out=phi[i])
+                np.matmul(model._h if model.lti_observation else model.H_seq[start:last + 1],
+                          phi, out=h_tilde)
     h_tilde.flags.writeable = phi.flags.writeable = False
     return h_tilde, phi
 

@@ -30,11 +30,17 @@ def test_tiny_run_writes_valid_json(tmp_path):
         assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())
     ltv = doc["ltv"]
     assert (ltv["d"], ltv["m"], ltv["T"], ltv["L_max"]) == (4, 1, 40, 8)
-    assert set(ltv["layers"]) == {"config_decode", "model_validation", "check_observability",
+    assert set(ltv["layers"]) == {"config_decode", "load_config", "model_validation",
+                                  "check_observability",
                                   "advance_observed_evolution",
                                   "observed_evolution_sequence_per_step", "simulate_per_step",
                                   "run_per_step", "write_estimates_csv", "estimate_batch_check"}
     assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
+    gc_calls = ltv["gc_per_estimate_call"]
+    assert gc_calls["calls"] == 5
+    assert math.isfinite(gc_calls["seconds"]) and gc_calls["seconds"] >= 0.0
+    assert set(gc_calls["collections"]) == {"0", "1", "2"}
+    assert all(math.isfinite(v) and v >= 0.0 for v in gc_calls["collections"].values())
     assert set(ltv["sweep"]) == {"observed_evolution_sequence_per_step", "simulate_per_step",
                                  "run_per_step"}
     for by_steps in ltv["sweep"].values():

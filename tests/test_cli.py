@@ -1,7 +1,9 @@
 import copy
 import csv
 import dataclasses
+import gc
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -232,6 +234,39 @@ class TestReadJson:
             "line 1 column 100001 (char 100000)\n")
 
 
+class TestLoadConfig:
+    """cli._load_config decodes and validates with cyclic GC paused, then restores it."""
+
+    @pytest.fixture()
+    def gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("case", ["valid", "invalid_json", "invalid_config"])
+    def test_gc_state_is_left_as_found(self, tmp_path, example2_config, monkeypatch, gc_state,
+                                       enabled, case):
+        if case == "invalid_config":
+            example2_config["d"] = 0
+        path = write_config(tmp_path, example2_config)
+        if case == "invalid_json":
+            Path(path).write_text("{")
+        seen = []
+        real = cli.load_model
+        monkeypatch.setattr(cli, "load_model", lambda doc: seen.append(gc.isenabled()) or
+                            real(doc))
+        (gc.enable if enabled else gc.disable)()
+        if case == "valid":
+            assert cli._load_config(path).d == 2
+        else:
+            with pytest.raises(cli.ConfigError):
+                cli._load_config(path)
+        assert gc.isenabled() is enabled
+        # paused while the document is read into a model
+        assert seen == ([] if case == "invalid_json" else [False])
+
+
 class TestEstimate:
     def _simulate(self, tmp_path, cfg, steps=6, seed=3):
         out = tmp_path / "obs.csv"
@@ -304,6 +339,60 @@ class TestEstimate:
                        "--p0", "0.01", "--out", tmp_path / "est.csv",
                        "--batch-check", "--quiet")
         assert code == 3
+
+    FAILURE = re.compile(r"batch-check failed: deviation (\S+) > 1\.0e-06 at prefix (\d+), "
+                         r"where cond\(P0\^-1 \+ O\((\d+),0\)\) = (\S+)\n")
+
+    @staticmethod
+    def normal_matrix(config, p0, k):
+        """P0^-1 + O(k,0) of an LTI config with isotropic noise, by matrix powers."""
+        a, h = np.array(config["dynamics"]["A"]), np.array(config["observation"]["H"])
+        observers = [h @ np.linalg.matrix_power(a, j) for j in range(k)]
+        gram = sum((o.T @ o for o in observers), np.zeros_like(a))
+        return np.eye(len(a)) / p0 + gram / config["noise"]["sigma2"]
+
+    def test_batch_check_failure_names_the_prefix_and_its_condition(
+            self, tmp_path, example1_config, capsys):
+        # the paper's example1 at its 40-step horizon: the worst prefix's
+        # normal matrix is within a few decades of cond 1/eps, so it is the
+        # cross-check that has run out of float64 precision, and the line
+        # says so by its condition number
+        cfg = write_config(tmp_path, example1_config)
+        obs = tmp_path / "obs.csv"
+        guess = "0.376,0.502,0.421,0.366"
+        assert run_cli("simulate", "--config", cfg, "--x0", "0.2,0.4,0.5,0.3", "--steps", 40,
+                       "--seed", 3, "--out", obs, "--quiet") == 0
+        assert run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
+                       "--x0-guess", guess, "--out", tmp_path / "est.csv", "--batch-check",
+                       "--quiet") == 3
+        match = self.FAILURE.fullmatch(capsys.readouterr().err)
+        assert match and match[2] == match[3]
+        model, y = load_model(example1_config), read_observations_csv(obs)
+        x_hat0 = np.array([float(v) for v in guess.split(",")])
+        states = estimator.run(model, x_hat0, 0.01, y)
+        devs = [np.linalg.norm(s.x_hat - xb) / (1.0 + np.linalg.norm(xb))
+                for s, xb in zip(states, estimator.wls_prefixes(model, x_hat0, 0.01, y))]
+        assert float(match[1]) == float(f"{max(devs):.3e}") > 1e-6
+        assert int(match[2]) == int(np.argmax(devs))
+        assert 1e-3 < float(match[4]) * np.finfo(float).eps < 10.0
+
+    def test_batch_check_fault_at_a_well_conditioned_prefix(
+            self, tmp_path, example2_config, monkeypatch, capsys):
+        # a deviation injected at prefix 7 of example2, whose normal matrix is
+        # well conditioned: the line names that prefix and its condition number
+        cfg = write_config(tmp_path, example2_config)
+        obs = self._simulate(tmp_path, cfg, steps=12)
+        real = estimator.wls_prefixes
+        monkeypatch.setattr(estimator, "wls_prefixes", lambda *args: [
+            xb + 1e-3 * (k == 7) for k, xb in enumerate(real(*args))])
+        assert run_cli("estimate", "--config", cfg, "--obs", obs, "--x0-guess", "1,0",
+                       "--p0", "0.01", "--out", tmp_path / "est.csv", "--batch-check",
+                       "--quiet") == 3
+        match = self.FAILURE.fullmatch(capsys.readouterr().err)
+        assert match and (match[2], match[3]) == ("7", "7")
+        expected = np.linalg.cond(self.normal_matrix(example2_config, 0.01, 7))
+        assert expected < 1e6
+        assert float(match[4]) == pytest.approx(expected, rel=1e-3)
 
     def test_batch_check_exhausted_precision_exits_1(self, tmp_path, example2_config, capsys):
         # example2's normal matrix passes cond 1/eps at prefix 48; the

@@ -1,8 +1,11 @@
 import csv
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from isokal import estimator, harness
 from isokal._linalg import symmetrize
@@ -396,6 +399,34 @@ def test_stacked_writer_matches_csv_writer(tmp_path):
     reference_csv(tmp_path / "reference.csv", header,
                   [[str(k)] + list(row) for k, row in zip(steps, awkward)])
     assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# Where repr changes its spelling (1e-4 and 1e16) and where orjson's
+# positional form starts (1e-5), one float on each side, both signs.
+_SPELLING_EDGES = [s * v for b in (1e-5, 1e-4, 1e16) for s in (1.0, -1.0)
+                   for v in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+
+
+@given(data=st.data(), columns=st.integers(1, 5), rows=st.integers(0, 6),
+       cells=st.integers(1, 12))
+def test_writer_matches_csv_writer_on_any_float(data, columns, rows, cells):
+    # every float64: -0.0, subnormals, NaN, +-inf and both sides of each
+    # spelling edge, in tables of zero rows or more, dumped in blocks of
+    # about ``cells`` cells
+    cell = st.one_of(st.floats(width=64), st.sampled_from(_SPELLING_EDGES),
+                     st.sampled_from([-0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf]))
+    values = np.array(data.draw(st.lists(st.lists(cell, min_size=columns, max_size=columns),
+                                         min_size=rows, max_size=rows)),
+                      dtype=float).reshape(rows, columns)
+    steps = sorted(data.draw(st.sets(st.integers(0, 10 ** 6), min_size=rows, max_size=rows)))
+    header = ["k"] + [f"v_{i}" for i in range(columns)]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(harness, "_CELLS_PER_DUMP", cells):
+        write_csv(Path(tmp) / "stacked.csv", header, steps, values)
+        reference_csv(Path(tmp) / "reference.csv", header,
+                      [[str(k)] + list(row) for k, row in zip(steps, values)])
+        assert (Path(tmp) / "stacked.csv").read_bytes() == \
+            (Path(tmp) / "reference.csv").read_bytes()
 
 
 def test_stacked_estimates_match_the_per_state_expressions(tmp_path):

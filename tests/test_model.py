@@ -161,6 +161,30 @@ class TestObserverWalk:
                 np.testing.assert_array_equal(h_tilde[j], observed_evolution(model, j))
 
     @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("kind", ["ltv", "lti_dynamics", "lti_observation"])
+    def test_rows_equal_the_one_step_advance(self, start, kind):
+        # each row is bit for bit the advance_observed_evolution step from the
+        # row before it and the direct product, also when only one of the
+        # dynamics and the observation varies
+        ltv = random_ltv(np.random.default_rng(43), 3, horizon=8)
+        model = {"ltv": ltv,
+                 "lti_dynamics": SystemModel(ltv.A_seq[0], ltv.H_seq, 1.0),
+                 "lti_observation": SystemModel(ltv.A_seq, ltv.H_seq[0], 1.0)}[kind]
+        count = (model.horizon or 12) - start
+        h_tilde, phi = observed_evolution_sequence(model, count, start=start)
+        assert h_tilde.shape == (count, 1, 3) and phi.shape == (count, 3, 3)
+        np.testing.assert_array_equal(phi[0], np.eye(3))
+        np.testing.assert_array_equal(h_tilde[0], model.H_at(start))
+        for i in range(1, count):
+            h_one, phi_one = advance_observed_evolution(model, start + i, h_tilde[i - 1],
+                                                        phi[i - 1])
+            np.testing.assert_array_equal(phi[i], phi_one)
+            np.testing.assert_array_equal(h_tilde[i], h_one)
+            direct = transition(model, start + i, start)
+            np.testing.assert_array_equal(phi[i], direct)
+            np.testing.assert_array_equal(h_tilde[i], model.H_at(start + i) @ direct)
+
+    @pytest.mark.parametrize("start", [0, 3])
     def test_lti_rows_right_multiply(self, example1, start):
         # row j is row j-1 times A, as one advance_observed_evolution call
         # gives it; the transition is never advanced from a broadcast identity
