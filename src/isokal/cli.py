@@ -19,9 +19,8 @@ import numpy as np
 from orjson import JSONDecodeError, loads
 
 from . import __version__, estimator, harness, stability
-from ._linalg import spd_inverse
 from .model import ConfigError, HorizonError, _as_array, load_model
-from .observability import check_observability, gramian, lambda_min_asymptotics
+from .observability import check_observability, lambda_min_asymptotics
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -102,12 +101,6 @@ def _parse_p0(text):
     return _as_array(_read_json(text, name), name)
 
 
-def _normal_condition(model, p0, k):
-    """cond_2 of the normal matrix P0^-1 + O(k,0) of the weighted least-squares prefix k."""
-    p0 = estimator._prior(model, None, p0)[1]
-    return float(np.linalg.cond(spd_inverse(p0, "P0") + gramian(model, 0, k)))
-
-
 def _write_manifest(path, command, config, seed, outputs, started, **fields):
     doc = {
         "command": command,
@@ -156,19 +149,22 @@ def _cmd_estimate(args):
         print(f"wrote {len(x_hat)} estimate rows to {args.out}")
 
     if args.batch_check:
-        worst, worst_k = 0.0, 0
-        for k, (x, xb) in enumerate(zip(x_hat, estimator.wls_prefixes(model, x_hat0, p0, obs))):
+        # The pass's observers, checked prior (x^_0, P_0) and observations.
+        prefixes = estimator._root_information(model, x_hat[0], schedule.P[0], obs,
+                                               schedule.h_tilde)
+        worst, worst_k, worst_s = 0.0, 0, None
+        for k, (x, (xb, s)) in enumerate(zip(x_hat, prefixes)):
             dev = np.linalg.norm(x - xb) / (1.0 + np.linalg.norm(xb))
             if dev > worst:
-                worst, worst_k = dev, k
+                worst, worst_k, worst_s = dev, k, s.copy()
         if not args.quiet:
             print(f"batch-check max deviation: {worst:.3e}")
         if worst > BATCH_CHECK_TOL:
-            # The condition number tells a filter fault from normal equations
-            # that float64 no longer resolves (cond near 1/eps or past it).
+            # cond_2(S_k) near 1/eps says float64 no longer resolves prefix k;
+            # a deviation at a well-conditioned prefix is a filter fault.
             print(f"batch-check failed: deviation {worst:.3e} > {BATCH_CHECK_TOL:.1e} "
-                  f"at prefix {worst_k}, where cond(P0^-1 + O({worst_k},0)) = "
-                  f"{_normal_condition(model, p0, worst_k):.3e}", file=sys.stderr)
+                  f"at prefix {worst_k}, where cond_2(S_{worst_k}) = "
+                  f"{np.linalg.cond(worst_s):.3e}", file=sys.stderr)
             return EXIT_BATCH_CHECK
     return EXIT_OK
 

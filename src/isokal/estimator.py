@@ -8,7 +8,7 @@ Each new observation y(k-1) refines the running estimate of x0:
 
 where H~_k = H_k A(k,0) observes the evolved initial state.  The covariance
 is propagated in the Joseph form above (PSD-preserving under rounding); the
-algebraically equal short form (I - K H~) P is checked against it at every
+algebraically equal short form P - K (H~ P) is checked against it at every
 update.  P_k, K_k and H~_k never depend on the observed values, so
 ``gain_schedule`` computes them once for any number of streams, over one
 ``observed_evolution_sequence`` walk, and ``run`` folds the estimate update
@@ -16,8 +16,8 @@ over it; ``step`` takes one observation at a time.  A pass whose information
 matrices P_k^-1 = P0^-1 + O(k,0) are provably well conditioned is computed
 in information form, as batched prefix sums and factorizations, and any
 other pass by the Joseph recursion of ``step``.
-``wls_prefixes`` solves the same weighted least-squares problem from the
-normal equations over the same observer walk, an independent cross-check.
+``wls_prefixes`` solves the same weighted least-squares problem over the
+same observers by QR updates of a factor no pass shares, a cross-check.
 
 Adjoints are written as transposes: all data is real, and a complex
 extension would only swap in conjugate transposes.
@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtpqrt, dtrtrs
 
-from ._linalg import asymmetry, readonly, spd_inverse, spectral_norm, symmetrize, tril_solve
+from ._linalg import (asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize,
+                      tril_solve)
 from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
                     observed_evolution_sequence)
 
@@ -234,7 +235,6 @@ def _update(P, h_tilde, R, r_factor=None, k=None):
     factor of R when the caller already holds it; otherwise R is
     factorized here.
     """
-    R = np.asarray(R, dtype=float)
     k_gain, _, f = _gain_pieces(P, h_tilde, R, k)
     # I - K H~ without an identity temporary: 0 - x, then 1 + (-x) on the
     # diagonal, carries the same bits as I - K H~.
@@ -245,8 +245,9 @@ def _update(P, h_tilde, R, r_factor=None, k=None):
     if r_factor is None:
         r_factor = np.linalg.cholesky(symmetrize(R))
     kl = k_gain @ r_factor
-    p_next = symmetrize(mf @ mf.T + kl @ kl.T)
-    _check_joseph(p_next, symmetrize(mix @ P))
+    # numpy forms x @ x.T by syrk, so the Joseph sum is exactly symmetric.
+    p_next = mf @ mf.T + kl @ kl.T
+    _check_joseph(p_next, P - k_gain @ (h_tilde @ P))
     return k_gain, p_next
 
 
@@ -322,12 +323,12 @@ def _joseph_schedule(model, P0, h_tilde):
     gains = np.empty((T, model.d, model.m))
     covs = np.empty((T + 1, model.d, model.d))
     covs[0] = P0
-    r_factors = model.noise_factors(T)
+    noise = model.R_seq if model.R_seq is not None else [model.R_at(0)] * T
     # An overflowed observer is reported by _check_observer, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, h in enumerate(h_tilde):
+        for k, (h, r, c) in enumerate(zip(h_tilde, noise, model.noise_factors(T))):
             try:
-                gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
+                gains[k], covs[k + 1] = _update(covs[k], h, r, c, k)
             except (ValueError, np.linalg.LinAlgError):
                 _check_observer(h, k)
                 raise
@@ -520,21 +521,28 @@ def covariance_sequence(model, P0, k_max):
     return gain_schedule(model, P0, k_max).P
 
 
-def _indefinite_normal(normal, k):
-    """Message for the normal matrix of prefix k when Cholesky rejects it.
+def _root_information(model, x_hat0, P0, observations, h_tilde):
+    """(x_k, S_k) of ``wls_prefixes`` from a checked prior, observations and their observers.
 
-    When lambda_min <= eps lambda_max, its condition number is past 1/eps:
-    float64 cannot resolve the least-informed direction next to the most
-    informed one any more, and the message says so.
+    S_k is a view of the running factor: the next prefix overwrites it.
     """
-    message = f"normal matrix is not positive definite at prefix {k}"
-    w = np.linalg.eigvalsh(symmetrize(normal))
-    eps = np.finfo(float).eps
-    if w[0] <= eps * w[-1]:
-        message += (f": its condition number is past 1/eps = {1.0 / eps:.3e}, float64 "
-                    f"precision is exhausted (lambda_min = {w[0]:.3e}, "
-                    f"lambda_max = {w[-1]:.3e})")
-    return message
+    T, d = len(h_tilde), model.d
+    # Fortran order, so that LAPACK updates the factor [S_k z_k; 0 r_k] in place.
+    factor = np.zeros((d + 1, d + 1), order="F")
+    factor[:d, :d] = np.tril(spd_factor(spd_inverse(P0, "P0"), "P0^-1")[0]).T
+    # Overflow is reported by the check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor[:d, d] = factor[:d, :d] @ x_hat0
+        rows = tril_solve(model.noise_factors(T),
+                          np.concatenate([h_tilde, observations.reshape(T, model.m, 1)], axis=2))
+    for k in range(T + 1):
+        if k:
+            factor = dtpqrt(0, min(model.m, d + 1), factor, rows[k - 1], overwrite_a=1)[0]
+        if not np.isfinite(factor).all():
+            where = f"step {k - 1}" if k else "the prior"
+            raise NonFiniteError(f"square-root information of prefix {k} overflowed float64 "
+                                 f"at {where}")
+        yield dtrtrs(factor[:, :d], factor[:d, d], lda=d + 1)[0], factor[:d, :d]
 
 
 def wls_prefixes(model, x_hat0, P0, observations):
@@ -545,37 +553,18 @@ def wls_prefixes(model, x_hat0, P0, observations):
         (x - x^_0)^T P0^-1 (x - x^_0)
             + sum_{j<k} (y(j) - H~_j x)^T R_j^-1 (y(j) - H~_j x)
 
-    by factorizing the SPD normal matrix P0^-1 + O(k,0) and solving against
-    P0^-1 x^_0 + sum_{j<k} H~_j^T R_j^-1 y(j), one LAPACK ``dpotrf`` and
-    ``dpotrs`` per prefix.  Each row [H~_j | y(j)] of the
-    pass's ``_walk`` is whitened by R_j's factor C_j, and one running block
-    [normal | right-hand side] adds its Gram product.  Prefixes are solved in
-    order, so the first failure is raised: a normal matrix that Cholesky
-    rejects raises LinAlgError naming the prefix, and the exhausted
-    precision when that is the cause; sums past float64 raise NonFiniteError
-    naming the step, and no numpy warning.
+    without forming P0^-1 + O(k,0), which squares the condition number.  The
+    upper-triangular factor [S_k z_k; 0 r_k] of the whitened system starts
+    from S_0^T S_0 = P0^-1, z_0 = S_0 x^_0; one QR update (LAPACK ``dtpqrt``)
+    folds in each row [H~_j | y(j)] of the pass's ``_walk``, whitened by
+    R_j's factor, and one ``dtrtrs`` solves S_k x = z_k.  No prefix fails;
+    a factor past float64 raises NonFiniteError naming the prefix and step.
     """
     x_hat0, P0 = _prior(model, x_hat0, P0)
     observations = _as_observations(observations, model.m)
-    T, d = observations.shape[0], model.d
-    rows = np.dstack([_walk(model, T)[0][:T], observations[:, :, None]])
-    p0_inv = spd_inverse(P0, "P0")
-    # Overflow is reported by the check below, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        whitened = tril_solve(model.noise_factors(T), rows)
-        sums = np.column_stack([p0_inv, p0_inv @ x_hat0])
-    for k in range(T + 1):
-        if k:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = sums + whitened[k - 1, :, :d].T @ whitened[k - 1]
-        if not np.isfinite(sums).all():
-            where = f"step {k - 1}" if k else "the prior"
-            raise NonFiniteError(f"normal equations of prefix {k} overflowed float64 at {where}")
-        normal = symmetrize(sums[:, :d])
-        factor, info = dpotrf(normal, lower=1, clean=0)
-        if info:
-            raise np.linalg.LinAlgError(_indefinite_normal(normal, k))
-        yield dpotrs(factor, sums[:, d], lower=1)[0]
+    T = len(observations)
+    for x, _ in _root_information(model, x_hat0, P0, observations, _walk(model, T)[0][:T]):
+        yield x
 
 
 def batch_wls(model, x_hat0, P0, observations):

@@ -333,15 +333,15 @@ class TestEstimate:
     def test_batch_check_failure_exits_3(self, tmp_path, example2_config, monkeypatch):
         cfg = write_config(tmp_path, example2_config)
         obs = self._simulate(tmp_path, cfg)
-        monkeypatch.setattr(estimator, "wls_prefixes",
-                            lambda model, xh, p0, o: [np.array([100.0, 100.0])] * (len(o) + 1))
+        monkeypatch.setattr(estimator, "_root_information", lambda model, xh, p0, o, h: [
+            (np.array([100.0, 100.0]), np.eye(2))] * (len(o) + 1))
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--x0-guess", "1,0",
                        "--p0", "0.01", "--out", tmp_path / "est.csv",
                        "--batch-check", "--quiet")
         assert code == 3
 
     FAILURE = re.compile(r"batch-check failed: deviation (\S+) > 1\.0e-06 at prefix (\d+), "
-                         r"where cond\(P0\^-1 \+ O\((\d+),0\)\) = (\S+)\n")
+                         r"where cond_2\(S_(\d+)\) = (\S+)\n")
 
     @staticmethod
     def normal_matrix(config, p0, k):
@@ -351,62 +351,66 @@ class TestEstimate:
         gram = sum((o.T @ o for o in observers), np.zeros_like(a))
         return np.eye(len(a)) / p0 + gram / config["noise"]["sigma2"]
 
-    def test_batch_check_failure_names_the_prefix_and_its_condition(
-            self, tmp_path, example1_config, capsys):
-        # the paper's example1 at its 40-step horizon: the worst prefix's
-        # normal matrix is within a few decades of cond 1/eps, so it is the
-        # cross-check that has run out of float64 precision, and the line
-        # says so by its condition number
+    def test_batch_check_passes_on_example1_at_its_horizon(
+            self, tmp_path, example1_config, capsys, oracle):
+        # the paper's example1 at its 40-step horizon: cond_2(P0^-1 + O(40,0))
+        # is about 1.6e15, so normal equations would miss by 3.7e-3, while the
+        # square-root information prefixes stay within 1e-8 of the exact
+        # estimates and the filter within 1e-8 of them
         cfg = write_config(tmp_path, example1_config)
         obs = tmp_path / "obs.csv"
         guess = "0.376,0.502,0.421,0.366"
         assert run_cli("simulate", "--config", cfg, "--x0", "0.2,0.4,0.5,0.3", "--steps", 40,
                        "--seed", 3, "--out", obs, "--quiet") == 0
         assert run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
-                       "--x0-guess", guess, "--out", tmp_path / "est.csv", "--batch-check",
-                       "--quiet") == 3
-        match = self.FAILURE.fullmatch(capsys.readouterr().err)
-        assert match and match[2] == match[3]
+                       "--x0-guess", guess, "--out", tmp_path / "est.csv",
+                       "--batch-check") == 0
+        printed = capsys.readouterr().out
+        assert float(printed.rsplit(":", 1)[1]) <= 1e-8
         model, y = load_model(example1_config), read_observations_csv(obs)
         x_hat0 = np.array([float(v) for v in guess.split(",")])
-        states = estimator.run(model, x_hat0, 0.01, y)
-        devs = [np.linalg.norm(s.x_hat - xb) / (1.0 + np.linalg.norm(xb))
-                for s, xb in zip(states, estimator.wls_prefixes(model, x_hat0, 0.01, y))]
-        assert float(match[1]) == float(f"{max(devs):.3e}") > 1e-6
-        assert int(match[2]) == int(np.argmax(devs))
-        assert 1e-3 < float(match[4]) * np.finfo(float).eps < 10.0
+        exact = oracle(model, 0.01 * np.eye(4), x_hat0, y, dps=120)[1]
+        prefixes = np.array(list(estimator.wls_prefixes(model, x_hat0, 0.01, y)))
+        gap = np.linalg.norm(prefixes - exact, axis=1) / (1.0 + np.linalg.norm(exact, axis=1))
+        assert gap.max() <= 1e-8
 
     def test_batch_check_fault_at_a_well_conditioned_prefix(
             self, tmp_path, example2_config, monkeypatch, capsys):
         # a deviation injected at prefix 7 of example2, whose normal matrix is
-        # well conditioned: the line names that prefix and its condition number
+        # well conditioned: the line names that prefix and cond_2(S_7), the
+        # square root of the normal matrix's condition number
         cfg = write_config(tmp_path, example2_config)
         obs = self._simulate(tmp_path, cfg, steps=12)
-        real = estimator.wls_prefixes
-        monkeypatch.setattr(estimator, "wls_prefixes", lambda *args: [
-            xb + 1e-3 * (k == 7) for k, xb in enumerate(real(*args))])
+        real = estimator._root_information
+        monkeypatch.setattr(estimator, "_root_information", lambda *args: [
+            (xb + 1e-3 * (k == 7), s.copy()) for k, (xb, s) in enumerate(real(*args))])
         assert run_cli("estimate", "--config", cfg, "--obs", obs, "--x0-guess", "1,0",
                        "--p0", "0.01", "--out", tmp_path / "est.csv", "--batch-check",
                        "--quiet") == 3
         match = self.FAILURE.fullmatch(capsys.readouterr().err)
         assert match and (match[2], match[3]) == ("7", "7")
-        expected = np.linalg.cond(self.normal_matrix(example2_config, 0.01, 7))
-        assert expected < 1e6
+        expected = np.sqrt(np.linalg.cond(self.normal_matrix(example2_config, 0.01, 7)))
+        assert expected < 1e3
         assert float(match[4]) == pytest.approx(expected, rel=1e-3)
 
-    def test_batch_check_exhausted_precision_exits_1(self, tmp_path, example2_config, capsys):
-        # example2's normal matrix passes cond 1/eps at prefix 48; the
-        # estimates are written first, then the check names the prefix
+    def test_batch_check_catches_the_filter_past_its_precision(self, tmp_path, example2_config,
+                                                               capsys):
+        # example2 over 80 steps: the filter itself drifts about 6e-4 from the
+        # exact estimates, so the check fails, naming the prefix and
+        # cond_2(S_k); the estimates are written first
         cfg = write_config(tmp_path, example2_config)
-        obs = self._simulate(tmp_path, cfg, steps=60)
+        obs = self._simulate(tmp_path, cfg, steps=80)
         out = tmp_path / "est.csv"
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
-                       "--out", out, "--batch-check", "--quiet")
-        assert code == 1
+                       "--x0-guess", "0.99065169,0.19889222", "--out", out, "--batch-check",
+                       "--quiet")
+        assert code == 3
         assert out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("isokal estimate: error: normal matrix is not positive definite "
-                              "at prefix 48: its condition number is past 1/eps")
+        match = self.FAILURE.fullmatch(capsys.readouterr().err)
+        assert match and match[2] == match[3]
+        assert float(match[1]) > 1e-6
+        assert int(match[2]) > 60
+        assert float(match[4]) > 1e7
 
     def test_p0_whose_inverse_overflows_exits_1(self, tmp_path, example2_config, capsys):
         # P0 = 1e-310 I is positive definite, but 1 / 1e-310 is past float64:

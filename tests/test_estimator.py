@@ -610,29 +610,26 @@ class TestBatchWls:
         assert np.linalg.norm(states[-1].x_hat - xb) <= 1e-9 * (1.0 + np.linalg.norm(xb))
 
 
-    def test_exhausted_precision_names_the_prefix(self, example2):
-        # |eig(A)| = 1.5 and 0.5: cond(P0^-1 + O(k,0)) passes 1/eps at
-        # prefix 48, long before the information overflows (step 859)
-        model, _x0, x_hat0, p0, _ = example2
-        assert len(list(wls_prefixes(model, x_hat0, p0, np.zeros((47, 1))))) == 48
-        pattern = (r"^normal matrix is not positive definite at prefix 48: its condition "
-                   r"number is past 1/eps = 4\.504e\+15, float64 precision is exhausted "
-                   r"\(lambda_min = \S+, lambda_max = \S+\)$")
-        with pytest.raises(np.linalg.LinAlgError, match=pattern):
-            list(wls_prefixes(model, x_hat0, p0, np.zeros((60, 1))))
-        with pytest.raises(np.linalg.LinAlgError, match=pattern):
-            batch_wls(model, x_hat0, p0, np.zeros((60, 1)))
-        # prefixes fail in order: the sums of 900 observations overflow
-        # float64 at step 859, but prefix 48 fails first
-        with pytest.raises(np.linalg.LinAlgError, match=pattern):
-            list(wls_prefixes(model, x_hat0, p0, np.zeros((900, 1))))
+    def test_prefixes_past_the_normal_equations_match_the_exact_estimates(self, example2,
+                                                                           oracle):
+        # |eig(A)| = 1.5 and 0.5: cond_2(P0^-1 + O(k,0)) passes 1/eps at prefix
+        # 48, where normal equations fail; the square-root information factor
+        # only reaches cond 1/sqrt(eps) there, and its prefixes stay within
+        # 1e-8 of the exact weighted least-squares estimates
+        model, x0, x_hat0, p0, _ = example2
+        obs = simulate(model, x0, 60, 3)
+        exact = oracle(model, p0, x_hat0, obs)[1][48:]
+        prefixes = np.array(list(wls_prefixes(model, x_hat0, p0, obs))[48:])
+        gap = np.linalg.norm(prefixes - exact, axis=1) / (1.0 + np.linalg.norm(exact, axis=1))
+        assert gap.max() <= 1e-8
+        np.testing.assert_array_equal(batch_wls(model, x_hat0, p0, obs), prefixes[-1])
 
     def test_overflowed_sums_name_the_step(self, example2):
         model, _x0, x_hat0, p0, _ = example2
         first = wls_prefixes(model, x_hat0, p0, np.full((3, 1), 1e307))
         next(first)
-        with pytest.raises(NonFiniteError,
-                           match=r"^normal equations of prefix 1 overflowed float64 at step 0$"):
+        with pytest.raises(NonFiniteError, match=r"^square-root information of prefix 1 "
+                                                 r"overflowed float64 at step 0$"):
             next(first)
 
 
@@ -654,6 +651,19 @@ class TestGainSchedule:
             np.testing.assert_array_equal(x + sched.gain[k] @ innovation, states[k + 1].x_hat)
         for k in range(T + 1):
             np.testing.assert_array_equal(sched.P[k], states[k].P)
+
+    def test_joseph_covariances_are_exactly_symmetric(self, example1, example2, make_system):
+        # the Joseph sum of two Gram products is symmetric bit for bit, with
+        # no symmetrize step
+        cases = [(example1[0], example1[3], 40), (example2[0], example2[3], 60),
+                 (straddling_lti(), np.eye(64), 30)]
+        cases += [(model, p0, 20) for model, _x0, _x_hat0, p0 in
+                  (make_system(77, i) for i in range(4))]
+        for model, p0, T in cases:
+            h_tilde = estimator._walk(model, T)[0][:T]
+            covs = estimator._joseph_schedule(model, estimator._prior(model, None, p0)[1],
+                                              h_tilde)[1]
+            np.testing.assert_array_equal(covs, np.swapaxes(covs, 1, 2))
 
     def test_arrays_are_read_only(self, example2):
         sched = estimator.gain_schedule(example2[0], 1e-2, 3)

@@ -378,6 +378,52 @@ def test_observations_csv_roundtrip(tmp_path, example1):
     assert back.tobytes() == obs.tobytes()
 
 
+def test_observations_csv_reads_every_spelling_bitwise(tmp_path):
+    # repr and orjson spellings over 24 decades, read back bit for bit
+    rng = np.random.default_rng(12)
+    obs = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(-12, 12, (300, 3))
+    obs[::7, 1] = 0.0
+    path = tmp_path / "obs.csv"
+    write_observations_csv(path, obs)
+    assert read_observations_csv(path).tobytes() == obs.tobytes()
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (b'k,y_0\r\n"0","1.5"\r\n1,"-2e-3"\r\n', [[1.5], [-2e-3]]),
+    (b"k,y_0\r0,1.5\r\r1,2.5", [[1.5], [2.5]]),
+    (b"k,y_0,y_1\nstep zero, 1_0 ,-inf\n", [[10.0, -np.inf]]),
+], ids=["quoted_cells", "cr_line_ends", "float_spellings"])
+def test_observations_csv_accepts_what_csv_reader_reads(tmp_path, raw, expected):
+    # the step index is not read; every other cell is what float() takes
+    path = tmp_path / "obs.csv"
+    path.write_bytes(raw)
+    np.testing.assert_array_equal(read_observations_csv(path), expected)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"", ": expected an observations CSV with a 'k' first column"),
+    (b"\nk,y_0\n0,1.0\n", ": expected an observations CSV with a 'k' first column"),
+    (b"step,y_0\n0,1.0\n", ": expected an observations CSV with a 'k' first column"),
+    (b"k,y_0\r0,1.0\r   \r", ", line 3: 1 fields, the header has 2"),
+    (b'k,y_0\n0,"1\n2"\n1,3\n', ", line 3: could not convert string to float: '1\\n2'"),
+    (b"k,y_0\n0,1.0\n1,nan,\n", ", line 3: 3 fields, the header has 2"),
+], ids=["empty", "blank_header", "wrong_header", "blank_cell_row", "quoted_line_break",
+        "trailing_comma"])
+def test_observations_csv_names_the_first_bad_line(tmp_path, raw, message):
+    path = tmp_path / "obs.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        read_observations_csv(path)
+    assert str(info.value) == f"{path}{message}"
+
+
+def test_observations_csv_must_be_utf8(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_bytes(b"k,y_0\n\xff,1.0\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_observations_csv(path)
+
+
 def reference_csv(path, header, rows):
     """A CSV as csv.writer writes it, every float in its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
