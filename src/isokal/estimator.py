@@ -235,6 +235,7 @@ def _update(P, h_tilde, R, r_factor=None, k=None):
     factor of R when the caller already holds it; otherwise R is
     factorized here.
     """
+    R = np.asarray(R, dtype=float)
     k_gain, _, f = _gain_pieces(P, h_tilde, R, k)
     # I - K H~ without an identity temporary: 0 - x, then 1 + (-x) on the
     # diagonal, carries the same bits as I - K H~.
@@ -323,12 +324,12 @@ def _joseph_schedule(model, P0, h_tilde):
     gains = np.empty((T, model.d, model.m))
     covs = np.empty((T + 1, model.d, model.d))
     covs[0] = P0
-    noise = model.R_seq if model.R_seq is not None else [model.R_at(0)] * T
+    r_factors = model.noise_factors(T)
     # An overflowed observer is reported by _check_observer, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (h, r, c) in enumerate(zip(h_tilde, noise, model.noise_factors(T))):
+        for k, h in enumerate(h_tilde):
             try:
-                gains[k], covs[k + 1] = _update(covs[k], h, r, c, k)
+                gains[k], covs[k + 1] = _update(covs[k], h, model.R_at(k), r_factors[k], k)
             except (ValueError, np.linalg.LinAlgError):
                 _check_observer(h, k)
                 raise
@@ -537,7 +538,7 @@ def _root_information(model, x_hat0, P0, observations, h_tilde):
                           np.concatenate([h_tilde, observations.reshape(T, model.m, 1)], axis=2))
     for k in range(T + 1):
         if k:
-            factor = dtpqrt(0, min(model.m, d + 1), factor, rows[k - 1], overwrite_a=1)[0]
+            factor = dtpqrt(0, model.m, factor, rows[k - 1], overwrite_a=1)[0]
         if not np.isfinite(factor).all():
             where = f"step {k - 1}" if k else "the prior"
             raise NonFiniteError(f"square-root information of prefix {k} overflowed float64 "

@@ -15,9 +15,7 @@ observations.  Every CSV is written by ``write_csv`` from a stacked array.
 """
 
 import csv
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -239,19 +237,7 @@ def read_observations_csv(path):
 
     Every row has the header's width; a row of another width or a cell
     that is not a number raises ValueError naming the file and its line.
-    An ASCII file without quotes is read in one pass over its bytes; any
-    other, and one that pass rejects, row by row by ``csv.reader``.
     """
-    data = Path(path).read_bytes()
-    # bytes.splitlines breaks at \r\n, \r and \n, as csv.reader does.
-    header, *rows = data.splitlines() or [b""]
-    rows, commas = list(filter(None, rows)), header.count(b",")
-    if (data.isascii() and b'"' not in data and header.split(b",")[0] == b"k"
-            and set(map(bytes.count, rows, repeat(b","))) <= {commas}):
-        cells = b",".join(rows).split(b",") if rows else []
-        del cells[::commas + 1]
-        with suppress(ValueError):
-            return np.fromiter(map(float, cells), float, len(cells)).reshape(-1, commas)
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

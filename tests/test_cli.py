@@ -394,22 +394,30 @@ class TestEstimate:
         assert float(match[4]) == pytest.approx(expected, rel=1e-3)
 
     def test_batch_check_catches_the_filter_past_its_precision(self, tmp_path, example2_config,
-                                                               capsys):
+                                                               capsys, oracle):
         # example2 over 80 steps: the filter itself drifts about 6e-4 from the
-        # exact estimates, so the check fails, naming the prefix and
-        # cond_2(S_k); the estimates are written first
+        # exact estimates (ROADMAP item 2), so the check fails, naming the
+        # prefix and cond_2(S_k); the estimates are written first
         cfg = write_config(tmp_path, example2_config)
         obs = self._simulate(tmp_path, cfg, steps=80)
+        guess = "0.99065169,0.19889222"
+        # the premise, asserted first: the filter, not the check, is off the
+        # exact estimates, so a filter that holds them fails here
+        model, y = load_model(example2_config), read_observations_csv(obs)
+        x_hat0 = np.array([float(v) for v in guess.split(",")])
+        exact = oracle(model, 0.01 * np.eye(2), x_hat0, y)[1]
+        x_hat = np.array([s.x_hat for s in estimator.run(model, x_hat0, 0.01, y)])
+        drift = np.linalg.norm(x_hat - exact, axis=1) / (1.0 + np.linalg.norm(exact, axis=1))
+        assert drift.max() > 1e-6
         out = tmp_path / "est.csv"
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
-                       "--x0-guess", "0.99065169,0.19889222", "--out", out, "--batch-check",
-                       "--quiet")
+                       "--x0-guess", guess, "--out", out, "--batch-check", "--quiet")
         assert code == 3
         assert out.exists()
         match = self.FAILURE.fullmatch(capsys.readouterr().err)
         assert match and match[2] == match[3]
         assert float(match[1]) > 1e-6
-        assert int(match[2]) > 60
+        assert int(match[2]) > 60 and drift[int(match[2])] > 1e-6
         assert float(match[4]) > 1e7
 
     def test_p0_whose_inverse_overflows_exits_1(self, tmp_path, example2_config, capsys):
