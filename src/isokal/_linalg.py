@@ -1,4 +1,4 @@
-"""Small shared linear-algebra helpers (symmetric solves, norms, spectra)."""
+"""Small shared linear-algebra helpers (SPD factors and inverses, symmetry, norms, spectra)."""
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -42,25 +42,6 @@ def spd_inverse(m, what="matrix"):
     if not np.isfinite(inverse).all():
         raise NonFiniteError(f"the inverse of {what} is not finite: it overflowed float64")
     return inverse
-
-
-def tril_solve(lower, b, trans=False):
-    """Solve L X = B, or L^T X = B with ``trans``, for lower-triangular L.
-
-    ``lower`` and ``b`` may be stacks that broadcast.  Substitution row by
-    row, each row one batched product over the whole stack, so a long stack
-    of small systems costs n numpy calls instead of one LAPACK call per
-    system.
-    """
-    n = lower.shape[-1]
-    x = np.empty(np.broadcast_shapes(lower.shape[:-1] + b.shape[-1:], b.shape))
-    for i in reversed(range(n)) if trans else range(n):
-        if trans:
-            known = np.swapaxes(lower[..., i + 1:, i:i + 1], -1, -2) @ x[..., i + 1:, :]
-        else:
-            known = lower[..., i:i + 1, :i] @ x[..., :i, :]
-        x[..., i, :] = (b[..., i, :] - known[..., 0, :]) / lower[..., i, i, None]
-    return x
 
 
 def spectral_norm(m):

@@ -14,8 +14,8 @@ update.  P_k, K_k and H~_k never depend on the observed values, so
 ``observed_evolution_sequence`` walk, and ``run`` folds the estimate update
 over it; ``step`` takes one observation at a time.  A pass whose information
 matrices P_k^-1 = P0^-1 + O(k,0) are provably well conditioned is computed
-in information form, as batched prefix sums and factorizations, and any
-other pass by the Joseph recursion of ``step``.
+in information form, as batched prefix sums and inverses, and any other
+pass by the Joseph recursion of ``step``.
 ``wls_prefixes`` solves the same weighted least-squares problem over the
 same observers by QR updates of a factor no pass shares, a cross-check.
 
@@ -31,8 +31,7 @@ from itertools import chain
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtpqrt, dtrtrs
 
-from ._linalg import (asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize,
-                      tril_solve)
+from ._linalg import asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
 from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
                     observed_evolution_sequence)
 
@@ -352,59 +351,29 @@ def _information_bound(model, P0, h_tilde):
         return float((1.0 / w[0] + gram_trace) * w[-1])
 
 
-def _inverse_residuals(covs, info):
-    """||P_k N_k - I||_F for stacks of covariances P_k and information matrices N_k."""
-    residual = covs @ info - np.eye(info.shape[-1])
-    return np.sqrt(np.einsum("kij,kij->k", residual, residual))
-
-
-def _spd_inverses(info):
-    """N_k^-1 for a stack of SPD N_k, from one batched Cholesky N_k = L_k L_k^T.
-
-    Each L_k^-T L_k^-1 takes one symmetrized Newton step
-    P <- P - (P N - I) P where that keeps ||P N - I||_F within JOSEPH_TOL.
-    The step removes most of the rounding of the factor's inverse when N_k
-    is moderately conditioned, but the symmetric part of its rounding
-    raises the residual like cond(N_k)^2 eps, so near the gate's limit the
-    factor's inverse, whose residual stays near d eps cond(N_k), is kept.
-    A N_k that Cholesky rejects raises LinAlgError naming the first such k.
-    """
-    try:
-        factor = np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        k = next(k for k, n in enumerate(info) if dpotrf(n, lower=1)[1])
-        raise np.linalg.LinAlgError(f"information matrix P0^-1 + O({k},0) is not positive "
-                                    "definite") from None
-    eye = np.eye(info.shape[-1])
-    inv = tril_solve(factor, eye)
-    covs = symmetrize(np.swapaxes(inv, 1, 2) @ inv)
-    refined = symmetrize(covs - (covs @ info - eye) @ covs)
-    keep = _inverse_residuals(refined, info) <= JOSEPH_TOL
-    covs[keep] = refined[keep]
-    return covs
-
-
 def _information_schedule(model, P0, h_tilde):
     """Gains and covariances of the information form over the observers ``h_tilde``.
 
-    With the whitened observers W_k = C_k^-1 H~_k (a batched substitution
-    against the model's noise factors), N_k = P0^-1 + sum_{j<k} W_j^T W_j
-    is a prefix sum and P_k = N_k^-1 comes from ``_spd_inverses``; P_0 is
-    P0 itself.  The gains are those of ``step``, from P_k.  Every P_k must
-    satisfy ||P_k N_k - I||_F <= JOSEPH_TOL (LinAlgError naming the first k
-    that does not).  Returns the writable (T, d, m) gains and (T+1, d, d)
-    covariances.
+    With the whitened observers W_k = C_k^-1 H~_k (solves against the
+    model's noise factors), N_k = P0^-1 + sum_{j<k} W_j^T W_j is a prefix
+    sum and P_k = N_k^-1 is one batched LU inverse, symmetrized; P_0 is P0
+    itself.  The gate admits only well-conditioned N_k, so the inverse needs
+    no refinement.  The gains are those of ``step``, from P_k.  Every P_k
+    must satisfy ||P_k N_k - I||_F <= JOSEPH_TOL (LinAlgError naming the
+    first k that does not).  Returns the writable (T, d, m) gains and
+    (T+1, d, d) covariances.
     """
     T, d = len(h_tilde), model.d
     factors = model.noise_factors(T)
-    whitened = tril_solve(factors, h_tilde)
+    whitened = np.linalg.solve(factors, h_tilde)
     info = np.empty((T + 1, d, d))
     info[0] = spd_inverse(P0, "P0")
     np.cumsum(np.swapaxes(whitened, 1, 2) @ whitened, axis=0, out=info[1:])
     info[1:] += info[0]
-    covs = _spd_inverses(info)
+    covs = symmetrize(np.linalg.inv(info))
     covs[0] = P0
-    gap = _inverse_residuals(covs, info)
+    residual = covs @ info - np.eye(d)
+    gap = np.sqrt(np.einsum("kij,kij->k", residual, residual))
     bad = np.flatnonzero(~(gap <= JOSEPH_TOL))
     if bad.size:
         k = int(bad[0])
@@ -417,8 +386,8 @@ def _information_schedule(model, P0, h_tilde):
     # where it is smallest, and loses up to cond(N_k+1) in relative accuracy.
     wp = whitened @ covs[:-1]
     innovation = wp @ np.swapaxes(whitened, 1, 2) + np.eye(model.m)
-    gains = np.swapaxes(tril_solve(factors, np.linalg.solve(innovation, wp), trans=True), 1, 2)
-    return gains, covs
+    gains = np.linalg.solve(np.swapaxes(factors, 1, 2), np.linalg.solve(innovation, wp))
+    return np.swapaxes(gains, 1, 2), covs
 
 
 def _walk(model, T):
@@ -534,8 +503,8 @@ def _root_information(model, x_hat0, P0, observations, h_tilde):
     # Overflow is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         factor[:d, d] = factor[:d, :d] @ x_hat0
-        rows = tril_solve(model.noise_factors(T),
-                          np.concatenate([h_tilde, observations.reshape(T, model.m, 1)], axis=2))
+        rows = np.concatenate([h_tilde, observations.reshape(T, model.m, 1)], axis=2)
+        rows = np.linalg.solve(model.noise_factors(T), rows)
     for k in range(T + 1):
         if k:
             factor = dtpqrt(0, model.m, factor, rows[k - 1], overwrite_a=1)[0]

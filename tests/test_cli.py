@@ -466,12 +466,12 @@ class TestEstimate:
     def test_information_residual_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # covariances that are not the inverses of their information
         # matrices fail the information form's check, naming the step
-        real = estimator._spd_inverses
-        monkeypatch.setattr(estimator, "_spd_inverses", lambda info: real(info) * (1.0 + 1e-6))
         cfg = write_config(tmp_path, ltv_record_config())
         obs, out = tmp_path / "obs.csv", tmp_path / "est.csv"
         assert run_cli("simulate", "--config", cfg, "--x0", "1,-1,0.5,2", "--steps", 40,
                        "--out", obs, "--quiet") == 0
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: real(a) * (1.0 + 1e-6))
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
                        "--out", out, "--quiet")
         assert code == 1
