@@ -1,6 +1,6 @@
 """Time the filter's update kernel and the layers built on it.
 
-    python3 bench/kernel.py [--tiny] [--out BENCH.json]
+    python3 bench/kernel.py [--tiny] [--out BENCH.json] [--baseline SRC]
 
 Times ``estimator._update`` (on a positive definite P, the Cholesky path,
 and on a rank-deficient P, the eigen-split fallback), ``estimator.step``,
@@ -55,6 +55,22 @@ imported from ``src/`` next to this directory.  ``--tiny`` is a smoke run
 (d = 2 and 8, an LTV record of d = 4 and T = 40 with a sweep over T = 20
 and 40, a d = 16, m = 2 analysis with K = 20, three short repeats) of a
 few seconds.
+
+The start-up layer runs the two sessions of the CLI below, each in its own
+fresh interpreter, SAMPLES times (3 with ``--tiny``): LTI (the analysis
+model at d = 16, m = 2: ``simulate``, ``estimate --batch-check`` and
+``analyze``) and LTV (the record at d = 4, T = 40: ``simulate``,
+``estimate`` and ``analyze``).  It records the seconds of ``import
+isokal.cli`` and the peak resident memory after it (minimums over every
+interpreter), the minimum seconds of each command, and whether
+``scipy.linalg`` is loaded after the import and after each command.
+``--baseline SRC`` also imports the isokal package under SRC (another
+checkout's ``src/``) beside this one.  The start-up samples then alternate
+between the two, and at every d the per-step minimums of
+``gain_schedule``, of the Joseph recursion ``_joseph_schedule`` (the
+kernel that still calls LAPACK through scipy) and of ``wls_prefixes`` are
+sampled in turn, the baseline's and this package's, in one process
+(``interleaved``, with the ratio this over baseline).
 """
 
 import os
@@ -68,21 +84,26 @@ import contextlib  # noqa: E402
 import ctypes  # noqa: E402
 import gc  # noqa: E402
 import glob  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import textwrap  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.linalg.lapack import dpotrf  # noqa: E402
 
+import isokal  # noqa: E402
 from isokal import cli, estimator, harness, observability, stability  # noqa: E402
 from isokal.model import (SystemModel, advance_observed_evolution,  # noqa: E402
                           observed_evolution_sequence)
@@ -99,6 +120,35 @@ ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
 ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
                   "analyze", "observed_evolution_sequence_per_step", "wls_prefixes_per_prefix")
 SCHEDULE_FORMS = ("information", "joseph")
+INTERLEAVED_LAYERS = ("gain_schedule_per_step", "joseph_schedule_per_step",
+                      "wls_prefixes_per_prefix")
+SESSION_COMMANDS = ("simulate", "estimate", "analyze")
+
+#: Fresh interpreters per side for the start-up layer.
+SAMPLES = 10
+
+#: One fresh interpreter of the start-up layer: it times ``import isokal.cli``,
+#: reads the peak resident memory, then runs one session's commands through
+#: ``cli.main`` and notes after each whether scipy.linalg is loaded.  The
+#: peak is VmHWM, this process's own: ``ru_maxrss`` of a child started by
+#: fork and exec also counts the resident memory of the bench process.
+STARTUP_PROBE = textwrap.dedent("""
+    import json, sys, time
+    t0 = time.perf_counter()
+    import isokal.cli
+    out = {"import_s": time.perf_counter() - t0, "scipy_linalg": {}, "seconds": {}}
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        out["peak_rss_mb"] = next(int(line.split()[1]) for line in fh
+                                  if line.startswith("VmHWM:")) / 1024.0
+    out["scipy_linalg"]["import"] = "scipy.linalg" in sys.modules
+    for argv in json.loads(sys.argv[1]):
+        t0 = time.perf_counter()
+        if isokal.cli.main(argv) != 0:
+            raise SystemExit(f"isokal {argv[0]} failed")
+        out["seconds"][argv[0]] = time.perf_counter() - t0
+        out["scipy_linalg"][argv[0]] = "scipy.linalg" in sys.modules
+    print(json.dumps(out))
+""")
 
 
 def machine():
@@ -130,12 +180,12 @@ def machine():
     }
 
 
-def system(d):
+def system(d, package=isokal):
     """Seeded LTI system: orthogonal dynamics (H~_k stays O(1)), m = max(1, d/4)."""
     rng = np.random.default_rng((2026, d))
     a = np.linalg.qr(rng.standard_normal((d, d)))[0]
     h = rng.standard_normal((max(1, d // 4), d))
-    return SystemModel(a, h, 0.1)
+    return package.SystemModel(a, h, 0.1)
 
 
 def rotation_system(d, m):
@@ -181,6 +231,16 @@ def ltv_record(d, m, T):
                       for k in range(T)])
     g = 0.5 * rng.standard_normal((T, m, m))
     return a_seq, h_seq, 1e-2 * (np.eye(m) + g @ np.swapaxes(g, 1, 2))
+
+
+def ltv_config(a_seq, h_seq, r_seq):
+    """The CLI config of an ``ltv_record``."""
+    return {
+        "d": a_seq.shape[1], "m": h_seq.shape[1],
+        "dynamics": {"kind": "ltv", "A_seq": a_seq.tolist()},
+        "observation": {"kind": "ltv", "H_seq": h_seq.tolist()},
+        "noise": {"kind": "per_step", "R_seq": r_seq.tolist()},
+    }
 
 
 def min_us(fn, repeats, target_s):
@@ -295,12 +355,7 @@ def measure_ltv(tiny):
         x_hat = np.array([s.x_hat for s in states])
         harness.write_estimates_csv(path, x_hat, [np.trace(s.P) for s in states], truth=x0)
 
-    config = {
-        "d": d, "m": m,
-        "dynamics": {"kind": "ltv", "A_seq": a_seq.tolist()},
-        "observation": {"kind": "ltv", "H_seq": h_seq.tolist()},
-        "noise": {"kind": "per_step", "R_seq": r_seq.tolist()},
-    }
+    config = ltv_config(a_seq, h_seq, r_seq)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "estimates.csv"
         write_us = min_us(lambda: write_estimates(path), repeats, target_s)
@@ -430,11 +485,131 @@ def measure_schedules(tiny):
     return out
 
 
+def startup_sessions(tmp):
+    """Argvs of the tiny LTI and LTV sessions of the start-up layer, configs written to ``tmp``.
+
+    LTI: the analysis model at d = 16, m = 2 (``simulate``, ``estimate
+    --batch-check``, ``analyze --horizon 16 --k-max 20``), 20 steps.  LTV:
+    the record at d = 4, T = 40 (``simulate``, ``estimate``, ``analyze
+    --horizon 8``).
+    """
+    lti = rotation_system(16, 2)
+    cases = {
+        "lti": ({"d": 16, "m": 2, "dynamics": {"kind": "lti", "A": lti.A_at(1).tolist()},
+                 "observation": {"kind": "lti", "H": lti.H_at(0).tolist()},
+                 "noise": {"kind": "isotropic", "sigma2": 1e-2}}, 20, 16, ["--batch-check"]),
+        "ltv": (ltv_config(*ltv_record(4, 1, 40)), 40, 8, []),
+    }
+    sessions = {}
+    for kind, (doc, steps, horizon, extra) in cases.items():
+        config = Path(tmp) / f"{kind}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = ["--config", str(config)]
+        obs, est, report = (str(Path(tmp) / f"{kind}-{name}")
+                            for name in ("obs.csv", "est.csv", "report.json"))
+        sessions[kind] = [
+            ["simulate", *cfg, "--x0", ",".join(["1"] * doc["d"]), "--steps", str(steps),
+             "--out", obs, "--quiet"],
+            ["estimate", *cfg, "--obs", obs, "--p0", "1.0", "--out", est, "--quiet", *extra],
+            ["analyze", *cfg, "--horizon", str(horizon), "--k-max", "20", "--out", report,
+             "--quiet"],
+        ]
+    return sessions
+
+
+def measure_startup(sources, samples):
+    """The start-up layer of each package in ``sources`` (side -> src dir), sampled in turn.
+
+    Each sample runs ``STARTUP_PROBE`` once per session, LTI and LTV, in a
+    fresh interpreter with only that ``src`` on PYTHONPATH.  Returns, per
+    side, the minimum import seconds and peak resident memory after the
+    import over all its interpreters and, per session, the minimum seconds
+    of each command and whether scipy.linalg was loaded after the import
+    and after each command.
+    """
+    runs = {side: {} for side in sources}
+    with tempfile.TemporaryDirectory() as tmp:
+        sessions = startup_sessions(tmp)
+        for _ in range(samples):
+            for side, src in sources.items():
+                for kind, argvs in sessions.items():
+                    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
+                                          env={**os.environ, "PYTHONPATH": str(src)},
+                                          capture_output=True, text=True, timeout=600)
+                    if proc.returncode != 0:
+                        raise RuntimeError(f"start-up probe of {src} failed:\n{proc.stderr}")
+                    runs[side].setdefault(kind, []).append(json.loads(proc.stdout))
+    out = {}
+    for side, by_kind in runs.items():
+        every = [run for docs in by_kind.values() for run in docs]
+        out[side] = {"import_s": min(run["import_s"] for run in every),
+                     "peak_rss_mb": min(run["peak_rss_mb"] for run in every),
+                     "command_s": {kind: {cmd: min(run["seconds"][cmd] for run in docs)
+                                          for cmd in SESSION_COMMANDS}
+                                   for kind, docs in by_kind.items()},
+                     "scipy_linalg_loaded": {kind: docs[0]["scipy_linalg"]
+                                             for kind, docs in by_kind.items()}}
+    return out
+
+
+def load_baseline(src):
+    """The isokal package under ``src``, imported as ``isokal_baseline`` beside this one."""
+    spec = importlib.util.spec_from_file_location(
+        "isokal_baseline", Path(src) / "isokal" / "__init__.py",
+        submodule_search_locations=[str(Path(src) / "isokal")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def kernel_calls(package, d, T):
+    """``gain_schedule``, ``_joseph_schedule`` and a drained ``wls_prefixes`` of ``package``.
+
+    On ``system(d)``, T steps, P0 = I.
+    """
+    model = system(d, package)
+    obs = package.simulate(model, np.ones(d), T, 1)
+    h_tilde, p0 = package.model.observed_evolution_sequence(model, T)[0], np.eye(d)
+    return (lambda: package.estimator.gain_schedule(model, 1.0, T),
+            lambda: package.estimator._joseph_schedule(model, p0, h_tilde),
+            lambda: collections.deque(package.estimator.wls_prefixes(model, None, 1.0, obs),
+                                      maxlen=0))
+
+
+def measure_interleaved(baseline, dims, tiny):
+    """Per-step ``gain_schedule`` and Joseph recursion, per-prefix ``wls_prefixes``, in turn.
+
+    At each d the baseline's and this package's samples alternate (T = 50,
+    or 4 with ``--tiny``); ``gate_form`` is the form this package's gate picks.
+    """
+    repeats, target_s = (3, 0.005) if tiny else (15, 0.05)
+    T = 4 if tiny else 50
+    out = {layer: {} for layer in INTERLEAVED_LAYERS}
+    out["gate_form"] = {}
+    for d in dims:
+        base, this = kernel_calls(baseline, d, T), kernel_calls(isokal, d, T)
+        for layer, calls, fns in zip(INTERLEAVED_LAYERS, (T, T, T + 1), zip(base, this)):
+            us = [v / calls for v in interleaved_min_us(list(fns), repeats, target_s)]
+            out[layer][str(d)] = {"baseline": round(us[0], 3), "this": round(us[1], 3),
+                                  "ratio": round(us[1] / us[0], 3)}
+        out["gate_form"][str(d)] = estimator.gain_schedule(system(d), 1.0, T).form
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="smoke run: d = 2, 8, short repeats")
     parser.add_argument("--out", default="BENCH.json", help="output JSON path")
+    parser.add_argument("--baseline", default=None, metavar="SRC",
+                        help="another checkout's src/: its start-up and kernels are sampled "
+                             "in turn with this one's")
     args = parser.parse_args(argv)
+    sources = {"this": SRC}
+    baseline = None
+    if args.baseline is not None:
+        sources["baseline"] = Path(args.baseline).resolve()
+        baseline = load_baseline(sources["baseline"])
 
     dims = (2, 8) if args.tiny else (2, 8, 32, 128)
     by_dim = {d: measure(d, args.tiny) for d in dims}
@@ -442,6 +617,8 @@ def main(argv=None):
     ensemble = measure_ensemble(args.tiny)
     analysis = measure_analyze(args.tiny)
     schedules = measure_schedules(args.tiny)
+    startup = measure_startup(sources, 3 if args.tiny else SAMPLES)
+    interleaved = None if baseline is None else measure_interleaved(baseline, dims, args.tiny)
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
@@ -460,7 +637,10 @@ def main(argv=None):
                                                  for form, us in case["per_step"].items()},
                             "ratio": round(case["ratio"], 3)}
                      for name, case in schedules.items()},
+        "startup": startup,
     }
+    if interleaved is not None:
+        doc["interleaved"] = interleaved
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -485,6 +665,19 @@ def main(argv=None):
         print(f"schedule {name:8s} d={case['d']}, T={case['T']}, gate: {case['gate_form']:11s}"
               + "".join(f"  {form}: {us:8.2f}" for form, us in case["per_step"].items())
               + f"  ratio: {case['ratio']:.2f}")
+    for side, layer in startup.items():
+        print(f"startup {side:8s} import isokal.cli: {layer['import_s'] * 1e3:7.1f} ms, "
+              f"peak RSS {layer['peak_rss_mb']:5.1f} MB")
+        for kind, loaded in layer["scipy_linalg_loaded"].items():
+            print(f"startup {side:8s} {kind}: " + "  ".join(
+                f"{cmd} {layer['command_s'][kind][cmd] * 1e3:6.1f} ms" for cmd in SESSION_COMMANDS)
+                + "; scipy.linalg loaded after: "
+                + (", ".join(step for step, on in loaded.items() if on) or "none"))
+    if interleaved is not None:
+        for layer in INTERLEAVED_LAYERS:
+            print(f"interleaved {layer:24s}" + "".join(
+                f"  d={d}: {v['baseline']:8.2f} -> {v['this']:8.2f}"
+                for d, v in interleaved[layer].items()))
     return 0
 
 

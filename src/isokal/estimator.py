@@ -18,6 +18,10 @@ in information form, as batched prefix sums and inverses, and any other
 pass by the Joseph recursion of ``step``.
 ``wls_prefixes`` solves the same weighted least-squares problem over the
 same observers by QR updates of a factor no pass shares, a cross-check.
+Those QR updates and the Joseph update call LAPACK directly, through the
+f2py wrappers that ``_linalg.lapack`` imports on first use, whose calls
+cost a fraction of numpy's on small matrices; the rest of the module runs
+on numpy, so a pass in information form never loads those wrappers.
 
 Adjoints are written as transposes: all data is real, and a complex
 extension would only swap in conjugate transposes.
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtpqrt, dtrtrs
 
+from . import _linalg
 from ._linalg import asymmetry, readonly, spd_factor, spd_inverse, spectral_norm, symmetrize
 from .model import (_SYMMETRY_RTOL, HorizonError, NonFiniteError, advance_observed_evolution,
                     observed_evolution_sequence)
@@ -184,7 +188,8 @@ def _gain_pieces(P, h_tilde, R, k=None):
     m = h_tilde.shape[0]
     if R.shape != (m, m):
         raise ValueError(f"noise covariance has shape {R.shape}, expected ({m}, {m})")
-    f, info = dpotrf(P, lower=1, clean=1)
+    lapack = _linalg.lapack
+    f, info = lapack.dpotrf(P, lower=1, clean=1)
     if info == 0 and np.isfinite(f).all():
         p_ht = P @ h_tilde.T
     else:
@@ -198,10 +203,10 @@ def _gain_pieces(P, h_tilde, R, k=None):
     sigma = symmetrize(hf @ hf.T + R)
     if not np.isfinite(sigma).all():
         raise ValueError("innovation covariance is not finite")
-    factor, info = dpotrf(sigma, lower=1, clean=0)
+    factor, info = lapack.dpotrf(sigma, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(_indefinite_innovation(hf, R, k))
-    gain, _ = dpotrs(factor, p_ht.T, lower=1)
+    gain, _ = lapack.dpotrs(factor, p_ht.T, lower=1)
     return gain.T, sigma, f
 
 
@@ -499,20 +504,21 @@ def _root_information(model, x_hat0, P0, observations, h_tilde):
     T, d = len(h_tilde), model.d
     # Fortran order, so that LAPACK updates the factor [S_k z_k; 0 r_k] in place.
     factor = np.zeros((d + 1, d + 1), order="F")
-    factor[:d, :d] = np.tril(spd_factor(spd_inverse(P0, "P0"), "P0^-1")[0]).T
+    factor[:d, :d] = spd_factor(spd_inverse(P0, "P0"), "P0^-1").T
     # Overflow is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         factor[:d, d] = factor[:d, :d] @ x_hat0
         rows = np.concatenate([h_tilde, observations.reshape(T, model.m, 1)], axis=2)
         rows = np.linalg.solve(model.noise_factors(T), rows)
+    lapack = _linalg.lapack
     for k in range(T + 1):
         if k:
-            factor = dtpqrt(0, model.m, factor, rows[k - 1], overwrite_a=1)[0]
+            factor = lapack.dtpqrt(0, model.m, factor, rows[k - 1], overwrite_a=1)[0]
         if not np.isfinite(factor).all():
             where = f"step {k - 1}" if k else "the prior"
             raise NonFiniteError(f"square-root information of prefix {k} overflowed float64 "
                                  f"at {where}")
-        yield dtrtrs(factor[:, :d], factor[:d, d], lda=d + 1)[0], factor[:d, :d]
+        yield lapack.dtrtrs(factor[:, :d], factor[:d, d], lda=d + 1)[0], factor[:d, :d]
 
 
 def wls_prefixes(model, x_hat0, P0, observations):

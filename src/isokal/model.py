@@ -16,7 +16,6 @@ from functools import cached_property
 from reprlib import repr as brief
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from ._linalg import NonFiniteError, asymmetry, eig_abs_sorted, readonly, symmetrize
 
@@ -110,8 +109,12 @@ def _noise_factors(stack, name):
     try:
         return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        _reject_first([dpotrf(r, lower=1)[1] != 0 for r in stack], name,
-                      "covariance is not positive definite (Cholesky factorization failed)")
+        for t, r in enumerate(stack):
+            try:
+                np.linalg.cholesky(r)
+            except np.linalg.LinAlgError:
+                raise ConfigError(name(t), "covariance is not positive definite "
+                                           "(Cholesky factorization failed)") from None
         raise
 
 

@@ -14,9 +14,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from ._linalg import spd_factor, spectral_norm, spd_inverse
+from ._linalg import finite, spd_inverse, spd_solve, spectral_norm
 from . import estimator
 from .observability import (SPECTRAL_BAND_TOL, UnobservableModelError, _require_observable,
                             _tail_fit)
@@ -60,15 +59,20 @@ class StabilityReport:
 
 
 def psi_transition(P_k, P_j):
-    """Error transition Psi(k,j) = P_k P_j^-1 between two SPD covariances."""
-    factor = spd_factor(P_j, "P_j")
-    return cho_solve(factor, np.asarray(P_k, dtype=float).T).T
+    """Error transition Psi(k,j) = P_k P_j^-1 between two SPD covariances.
+
+    A non-finite P_k or P_j raises ValueError naming it.
+    """
+    return spd_solve(P_j, finite(P_k, "P_k").T, "P_j").T
 
 
 def lyapunov_value(P_k, z):
-    """V(k, z) = z^T P_k^-1 z, via an SPD solve and an inner product."""
-    z = np.asarray(z, dtype=float)
-    return float(z @ cho_solve(spd_factor(P_k, "P_k"), z))
+    """V(k, z) = z^T P_k^-1 z, via an SPD solve and an inner product.
+
+    A non-finite P_k or z raises ValueError naming it.
+    """
+    z = finite(z, "z")
+    return float(z @ spd_solve(P_k, z, "P_k"))
 
 
 def error_dynamics(model, states):

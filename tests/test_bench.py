@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench" / "kernel.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench" / "kernel.py"
 
 
 def test_tiny_run_writes_valid_json(tmp_path):
+    # this checkout's src/ as its own baseline: the layers that compare two packages run
     out = tmp_path / "bench.json"
-    proc = subprocess.run([sys.executable, str(BENCH), "--tiny", "--out", str(out)],
+    proc = subprocess.run([sys.executable, str(BENCH), "--tiny", "--out", str(out),
+                           "--baseline", str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
@@ -67,3 +70,27 @@ def test_tiny_run_writes_valid_json(tmp_path):
         assert all(math.isfinite(v) and v > 0.0 for v in case["per_step"].values())
         ratio = case["per_step"]["joseph"] / case["per_step"]["information"]
         assert math.isclose(case["ratio"], ratio, rel_tol=1e-2)
+    startup = doc["startup"]
+    assert set(startup) == {"this", "baseline"}
+    for side in startup.values():
+        assert set(side) == {"import_s", "peak_rss_mb", "command_s", "scipy_linalg_loaded"}
+        assert math.isfinite(side["import_s"]) and side["import_s"] > 0.0
+        assert math.isfinite(side["peak_rss_mb"]) and side["peak_rss_mb"] > 0.0
+        assert set(side["command_s"]) == {"lti", "ltv"}
+        for seconds in side["command_s"].values():
+            assert set(seconds) == {"simulate", "estimate", "analyze"}
+            assert all(math.isfinite(v) and v > 0.0 for v in seconds.values())
+        # scipy loads at the LTI session's batch check, never in the LTV session
+        assert side["scipy_linalg_loaded"] == {
+            "lti": {"import": False, "simulate": False, "estimate": True, "analyze": True},
+            "ltv": {"import": False, "simulate": False, "estimate": False, "analyze": False}}
+    interleaved = doc["interleaved"]
+    assert set(interleaved) == {"gain_schedule_per_step", "joseph_schedule_per_step",
+                                "wls_prefixes_per_prefix", "gate_form"}
+    assert set(interleaved.pop("gate_form").values()) <= {"information", "joseph"}
+    for by_dim in interleaved.values():
+        assert set(by_dim) == {"2", "8"}
+        for pair in by_dim.values():
+            assert set(pair) == {"baseline", "this", "ratio"}
+            assert all(math.isfinite(v) and v > 0.0 for v in pair.values())
+            assert math.isclose(pair["ratio"], pair["this"] / pair["baseline"], rel_tol=1e-2)

@@ -4,13 +4,17 @@ import dataclasses
 import gc
 import json
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import isokal
 from isokal import cli, estimator
 from isokal.harness import read_observations_csv
 from isokal.model import load_model, observed_evolution
@@ -896,3 +900,50 @@ class TestConfigContract:
                 assert err.endswith("\n") and not out.exists()
             else:
                 assert err == "" and out.exists()
+
+
+#: Runs CLI commands in a fresh interpreter and prints, after each, its exit
+#: code and whether scipy.linalg is loaded; then one example2 gain schedule.
+IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    import isokal.cli
+    from isokal import estimator, harness
+
+    steps = [["import", 0, "scipy.linalg" in sys.modules]]
+    for argv in json.loads(sys.argv[1]):
+        code = isokal.cli.main(argv)
+        steps.append([argv[0], code, "scipy.linalg" in sys.modules])
+    schedule = estimator.gain_schedule(harness.example_system("example2")[0], 1e-2, 40)
+    steps.append([schedule.form, 0, "scipy.linalg" in sys.modules])
+    print(json.dumps(steps))
+""")
+
+
+class TestImportBoundary:
+    """Only the Joseph kernel and the batch check load scipy; every other path runs on numpy."""
+
+    def test_simulate_and_information_form_sessions_never_load_scipy(self, tmp_path,
+                                                                      example2_config):
+        lti, ltv = (write_config(tmp_path, doc, name) for doc, name in
+                    ((example2_config, "lti.json"), (ltv_record_config(), "ltv.json")))
+        obs, est, report = (str(tmp_path / name) for name in ("obs.csv", "est.csv", "r.json"))
+        commands = [
+            ["simulate", "--config", lti, "--x0", "0.8,0.4", "--steps", "40", "--out", obs],
+            ["simulate", "--config", ltv, "--x0", "1,-1,0.5,2", "--steps", "40", "--out", obs],
+            ["estimate", "--config", ltv, "--obs", obs, "--p0", "0.01", "--out", est],
+            ["analyze", "--config", ltv, "--horizon", "8", "--k-max", "10", "--out", report],
+        ]
+        src = str(Path(isokal.__file__).resolve().parent.parent)
+        env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "PATH": ""}
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                               json.dumps([[*argv, "--quiet"] for argv in commands])],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        assert [name for name, _, _ in steps] == \
+            ["import", "simulate", "simulate", "estimate", "analyze", "joseph"]
+        assert [code for _, code, _ in steps] == [0] * 6
+        assert json.loads(Path(f"{est}.manifest.json").read_text())["schedule_form"] \
+            == "information"
+        # the Joseph pass loads scipy's LAPACK wrappers on first use
+        assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]
