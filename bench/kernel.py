@@ -38,7 +38,9 @@ straddle 1: ``check_observability`` (L_max = 64),
 ``estimator.wls_prefixes`` of K observations, per prefix.  The two
 forms of the filter pass, ``estimator._information_schedule`` and
 ``estimator._joseph_schedule``, are timed per step on the same observers
-of that LTV record and of that analysis model (T = K), their samples taken
+of that LTV record and of that analysis model (T = K), the information
+form on the observers the pass whitens once before its gate (whitening
+untimed, as both forms share it), their samples taken
 in turn, A, B, A, B, in one process, so that a slow phase of the machine
 hits both alike; the JSON gives each minimum, their ratio (Joseph over
 information) and the form the gate picks.  The LTV
@@ -475,8 +477,9 @@ def measure_schedules(tiny):
         steps = T if name == "ltv" else K
         p0 = np.eye(model.d)
         h_tilde = observed_evolution_sequence(model, steps)[0]
+        whitened = model.whiten(h_tilde)
         per_step = [us / steps for us in interleaved_min_us(
-            [lambda: estimator._information_schedule(model, p0, h_tilde),
+            [lambda: estimator._information_schedule(model, p0, whitened),
              lambda: estimator._joseph_schedule(model, p0, h_tilde)], repeats, target_s)]
         out[name] = {"d": model.d, "m": model.m, "T": steps,
                      "gate_form": estimator.gain_schedule(model, p0, steps).form,

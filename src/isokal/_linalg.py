@@ -68,8 +68,13 @@ def spd_solve(m, b, what="matrix"):
 
 
 def spd_inverse(m, what="matrix"):
-    """m^-1 for SPD ``m`` by Cholesky, symmetrized; NonFiniteError naming ``what`` on overflow."""
-    inverse = symmetrize(spd_solve(m, np.eye(len(m)), what))
+    """m^-1 = L^-T L^-1 for SPD ``m``, L its ``spd_factor``; exactly symmetric (numpy's syrk).
+
+    NonFiniteError naming ``what`` on overflow, not a numpy warning.
+    """
+    root = np.linalg.inv(spd_factor(m, what))
+    with np.errstate(over="ignore"):
+        inverse = root.T @ root
     if not np.isfinite(inverse).all():
         raise NonFiniteError(f"the inverse of {what} is not finite: it overflowed float64")
     return inverse

@@ -12,10 +12,10 @@ algebraically equal short form P - K (H~ P) is checked against it at every
 update.  P_k, K_k and H~_k never depend on the observed values, so
 ``gain_schedule`` computes them once for any number of streams, over one
 ``observed_evolution_sequence`` walk, and ``run`` folds the estimate update
-over it; ``step`` takes one observation at a time.  A pass whose information
-matrices P_k^-1 = P0^-1 + O(k,0) are provably well conditioned is computed
-in information form, as batched prefix sums and inverses, and any other
-pass by the Joseph recursion of ``step``.
+over it; ``step`` takes one observation at a time.  A pass whitens its
+observers once (``SystemModel.whiten``); when the trace of O(T,0) over them
+proves every P_k^-1 = P0^-1 + O(k,0) well conditioned, it is the information
+form, batched prefix sums and inverses, and otherwise the Joseph recursion.
 ``wls_prefixes`` solves the same weighted least-squares problem over the
 same observers by QR updates of a factor no pass shares, a cross-check.
 Those QR updates and the Joseph update call LAPACK directly, through the
@@ -340,37 +340,28 @@ def _joseph_schedule(model, P0, h_tilde):
     return gains, covs
 
 
-def _information_bound(model, P0, h_tilde):
+def _information_bound(P0, whitened):
     """A priori bound on cond_2(N_k), N_k = P0^-1 + O(k,0), for every k = 0..T.
 
-    N_0 <= N_k <= N_T, so cond_2(N_k) <= lambda_max(N_T) / lambda_min(N_0),
-    and lambda_max(N_T) <= 1 / lambda_min(P0) + sum_k ||C_k^-1 H~_k||_F^2
-    with ||C_k^-1 H~_k||_F^2 <= ||H~_k||_F^2 / lambda_min(R_k), an equality
-    for isotropic noise and for m = 1.  One pass over the observers and one
-    eigvalsh of P0; an observer that overflowed makes the bound inf or NaN.
+    N_0 <= N_k <= N_T bounds cond_2(N_k) by (1 / lambda_min(P0) + trace O(T,0))
+    lambda_max(P0), where trace O(T,0) = ||W||_F^2 over the whitened observers
+    W_k = C_k^-1 H~_k; inf or NaN when one overflowed.
     """
     w = np.linalg.eigvalsh(P0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram_trace = np.einsum("kij,kij,k->", h_tilde, h_tilde,
-                               1.0 / model.noise_floors(len(h_tilde)))
-        return float((1.0 / w[0] + gram_trace) * w[-1])
+    return float((1.0 / w[0] + np.einsum("kij,kij->", whitened, whitened)) * w[-1])
 
 
-def _information_schedule(model, P0, h_tilde):
-    """Gains and covariances of the information form over the observers ``h_tilde``.
+def _information_schedule(model, P0, whitened):
+    """Gains and covariances of the information form over the whitened observers W_k.
 
-    With the whitened observers W_k = C_k^-1 H~_k (solves against the
-    model's noise factors), N_k = P0^-1 + sum_{j<k} W_j^T W_j is a prefix
-    sum and P_k = N_k^-1 is one batched LU inverse, symmetrized; P_0 is P0
-    itself.  The gate admits only well-conditioned N_k, so the inverse needs
-    no refinement.  The gains are those of ``step``, from P_k.  Every P_k
-    must satisfy ||P_k N_k - I||_F <= JOSEPH_TOL (LinAlgError naming the
-    first k that does not).  Returns the writable (T, d, m) gains and
-    (T+1, d, d) covariances.
+    N_k = P0^-1 + sum_{j<k} W_j^T W_j is a prefix sum and P_k = N_k^-1 one
+    batched LU inverse, symmetrized, unrefined: the gate admits only
+    well-conditioned N_k.  P_0 is P0 itself; the gains are those of ``step``.
+    Every P_k must satisfy ||P_k N_k - I||_F <= JOSEPH_TOL (LinAlgError
+    naming the first k that does not).  Returns the writable (T, d, m)
+    gains and (T+1, d, d) covariances.
     """
-    T, d = len(h_tilde), model.d
-    factors = model.noise_factors(T)
-    whitened = np.linalg.solve(factors, h_tilde)
+    T, d = len(whitened), model.d
     info = np.empty((T + 1, d, d))
     info[0] = spd_inverse(P0, "P0")
     np.cumsum(np.swapaxes(whitened, 1, 2) @ whitened, axis=0, out=info[1:])
@@ -391,7 +382,7 @@ def _information_schedule(model, P0, h_tilde):
     # where it is smallest, and loses up to cond(N_k+1) in relative accuracy.
     wp = whitened @ covs[:-1]
     innovation = wp @ np.swapaxes(whitened, 1, 2) + np.eye(model.m)
-    gains = np.linalg.solve(np.swapaxes(factors, 1, 2), np.linalg.solve(innovation, wp))
+    gains = model.whiten(np.linalg.solve(innovation, wp), transpose=True)
     return np.swapaxes(gains, 1, 2), covs
 
 
@@ -410,15 +401,18 @@ def _pass(model, P0, T):
     """The observation-independent part of a T-step filter pass from a checked P0.
 
     Returns the GainSchedule and the ``_walk`` it read.  The schedule is the
-    information form when ``_information_bound`` times d eps is at most
-    JOSEPH_TOL, so every N_k = P_k^-1 is well conditioned, and the Joseph
+    information form over the observers, whitened once, when d eps times
+    their ``_information_bound`` is at most JOSEPH_TOL, and the Joseph
     recursion of ``step`` otherwise (also for a bound that is not finite).
     """
     observers, transitions = _walk(model, T)
     h_tilde = observers[:T]
-    bound = _information_bound(model, P0, h_tilde)
+    # An overflowed observer makes the bound inf or NaN, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = model.whiten(h_tilde)
+        bound = _information_bound(P0, whitened)
     if model.d * np.finfo(float).eps * bound <= JOSEPH_TOL:
-        form, (gains, covs) = "information", _information_schedule(model, P0, h_tilde)
+        form, (gains, covs) = "information", _information_schedule(model, P0, whitened)
     else:
         form, (gains, covs) = "joseph", _joseph_schedule(model, P0, h_tilde)
     gains.flags.writeable = covs.flags.writeable = False
@@ -508,8 +502,8 @@ def _root_information(model, x_hat0, P0, observations, h_tilde):
     # Overflow is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         factor[:d, d] = factor[:d, :d] @ x_hat0
-        rows = np.concatenate([h_tilde, observations.reshape(T, model.m, 1)], axis=2)
-        rows = np.linalg.solve(model.noise_factors(T), rows)
+        rows = model.whiten(np.concatenate([h_tilde, observations.reshape(T, model.m, 1)],
+                                           axis=2))
     lapack = _linalg.lapack
     for k in range(T + 1):
         if k:

@@ -119,7 +119,7 @@ def _noise_factors(stack, name):
 
 
 def _check_noise_cov(stack, m, floor, name):
-    """Validate a stack of noise covariances; return their Cholesky factors and lambda_min."""
+    """Validate a stack of noise covariances; return their Cholesky factors."""
     if stack.shape[1:] != (m, m):
         raise ConfigError(name(0), f"expected {m}x{m}, got {stack.shape[1]}x{stack.shape[2]}")
     _check_finite(stack, name)
@@ -129,7 +129,7 @@ def _check_noise_cov(stack, m, floor, name):
     _reject_first(lam_min < floor, name,
                   lambda t: f"covariance not positive definite above the floor "
                             f"(lambda_min={lam_min[t]:.3e} < {floor:.1e})")
-    return _noise_factors(sym, name), lam_min
+    return _noise_factors(sym, name)
 
 
 class SystemModel:
@@ -153,8 +153,8 @@ class SystemModel:
     ``H_seq`` (n, m, d) and ``R_seq`` (n, m, m); a constant field's stack
     is None.  Every sequence is validated as a whole, and a bad entry is
     reported by the config path of the first one.  The noise covariances
-    are Cholesky-factorized here, once; ``noise_factors`` hands the factors
-    out, and ``noise_floors`` the smallest eigenvalues the validation took.
+    are Cholesky-factorized here, once: ``noise_factors`` hands the factors
+    out, and ``whiten``, the package's one whitening, applies their inverses.
 
     ``horizon`` is the number of usable observation steps, or None when
     unlimited: step k is usable when H_k, R_k and the transitions A_1..A_k
@@ -191,14 +191,12 @@ class SystemModel:
                                   f"must be >= {self.sigma2_floor:.1e}, got {sigma2!r}")
             self.sigma2 = sigma2
             self._r_factors = readonly(_noise_factors(self.R_at(0)[None], lambda t: "noise.sigma2"))
-            self._r_floors = readonly([sigma2])
         else:
             rs = _as_array(noise, "noise")
             if rs.ndim != 3 or rs.shape[0] == 0:
                 raise ConfigError("noise", "pass a scalar sigma2 or a non-empty sequence of R matrices")
-            factors, floors = _check_noise_cov(rs, self.m, self.sigma2_floor,
-                                               lambda t: f"noise.R_seq[{t}]")
-            self._r_factors, self._r_floors = readonly(factors), readonly(floors)
+            self._r_factors = readonly(_check_noise_cov(rs, self.m, self.sigma2_floor,
+                                                        lambda t: f"noise.R_seq[{t}]"))
             self.R_seq = readonly(rs)
 
         limits = [len(seq) + shift
@@ -260,8 +258,8 @@ class SystemModel:
             raise HorizonError(f"noise step {k} exceeds the LTV horizon ({len(self.R_seq)})")
         return self.R_seq[k]
 
-    def noise_factors(self, count, start=0):
-        """Lower Cholesky factors C_k, R_k = C_k C_k^T, for k = start..start+count-1.
+    def noise_factors(self, count):
+        """Lower Cholesky factors C_k, R_k = C_k C_k^T, for k = 0..count-1.
 
         A read-only (n, m, m) stack of the factors taken when the model was
         built.  A per-step sequence is cut off at its end, so n falls short
@@ -269,17 +267,21 @@ class SystemModel:
         """
         if self.isotropic:
             return np.broadcast_to(self._r_factors[0], (count, self.m, self.m))
-        return self._r_factors[start:start + count]
+        return self._r_factors[:count]
 
-    def noise_floors(self, count, start=0):
-        """lambda_min(R_k) for k = start..start+count-1, as ``noise_factors`` cuts them.
+    def whiten(self, stack, start=0, transpose=False):
+        """C_k^-1 X_k (C_k^-T X_k with ``transpose``) of the stack X, k = start..start+n-1.
 
-        A read-only (n,) stack of the eigenvalues the model's validation
-        computed: sigma2 for isotropic noise.
+        Isotropic noise multiplies by 1 / C[0, 0], with the bits of a solve
+        against C = sqrt(sigma2) I; per-step noise is one batched solve
+        (HorizonError past its end).
         """
         if self.isotropic:
-            return np.broadcast_to(self._r_floors, (count,))
-        return self._r_floors[start:start + count]
+            return stack * (1.0 / self._r_factors[0, 0, 0])
+        if start + len(stack) > len(self.R_seq):
+            raise HorizonError(f"noise step {start + len(stack) - 1} exceeds the LTV horizon")
+        factors = self._r_factors[start:start + len(stack)]
+        return np.linalg.solve(np.swapaxes(factors, 1, 2) if transpose else factors, stack)
 
     def __repr__(self):
         kind = "LTI" if self.is_lti else "LTV"

@@ -103,8 +103,8 @@ def information_prefixes(model, count, start=0, anchors=1):
     the window anchored at ``start``.
 
     With the model's Cholesky factors R_j = C_j C_j^T, every term adds the
-    Gram product W^T W of the whitened observer W = C_j^-1 H~_j (a linear
-    solve against C_j; no inverse is formed).  The Gramians are symmetrized
+    Gram product W^T W of the whitened observer W = C_j^-1 H~_j
+    (``model.whiten``; no inverse is formed).  The Gramians are symmetrized
     after every term.  Only the current stack is held; the items are new
     arrays, so a caller may keep them.  Information that overflows float64
     raises NonFiniteError naming the step, and no numpy warning.
@@ -130,7 +130,6 @@ def _accumulate(model, count, start=0, anchors=1, state=None):
     if state is not None:
         done, info, h_tilde, phi = state
         n = info.shape[0]
-    factors = model.noise_factors(n + done + count - 1, start)
     for j in range(done, done + count):
         k = start + j
         # Row 0's window must fit; anchors whose window would not fit drop off.
@@ -146,7 +145,7 @@ def _accumulate(model, count, start=0, anchors=1, state=None):
                 info = np.zeros((n, d, d))
             else:
                 h_tilde, phi = advance_observed_evolution(model, k, h_tilde[:n], phi[:n])
-            whitened = np.linalg.solve(factors[j:j + n], h_tilde)
+            whitened = model.whiten(h_tilde, k)
             info = symmetrize(info[:n] + np.swapaxes(whitened, 1, 2) @ whitened)
             # A PSD Gram sum has |info_ij| <= sqrt(info_ii info_jj), so finite
             # diagonals bound every entry, and one scalar screens the stack.

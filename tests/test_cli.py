@@ -469,13 +469,16 @@ class TestEstimate:
 
     def test_information_residual_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # covariances that are not the inverses of their information
-        # matrices fail the information form's check, naming the step
+        # matrices fail the information form's check, naming the step; only
+        # the batched inverse of the N_k stack is perturbed, not the one of
+        # the prior's Cholesky factor that forms N_0 = P0^-1
         cfg = write_config(tmp_path, ltv_record_config())
         obs, out = tmp_path / "obs.csv", tmp_path / "est.csv"
         assert run_cli("simulate", "--config", cfg, "--x0", "1,-1,0.5,2", "--steps", 40,
                        "--out", obs, "--quiet") == 0
         real = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: real(a) * (1.0 + 1e-6))
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: real(a) * (1.0 + 1e-6) if a.ndim == 3 else real(a))
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
                        "--out", out, "--quiet")
         assert code == 1

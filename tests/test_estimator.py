@@ -13,7 +13,7 @@ from isokal._linalg import spd_inverse, spectral_norm, symmetrize
 from isokal.estimator import batch_wls, gain_schedule, init, run, step, wls_prefixes
 from isokal.harness import monte_carlo, simulate, trial_seed
 from isokal.model import (HorizonError, NonFiniteError, SystemModel, load_model,
-                          observed_evolution, observed_evolution_sequence, transition)
+                          observed_evolution, transition)
 from isokal.observability import gramian
 from isokal.stability import analyze_stability
 from test_cli import ltv_record_config
@@ -905,9 +905,39 @@ class TestInformationForm:
                     h = mpmath.matrix(schedule.h_tilde[k].tolist())
                     info += h.T * mpmath.inverse(mpmath.matrix(model.R_at(k).tolist())) * h
 
-    def test_bound_of_an_overflowed_observer_is_not_finite(self, example2):
+    def test_bound_of_an_overflowed_observer_is_not_finite(self, example2, monkeypatch):
         # the walk's overflowed observers make the bound inf, so the Joseph
-        # recursion runs and names the step (TestOverflow)
+        # recursion runs and names the step (TestOverflow), which the
+        # information form's residual check would not
         model, _x0, _x_hat0, p0, _ = example2
-        h_tilde = observed_evolution_sequence(model, 1800)[0]
-        assert not np.isfinite(estimator._information_bound(model, p0, h_tilde))
+        bounds, real = [], estimator._information_bound
+        monkeypatch.setattr(estimator, "_information_bound",
+                            lambda *args: bounds.append(real(*args)) or bounds[-1])
+        with pytest.raises(NonFiniteError, match="observer H~ of step 1753 is not finite"):
+            gain_schedule(model, p0, 1800)
+        assert len(bounds) == 1 and not np.isfinite(bounds[0])
+
+    def test_anisotropic_noise_is_gated_by_the_exact_trace(self, oracle):
+        # Per-step R_k with eigenvalues about 1e-2 and 1e2, observers nearly
+        # along the 1e2 direction: trace O(T,0) = ||W||_F^2 is about 1e4
+        # times smaller than sum_k ||H~_k||_F^2 / lambda_min(R_k), so the
+        # exact bound admits the information form where that floor bound
+        # would not.  The worst error of P_k measured against the exact
+        # posterior is 5.9e-13 (cond_2(N_k) up to 500); the bound is 2e-12.
+        T, p0 = 20, 1e5
+        c, s = np.cos(0.3), np.sin(0.3)
+        q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        model = SystemModel(1.02 * np.array([[c, -s], [s, c]]),
+                            np.array([[1.0, 0.5], [-1.0, -0.5 + 1e-3]]),
+                            np.stack([q @ np.diag([1e-2 * (1.0 + 0.05 * k), 1e2]) @ q.T
+                                      for k in range(T)]))
+        schedule = gain_schedule(model, p0, T)
+        floor_bound = p0 * (1.0 / p0 + sum(
+            np.vdot(h, h) / np.linalg.eigvalsh(model.R_at(k))[0]
+            for k, h in enumerate(schedule.h_tilde)))
+        gate = estimator.JOSEPH_TOL / (model.d * np.finfo(float).eps)
+        assert schedule.cond_bound <= gate < floor_bound
+        assert schedule.form == "information"
+        exact_p = oracle(model, p0 * np.eye(2), np.zeros(2), np.zeros((T, 2)))[0]
+        for k in range(T + 1):
+            assert relative_error(schedule.P[k], exact_p[k]) <= 2e-12

@@ -526,15 +526,46 @@ class TestNoiseFactors:
         assert factors.shape == (n, 2, 2) and not factors.flags.writeable
         for r, factor in zip(model.R_seq, factors):
             np.testing.assert_array_equal(factor, np.linalg.cholesky(symmetrize(r)))
-        np.testing.assert_array_equal(model.noise_factors(4, start=3), factors[3:7])
-        assert len(model.noise_factors(n, start=n - 2)) == 2
+        # the sequence is cut off at its end
+        assert len(model.noise_factors(n + 3)) == n
+        # whiten solves row k against factor start + k, up to the end of the
+        # sequence and no further
+        x = np.random.default_rng(0).standard_normal((n, 2, 5))
+        for start, count in ((0, n), (3, 4), (n - 2, 2)):
+            for transpose in (False, True):
+                got = model.whiten(x[:count], start, transpose)
+                assert got.shape == (count, 2, 5)
+                for k, (gk, xk) in enumerate(zip(got, x)):
+                    c = factors[start + k]
+                    np.testing.assert_array_equal(gk, np.linalg.solve(c.T if transpose else c, xk))
+        with pytest.raises(HorizonError, match=f"noise step {n}"):
+            model.whiten(x[:3], start=n - 2)
 
     def test_isotropic_factor_is_shared(self, example1):
         model = example1[0]
-        factors = model.noise_factors(7, start=5)
+        factors = model.noise_factors(7)
         assert factors.shape == (7, 2, 2) and not factors.flags.writeable
         for factor in factors:
             np.testing.assert_array_equal(factor, np.linalg.cholesky(model.R_at(0)))
+
+    @pytest.mark.parametrize("sigma2", [1e-6, 1e-2, 0.05, 0.3, 2.0])
+    @pytest.mark.parametrize("m, cols, count", [(1, 2, 40), (8, 64, 20), (3, 5, 7), (1, 1, 50)])
+    def test_isotropic_whiten_carries_the_bits_of_the_solve(self, sigma2, m, cols, count):
+        # 1 / C[0, 0] times X equals LU's solve against the broadcast factor,
+        # in both orientations and from any start.  One column (d = 1) is
+        # within an ulp: LAPACK divides a single right-hand side by the
+        # diagonal where whiten multiplies by its reciprocal.
+        model = SystemModel(np.eye(cols), np.eye(m, cols), sigma2)
+        factors = model.noise_factors(count)
+        x = np.random.default_rng(m).standard_normal((count, m, cols))
+        x *= 10.0 ** np.linspace(-5.0, 5.0, count)[:, None, None]
+        for transpose, factor in ((False, factors), (True, np.swapaxes(factors, 1, 2))):
+            want = np.linalg.solve(factor, x)
+            for got in (model.whiten(x, transpose=transpose), model.whiten(x, 5, transpose)):
+                if cols > 1:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
     @pytest.mark.parametrize("noise, path", [
         (np.stack([np.eye(2), np.ones((2, 2)), np.ones((2, 2))]), "noise.R_seq[1]"),
