@@ -72,7 +72,10 @@ between the two, and at every d the per-step minimums of
 ``gain_schedule``, of the Joseph recursion ``_joseph_schedule`` (the
 kernel that still calls LAPACK through scipy) and of ``wls_prefixes`` are
 sampled in turn, the baseline's and this package's, in one process
-(``interleaved``, with the ratio this over baseline).
+(``interleaved``, with the ratio this over baseline).  So are
+``check_observability`` followed by ``lambda_min_asymptotics`` (given that
+report) on the analysis model, and ``check_observability`` of the LTV record
+(``interleaved["analysis"]``, whole calls).
 """
 
 import os
@@ -124,6 +127,8 @@ ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stab
 SCHEDULE_FORMS = ("information", "joseph")
 INTERLEAVED_LAYERS = ("gain_schedule_per_step", "joseph_schedule_per_step",
                       "wls_prefixes_per_prefix")
+INTERLEAVED_ANALYSIS_LAYERS = ("check_observability_lambda_min_asymptotics",
+                               "ltv_check_observability")
 SESSION_COMMANDS = ("simulate", "estimate", "analyze")
 
 #: Fresh interpreters per side for the start-up layer.
@@ -190,7 +195,7 @@ def system(d, package=isokal):
     return package.SystemModel(a, h, 0.1)
 
 
-def rotation_system(d, m):
+def rotation_system(d, m, package=isokal):
     """Seeded LTI rotation blocks whose radii straddle 1, hidden by a random rotation.
 
     Output i sees its own group of blocks, whose angles sit at the odd
@@ -213,7 +218,7 @@ def rotation_system(d, m):
             h[i, b:b + 2] = [math.cos(phase), math.sin(phase)]
     h += 0.05 * rng.standard_normal((m, d))
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    return SystemModel(q @ blocks @ q.T, h @ q.T, 1e-2)
+    return package.SystemModel(q @ blocks @ q.T, h @ q.T, 1e-2)
 
 
 def ltv_record(d, m, T):
@@ -600,6 +605,43 @@ def measure_interleaved(baseline, dims, tiny):
     return out
 
 
+def analysis_sizes(tiny):
+    """(d, m, K) of the analysis model and (d, m, T, L_max) of the LTV record."""
+    return ((16, 2, 20), (4, 1, 40, 8)) if tiny else ((64, 8, 100), (8, 1, 800, 16))
+
+
+def analysis_calls(package, tiny):
+    """The certificate and growth trace of the analysis model, and the LTV record's certificate.
+
+    ``check_observability`` (L_max = d) then ``lambda_min_asymptotics`` (K,
+    given that report), as ``analyze`` runs them; and ``check_observability``
+    of the record, every anchor, at its L_max.
+    """
+    (d, m, K), (ltv_d, ltv_m, T, L_max) = analysis_sizes(tiny)
+    model = rotation_system(d, m, package)
+    record = package.SystemModel(*ltv_record(ltv_d, ltv_m, T))
+    obs = package.observability
+
+    def growth():
+        obs.lambda_min_asymptotics(model, K, report=obs.check_observability(model, d))
+
+    return growth, lambda: obs.check_observability(record, L_max)
+
+
+def measure_interleaved_analysis(baseline, tiny):
+    """``analysis_calls`` of the baseline and of this package, sampled in turn, in us per call."""
+    repeats, target_s = (3, 0.005) if tiny else (15, 0.05)
+    (d, m, K), (ltv_d, ltv_m, T, L_max) = analysis_sizes(tiny)
+    layers = {}
+    for layer, fns in zip(INTERLEAVED_ANALYSIS_LAYERS,
+                          zip(analysis_calls(baseline, tiny), analysis_calls(isokal, tiny))):
+        us = interleaved_min_us(list(fns), repeats, target_s)
+        layers[layer] = {"baseline": round(us[0], 3), "this": round(us[1], 3),
+                         "ratio": round(us[1] / us[0], 3)}
+    return {"d": d, "m": m, "L_max": d, "K": K,
+            "ltv": {"d": ltv_d, "m": ltv_m, "T": T, "L_max": L_max}, "layers": layers}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="smoke run: d = 2, 8, short repeats")
@@ -622,6 +664,8 @@ def main(argv=None):
     schedules = measure_schedules(args.tiny)
     startup = measure_startup(sources, 3 if args.tiny else SAMPLES)
     interleaved = None if baseline is None else measure_interleaved(baseline, dims, args.tiny)
+    if interleaved is not None:
+        interleaved["analysis"] = measure_interleaved_analysis(baseline, args.tiny)
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
@@ -681,6 +725,9 @@ def main(argv=None):
             print(f"interleaved {layer:24s}" + "".join(
                 f"  d={d}: {v['baseline']:8.2f} -> {v['this']:8.2f}"
                 for d, v in interleaved[layer].items()))
+        for layer, v in interleaved["analysis"]["layers"].items():
+            print(f"interleaved {layer:42s} {v['baseline']:10.1f} -> {v['this']:10.1f}"
+                  f"  ratio {v['ratio']:.3f}")
     return 0
 
 

@@ -210,24 +210,29 @@ def _gain_pieces(P, h_tilde, R, k=None):
     return gain.T, sigma, f
 
 
-def _check_joseph(p_joseph, p_short):
-    """Raise unless ||P_J - P_S||_2 <= JOSEPH_TOL * (1 + ||P_J||_2).
+def _check_joseph(p_joseph, p_short, k=None):
+    """Raise unless ||P_J - P_S||_2 <= JOSEPH_TOL * (1 + ||P_J||_2) at the update of step k.
 
     ||X||_2 <= ||X||_F and ||P||_2 >= ||P||_F / sqrt(d), so a gap within
     half the Frobenius form of the bound passes the spectral test too (the
     half keeps rounding in either norm from flipping the decision); only
     the remaining cases pay for the two SVDs.  A non-finite form, such as
     one from a NaN that the Cholesky factor of P did not read, raises.
+    Both messages name step ``k`` when it is given; a disagreement also
+    gives the gap and its bound.
     """
     gap = p_joseph - p_short
     gap_f = math.sqrt(np.vdot(gap, gap))
     p_f = math.sqrt(np.vdot(p_joseph, p_joseph))
     if math.isfinite(p_f) and gap_f <= 0.5 * JOSEPH_TOL * (1.0 + p_f / math.sqrt(len(p_joseph))):
         return
+    at = "" if k is None else f" at step {k}"
     if not (np.isfinite(p_joseph).all() and np.isfinite(p_short).all()):
-        raise np.linalg.LinAlgError("covariance is not finite")
-    if spectral_norm(gap) > JOSEPH_TOL * (1.0 + spectral_norm(p_joseph)):
-        raise np.linalg.LinAlgError("Joseph and short-form covariance updates disagree")
+        raise np.linalg.LinAlgError(f"covariance is not finite{at}")
+    gap_2, bound = spectral_norm(gap), JOSEPH_TOL * (1.0 + spectral_norm(p_joseph))
+    if gap_2 > bound:
+        raise np.linalg.LinAlgError(f"Joseph and short-form covariance updates disagree{at}: "
+                                    f"||P_J - P_S||_2 = {gap_2:.3e} > {bound:.3e}")
 
 
 def _update(P, h_tilde, R, r_factor=None, k=None):
@@ -252,7 +257,7 @@ def _update(P, h_tilde, R, r_factor=None, k=None):
     kl = k_gain @ r_factor
     # numpy forms x @ x.T by syrk, so the Joseph sum is exactly symmetric.
     p_next = mf @ mf.T + kl @ kl.T
-    _check_joseph(p_next, P - k_gain @ (h_tilde @ P))
+    _check_joseph(p_next, P - k_gain @ (h_tilde @ P), k)
     return k_gain, p_next
 
 

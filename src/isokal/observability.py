@@ -7,18 +7,17 @@ The windowed Gramian
 is positive definite exactly when the initial state is recoverable from the
 window's observations.  A system is uniformly observable when one window
 length L and bound rho > 0 work for every anchor k0; for LTI systems this
-reduces to observability of a single window anchored at 0.  Every Gramian
-here is a sum of ``information_prefixes``, the one accumulator of them.
+reduces to observability of a single window anchored at 0.  The windows of
+one anchor are one stack, ``_anchored``; those of many anchors grow together
+in ``information_prefixes``.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import symmetrize
-from .model import NonFiniteError, advance_observed_evolution
+from .model import NonFiniteError, advance_observed_evolution, observed_evolution_sequence
 
 #: Half-width of the |lambda| = 1 band inside which min |eig(A)| alone
 #: classifies neither the growth of lambda_min(O(k,0)) nor the error dynamics.
@@ -33,20 +32,6 @@ class UnobservableModelError(ValueError):
     """An operation that requires observability got an unobservable model."""
 
 
-class _Accumulator(NamedTuple):
-    """The information accumulator after ``terms`` terms (see ``information_prefixes``).
-
-    ``info`` stacks the Gramians of the windows still inside the horizon;
-    ``h_tilde`` and ``phi`` are the observers and transitions of the last
-    term, from which the next term advances.
-    """
-
-    terms: int
-    info: np.ndarray
-    h_tilde: np.ndarray
-    phi: np.ndarray
-
-
 @dataclass
 class ObservabilityReport:
     """Outcome of a (uniform) observability check.
@@ -55,11 +40,7 @@ class ObservabilityReport:
     "NotObservableUpTo" (no window length up to L carried a Gramian bounded
     below by rho_tol).  lambda_min_trace holds lambda_min(O(k,0)) for
     k = 1..min(L_max, horizon).  L_max and rho_tol record the search that
-    was made; they are not part of the JSON form.  The private
-    ``_accumulator`` is the state of the anchor-0 information accumulator
-    after the trace's last term, from which ``lambda_min_asymptotics``
-    continues the trace; it is an init field, so ``dataclasses.replace``
-    keeps it, and it takes no part in comparisons.
+    was made; they are not part of the JSON form.
     """
 
     verdict: str
@@ -68,7 +49,6 @@ class ObservabilityReport:
     L_max: int
     rho_tol: float
     lambda_min_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    _accumulator: _Accumulator | None = field(default=None, repr=False, compare=False)
 
     @property
     def observable(self):
@@ -94,6 +74,30 @@ class GramianGrowth:
     beta: float | None = None
 
 
+def _anchored(model, count, start=0):
+    """The Gramians O(start+k, start), k = 1..count, as one (count, d, d) stack.
+
+    One observer walk, one ``model.whiten``, one batched Gram product
+    W_j^T W_j and one running sum.  numpy forms x^T x by syrk and mirrors
+    its triangle, so every term and every sum is exactly symmetric.  Row
+    k-1 has the bits of row 0 of item k of ``information_prefixes``.
+    Overflow raises NonFiniteError naming the step, and no numpy warning.
+    """
+    model._check_horizon(start + count - 1)
+    h_tilde = observed_evolution_sequence(model, count, start)[0]
+    # Overflow is reported by the check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = model.whiten(h_tilde, start)
+        info = np.swapaxes(whitened, 1, 2) @ whitened
+        for k in range(1, count):
+            np.add(info[k - 1], info[k], out=info[k])
+        # Diagonals only grow along the sum, so the last one screens the stack.
+        total = np.trace(info[-1])
+    if not math.isfinite(total):
+        _raise_overflow(info, [start] * count, range(start, start + count))
+    return info
+
+
 def information_prefixes(model, count, start=0, anchors=1):
     """Yield the Gramians of windows anchored at start, start+1, ..., one term at a time.
 
@@ -104,33 +108,15 @@ def information_prefixes(model, count, start=0, anchors=1):
 
     With the model's Cholesky factors R_j = C_j C_j^T, every term adds the
     Gram product W^T W of the whitened observer W = C_j^-1 H~_j
-    (``model.whiten``; no inverse is formed).  The Gramians are symmetrized
-    after every term.  Only the current stack is held; the items are new
+    (``model.whiten``; no inverse is formed), exactly symmetric as in
+    ``_anchored``.  Only the current stack is held; the items are new
     arrays, so a caller may keep them.  Information that overflows float64
     raises NonFiniteError naming the step, and no numpy warning.
     """
-    for acc in _accumulate(model, count, start, anchors):
-        yield acc.info
-
-
-def _accumulate(model, count, start=0, anchors=1, state=None):
-    """Yield the ``_Accumulator`` after each of ``count`` more terms.
-
-    The accumulation of ``information_prefixes``, continued from ``state``
-    (an item of an earlier call with the same ``start``, or its leading
-    rows, which then go on alone) or begun at term 0 when it is None.  Each
-    row's terms are added in the same order with the same operations either
-    way, so a continued accumulation carries the bits of one uninterrupted
-    pass.
-    """
     if count < 0 or anchors < 1:
         raise ValueError(f"need count >= 0 and anchors >= 1, got {count} and {anchors}")
-    d, horizon = model.d, model.horizon
-    done, n = 0, anchors
-    if state is not None:
-        done, info, h_tilde, phi = state
-        n = info.shape[0]
-    for j in range(done, done + count):
+    d, horizon, n = model.d, model.horizon, anchors
+    for j in range(count):
         k = start + j
         # Row 0's window must fit; anchors whose window would not fit drop off.
         model._check_horizon(k)
@@ -146,39 +132,31 @@ def _accumulate(model, count, start=0, anchors=1, state=None):
             else:
                 h_tilde, phi = advance_observed_evolution(model, k, h_tilde[:n], phi[:n])
             whitened = model.whiten(h_tilde, k)
-            info = symmetrize(info[:n] + np.swapaxes(whitened, 1, 2) @ whitened)
+            info = info[:n] + np.swapaxes(whitened, 1, 2) @ whitened
             # A PSD Gram sum has |info_ij| <= sqrt(info_ii info_jj), so finite
             # diagonals bound every entry, and one scalar screens the stack.
             total = info.reshape(n, -1)[:, ::d + 1].sum()
         if not math.isfinite(total):
-            _raise_overflow(info, k, start)
-        yield _Accumulator(j + 1, info, h_tilde, phi)
+            _raise_overflow(info, range(start, start + n), range(k, k + n))
+        yield info
 
 
-def _raise_overflow(info, k, start):
-    """NonFiniteError naming the first window whose information left float64 at step k.
+def _raise_overflow(info, anchors, steps):
+    """NonFiniteError naming the first non-finite row i: window anchors[i] at step steps[i].
 
-    Nothing is raised when every window is finite: the screen's sum of
-    finite entries can overflow on its own.
+    None when every row is finite (the screen's sum can overflow on its own).
     """
     bad = np.flatnonzero(~np.isfinite(info).all(axis=(1, 2)))
     if bad.size:
-        raise NonFiniteError(f"information of the window anchored at {start + bad[0]} is not "
-                             f"finite at step {k + bad[0]}: the Gramian overflowed float64")
+        raise NonFiniteError(f"information of the window anchored at {anchors[bad[0]]} is not "
+                             f"finite at step {steps[bad[0]]}: the Gramian overflowed float64")
 
 
 def gramian(model, k0, L):
-    """Windowed observability Gramian O(k0+L, k0).
-
-    Row 0 of the last item of ``information_prefixes``; L = 0 returns the
-    zero matrix (empty sum).
-    """
+    """Windowed observability Gramian O(k0+L, k0): the last row of ``_anchored``, 0 for L = 0."""
     if L < 0:
         raise ValueError(f"window length must be non-negative, got {L}")
-    info = np.zeros((1, model.d, model.d))
-    for info in information_prefixes(model, L, start=k0):
-        pass
-    return info[0]
+    return _anchored(model, L, k0)[-1].copy() if L else np.zeros((model.d, model.d))
 
 
 def _lambda_min(gramians):
@@ -189,14 +167,13 @@ def _lambda_min(gramians):
 def check_observability(model, L_max, rho_tol=1e-9):
     """Find the smallest window length certifying (uniform) observability.
 
-    An LTI model with constant noise needs the single window anchored at 0;
-    otherwise every anchor inside the finite data horizon is verified, the
-    windows of all anchors growing together, and nothing is extrapolated
-    beyond the data.  Row 0 of that stack is the anchor-0 window, whose
-    lambda_min is the trace entry, so a window length it fails is not
-    decomposed; past the certifying window the trace continues from row 0
-    alone.  Not finding a window is a verdict ("NotObservableUpTo"), not an
-    error.  ``rho_tol`` must be finite and positive.
+    The trace is one decomposition of the ``_anchored`` stack.  An LTI
+    model with constant noise needs the window anchored at 0 alone;
+    otherwise every anchor inside the finite data horizon is verified, and
+    nothing is extrapolated beyond the data.  The other anchors' windows of
+    a length are decomposed only where anchor 0's passes, whose value is
+    the trace's.  Not finding a window is a verdict ("NotObservableUpTo"),
+    not an error.  ``rho_tol`` must be finite and positive.
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
@@ -204,21 +181,22 @@ def check_observability(model, L_max, rho_tol=1e-9):
         raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
-    anchors = 1 if model.is_lti and model.isotropic else horizon
-    trace, L, rho = [], k_max, None
-    for acc in _accumulate(model, k_max, anchors=anchors):
-        trace.append(_lambda_min(acc.info[0]))
-        if trace[-1] >= rho_tol:
-            window_min = trace[-1] if anchors == 1 else _lambda_min(acc.info).min()
-            if window_min >= rho_tol:
-                L, rho = acc.terms, float(window_min)
-                break
-    acc = acc._replace(info=acc.info[:1], h_tilde=acc.h_tilde[:1], phi=acc.phi[:1])
-    for acc in _accumulate(model, k_max - L, state=acc):
-        trace.append(_lambda_min(acc.info[0]))
+    trace = _lambda_min(_anchored(model, k_max))
+    L, rho = k_max, None
+    if model.is_lti and model.isotropic:
+        passing = np.flatnonzero(trace >= rho_tol)
+        if passing.size:
+            L, rho = int(passing[0]) + 1, float(trace[passing[0]])
+    else:
+        for length, info in enumerate(information_prefixes(model, k_max, anchors=horizon), 1):
+            if trace[length - 1] >= rho_tol:
+                window_min = _lambda_min(info[1:]).min(initial=trace[length - 1])
+                if window_min >= rho_tol:
+                    L, rho = length, float(window_min)
+                    break
     return ObservabilityReport(verdict="NotObservableUpTo" if rho is None else "Observable",
                                L=L, rho=rho, L_max=L_max, rho_tol=rho_tol,
-                               lambda_min_trace=np.array(trace), _accumulator=acc)
+                               lambda_min_trace=trace)
 
 
 def _require_observable(model, report=None):
@@ -266,11 +244,9 @@ def lambda_min_asymptotics(model, K, report=None):
     tail half holds fewer than 3 points.  Convergent to a
     positive limit when min |eig(A)| < 1.  Within the SPECTRAL_BAND_TOL band
     around 1 the class is Undetermined.  A ``check_observability``
-    ``report`` of the model certifies it as ``_require_observable`` says.
-    The certifying report's ``lambda_min_trace`` is the head of the trace,
-    and the trace continues from the accumulator the report ends in: every
-    information term is added once, and only Gramians past the head are
-    decomposed.  min |eig(A)| is the model's ``eigs_abs``.
+    ``report`` of the model certifies it as ``_require_observable`` says;
+    its ``lambda_min_trace`` decomposed the leading rows of the ``_anchored``
+    stack, so only the rows past it are.  min |eig(A)| is ``eigs_abs``.
     """
     if not model.is_lti:
         raise ValueError("growth classification is defined for LTI models only")
@@ -278,12 +254,9 @@ def lambda_min_asymptotics(model, K, report=None):
         raise ValueError(f"K must be >= 2, got {K}")
     report = _require_observable(model, report)
 
-    # The report's trace is row 0 of the same accumulator through the same
-    # _lambda_min, and the accumulation continues where it stopped, so every
-    # entry carries the bits of one pass from step 0.
-    head = list(report.lambda_min_trace[:K])
-    more = _accumulate(model, K - len(head), state=report._accumulator) if len(head) < K else ()
-    trace = np.array(head + [_lambda_min(acc.info[0]) for acc in more])
+    head = report.lambda_min_trace[:K]
+    tail = _lambda_min(_anchored(model, K)[len(head):]) if len(head) < K else ()
+    trace = np.concatenate([head, tail])
     lam_min = float(model.eigs_abs[-1])
 
     if lam_min > 1.0 + SPECTRAL_BAND_TOL:

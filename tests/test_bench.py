@@ -86,8 +86,17 @@ def test_tiny_run_writes_valid_json(tmp_path):
             "ltv": {"import": False, "simulate": False, "estimate": False, "analyze": False}}
     interleaved = doc["interleaved"]
     assert set(interleaved) == {"gain_schedule_per_step", "joseph_schedule_per_step",
-                                "wls_prefixes_per_prefix", "gate_form"}
+                                "wls_prefixes_per_prefix", "gate_form", "analysis"}
     assert set(interleaved.pop("gate_form").values()) <= {"information", "joseph"}
+    analysis = interleaved.pop("analysis")
+    assert (analysis["d"], analysis["m"], analysis["L_max"], analysis["K"]) == (16, 2, 16, 20)
+    assert analysis["ltv"] == {"d": 4, "m": 1, "T": 40, "L_max": 8}
+    assert set(analysis["layers"]) == {"check_observability_lambda_min_asymptotics",
+                                       "ltv_check_observability"}
+    for pair in analysis["layers"].values():
+        assert set(pair) == {"baseline", "this", "ratio"}
+        assert all(math.isfinite(v) and v > 0.0 for v in pair.values())
+        assert math.isclose(pair["ratio"], pair["this"] / pair["baseline"], rel_tol=1e-2)
     for by_dim in interleaved.values():
         assert set(by_dim) == {"2", "8"}
         for pair in by_dim.values():

@@ -445,7 +445,31 @@ class TestEstimate:
         code = run_cli("estimate", "--config", cfg, "--obs", obs, "--p0", "0.01",
                        "--out", tmp_path / "est.csv", "--quiet")
         assert code == 1
-        assert "Joseph and short-form" in capsys.readouterr().err
+        self.assert_joseph_disagreement(capsys.readouterr().err, step=0)
+
+    @pytest.mark.parametrize("command, p0", [("estimate", "1e12"), ("estimate", "1e300"),
+                                             ("analyze", "1e12")])
+    def test_huge_prior_names_the_disagreeing_step(self, tmp_path, example2_config, capsys,
+                                                   command, p0):
+        # example2 from P0 = p I with p far past 1 / sigma2: the two forms
+        # of the update of y(1) part by far more than the bound
+        cfg = write_config(tmp_path, example2_config)
+        args = (["--obs", self._simulate(tmp_path, cfg, steps=5)] if command == "estimate"
+                else ["--horizon", "4", "--k-max", "20"])
+        code = run_cli(command, "--config", cfg, *args, "--p0", p0,
+                       "--out", tmp_path / "out", "--quiet")
+        assert code == 1
+        self.assert_joseph_disagreement(capsys.readouterr().err, step=1, command=command)
+
+    @staticmethod
+    def assert_joseph_disagreement(err, step, command="estimate"):
+        """One error line naming the step, the spectral gap and its bound, gap > bound."""
+        pattern = (rf"^isokal {command}: error: Joseph and short-form covariance updates "
+                   rf"disagree at step {step}: \|\|P_J - P_S\|\|_2 = (\S+) > (\S+)\n$")
+        match = re.match(pattern, err)
+        assert match, err
+        gap, bound = (float(v) for v in match.groups())
+        assert gap > bound >= estimator.JOSEPH_TOL
 
     @pytest.mark.parametrize("case, form", [("ltv", "information"), ("example2", "joseph")])
     def test_manifest_names_the_schedule_form(self, tmp_path, example2_config, case, form):
@@ -592,35 +616,36 @@ class TestAnalyze:
     def test_lti_model_is_certified_once(self, tmp_path, example1_config, monkeypatch,
                                          rho_tol):
         # lambda_min_asymptotics and analyze_stability reuse the command's
-        # report at its tolerance (no first-window scan: no accumulation of
-        # d = 4 terms); the report equals the one assembled from separately
+        # report at its tolerance (no first-window scan: no stack of d = 4
+        # Gramians); the report equals the one assembled from separately
         # certified pieces
         from isokal import observability, stability
 
-        calls, terms = [], []
+        calls, walks, stacks = [], [], []
         real = observability.check_observability
-        real_accumulate = observability._accumulate
+        real_anchored, real_lambda_min = observability._anchored, observability._lambda_min
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        def counted_accumulate(*args, **kwargs):
-            for acc in real_accumulate(*args, **kwargs):
-                terms.append(acc.terms)
-                yield acc
+        def anchored(model, count, start=0):
+            walks.append(count)
+            return real_anchored(model, count, start)
 
         monkeypatch.setattr(observability, "check_observability", counted)
         monkeypatch.setattr(cli, "check_observability", counted)
-        monkeypatch.setattr(observability, "_accumulate", counted_accumulate)
+        monkeypatch.setattr(observability, "_anchored", anchored)
+        monkeypatch.setattr(observability, "_lambda_min",
+                            lambda g: stacks.append(len(g)) or real_lambda_min(g))
         cfg = write_config(tmp_path, example1_config)
         out = tmp_path / "report.json"
         assert run_cli("analyze", "--config", cfg, "--horizon", "6", "--k-max", "30",
                        f"--rho-tol={rho_tol}", "--out", out, "--quiet") == 0
         assert len(calls) == 1
-        # the certificate's 6 information terms, then the growth trace
-        # continues from its accumulator: 30 terms added in all, not 36
-        assert terms == list(range(1, 31))
+        # the certificate's stack of 6 Gramians, then the growth trace's 30,
+        # of which only the 24 past the certificate's trace are decomposed
+        assert (walks, stacks) == ([6, 30], [6, 24])
         monkeypatch.undo()
 
         model = load_model(example1_config)
@@ -699,12 +724,12 @@ class TestAnalyze:
 
     def test_gramian_overflow_exits_1(self, tmp_path, example2_config, capsys):
         # example2's |eig(A)| = 1.5 and sigma2 = 1e-6 take O(k,0) past
-        # float64 from step 859 on: an error naming the step, no report
+        # float64 from step 860 on: an error naming the step, no report
         cfg = write_config(tmp_path, example2_config)
         out = tmp_path / "report.json"
         assert run_cli("analyze", "--config", cfg, "--horizon", "1800", "--k-max", "1000",
                        "--out", out) == 1
-        assert "not finite at step 859" in capsys.readouterr().err
+        assert "not finite at step 860" in capsys.readouterr().err
         assert not out.exists()
 
     def test_p0_whose_inverse_overflows_exits_1(self, tmp_path, example2_config, capsys):

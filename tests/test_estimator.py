@@ -175,8 +175,12 @@ class TestGain:
     def test_joseph_short_form_disagreement_raises(self, example2, scaled_gain):
         # a gain that is not the minimizer makes the two covariance forms differ
         model, _x0, x_hat0, p0, _ = example2
-        with pytest.raises(np.linalg.LinAlgError, match="Joseph and short-form"):
+        pattern = (r"^Joseph and short-form covariance updates disagree at step 0: "
+                   r"\|\|P_J - P_S\|\|_2 = (\S+) > (\S+)$")
+        with pytest.raises(np.linalg.LinAlgError, match=pattern) as exc:
             step(init(model, x_hat0, p0), [0.1], model.R_at(0), model)
+        gap, bound = (float(v) for v in re.match(pattern, str(exc.value)).groups())
+        assert gap > bound >= estimator.JOSEPH_TOL
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_innovation_covariance_raises(self, example2):
@@ -277,8 +281,10 @@ class TestJosephCheck:
 
     def test_non_finite_gap_raises(self):
         p = np.eye(3)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="^covariance is not finite$"):
             estimator._check_joseph(p, np.full((3, 3), np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="^covariance is not finite at step 4$"):
+            estimator._check_joseph(p, np.full((3, 3), np.nan), 4)
 
     @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            log_p=st.floats(-12.0, 8.0), log_ratio=st.floats(-2.0, 2.0),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -78,6 +79,9 @@ class TestInformationPrefixes:
             gramian(model, 4, 9)
         with pytest.raises(HorizonError):
             gramian(model, 12, 1)
+        # an LTI model with per-step noise ends where its noise sequence does
+        with pytest.raises(HorizonError, match="^step 10 exceeds the model horizon"):
+            gramian(ltv_fixture("lti_per_step_r"), 0, 11)
 
 
 class TestInformationOverflow:
@@ -88,12 +92,23 @@ class TestInformationOverflow:
         (lambda model: lambda_min_asymptotics(model, 1800), 0),
         (lambda model: gramian(model, 5, 900), 5),
     ], ids=["check_observability", "lambda_min_asymptotics", "gramian"])
-    def test_example2_overflows_at_step_859(self, example2, analysis, start):
-        # |eig(A)| = 1.5 and sigma2 = 1e-6: O(a+860, a) is the first Gramian past float64
+    def test_example2_overflows_at_step_860(self, example2, analysis, start):
+        # |eig(A)| = 1.5 and sigma2 = 1e-6: O(a+861, a) is the first Gramian past float64
         model = example2[0]
-        assert np.isfinite(gramian(model, start, 859)).all()
+        assert np.isfinite(gramian(model, start, 860)).all()
         with pytest.raises(NonFiniteError, match=f"window anchored at {start} is not finite "
-                                                 f"at step {start + 859}"):
+                                                 f"at step {start + 860}"):
+            analysis(model)
+
+    @pytest.mark.parametrize("analysis", [
+        lambda model: gramian(model, 0, 861),
+        lambda model: collections.deque(information_prefixes(model, 861), maxlen=0),
+    ], ids=["gramian", "information_prefixes"])
+    def test_every_entry_point_names_one_step(self, example2, analysis):
+        # no Gramian is symmetrized, so no 0.5 (M + M^T) overflows a term early
+        model = example2[0]
+        assert np.isfinite(gramian(model, 0, 860)).all()
+        with pytest.raises(NonFiniteError, match="anchored at 0 is not finite at step 860:"):
             analysis(model)
 
     def test_ltv_stack_names_the_first_overflowed_window(self):
@@ -119,6 +134,45 @@ class TestInformationOverflow:
         check_observability(per_step_noise_ltv()[0], 6)
         lambda_min_asymptotics(example2[0], 40)
         assert scans == []
+
+
+class TestExactSymmetry:
+    """No Gramian is symmetrized: each is an exactly symmetric Gram sum, with one bit pattern."""
+
+    @staticmethod
+    def model(case, request):
+        if case == "example1":
+            return request.getfixturevalue(case)[0]
+        rng = np.random.default_rng(27)
+        if case == "wide_lti":
+            # d = 64, m = 8, orthogonal A
+            return lti(np.linalg.qr(rng.standard_normal((64, 64)))[0],
+                       rng.standard_normal((8, 64)), 1e-2)
+        if case == "ltv_record":
+            # d = 8, m = 1, per-step A, H and R
+            T = 40
+            g = rng.standard_normal((T, 1, 1))
+            return SystemModel(np.stack([np.linalg.qr(rng.standard_normal((8, 8)))[0]
+                                         for _ in range(T - 1)]),
+                               rng.standard_normal((T, 1, 8)), 1e-2 * (1.0 + g * g))
+        return ltv_fixture(case)
+
+    @pytest.mark.parametrize("case", ["example1", "ltv", "lti_per_step_r", "wide_lti",
+                                      "ltv_record"])
+    def test_gramians_are_symmetric_and_one_per_window(self, case, request):
+        model = self.model(case, request)
+        for k0 in (0, 2):
+            L = min(12, model.horizon - k0) if model.horizon else 12
+            anchors = model.horizon - k0 if model.horizon else 3
+            anchored = observability._anchored(model, L, k0)
+            stacks = list(information_prefixes(model, L, start=k0, anchors=anchors))
+            for gramians in [anchored] + stacks:
+                np.testing.assert_array_equal(gramians, np.swapaxes(gramians, 1, 2))
+            one = list(information_prefixes(model, L, start=k0))
+            for k in range(L):
+                np.testing.assert_array_equal(anchored[k], stacks[k][0])
+                np.testing.assert_array_equal(anchored[k], one[k][0])
+            np.testing.assert_array_equal(gramian(model, k0, L), one[-1][0])
 
 
 def ltv_fixture(case):
@@ -310,8 +364,7 @@ class TestCertificateScreen:
         real = observability._lambda_min
 
         def counted(gramians):
-            if gramians.ndim == 3:
-                stacks.append(len(gramians))
+            stacks.append(len(gramians))
             return real(gramians)
 
         monkeypatch.setattr(observability, "_lambda_min", counted)
@@ -321,8 +374,11 @@ class TestCertificateScreen:
         assert (rep.verdict, rep.L) == (verdict, L)
         assert rep.rho == rho
         np.testing.assert_array_equal(rep.lambda_min_trace, trace)
-        # one stacked decomposition per window length that anchor 0 passes
-        assert len(stacks) == int(np.sum(trace[:L] >= rho_tol))
+        # one stacked decomposition of the anchor-0 trace, then one of the
+        # other anchors' windows per length that anchor 0 passes (at length
+        # w, anchors 1..horizon-w; anchor 0 is the trace's)
+        passed = [model.horizon - w for w in range(1, L + 1) if trace[w - 1] >= rho_tol]
+        assert stacks == [len(trace)] + passed
 
     @staticmethod
     def assert_row0_is_the_anchor0_window(model, k_max):
@@ -478,13 +534,13 @@ REPORT_READERS = pytest.mark.parametrize("analysis", [
 def certified(monkeypatch):
     """Records every fresh certificate of the model: ("check", L_max, rho_tol) or ("scan", d).
 
-    A scan is an accumulation of d information terms outside
+    A scan is a stack of d anchor-0 Gramians built outside
     check_observability, which no analysis makes: every fresh certificate
-    is a check (the growth trace of lambda_min_asymptotics accumulates
-    K != d terms in these tests).
+    is a check (the growth trace of lambda_min_asymptotics stacks K != d
+    Gramians in these tests).
     """
     calls, inside = [], []
-    real_check, real_prefixes = observability.check_observability, observability.information_prefixes
+    real_check, real_anchored = observability.check_observability, observability._anchored
 
     def check(model, L_max, rho_tol=1e-9):
         calls.append(("check", L_max, rho_tol))
@@ -494,13 +550,13 @@ def certified(monkeypatch):
         finally:
             inside.pop()
 
-    def prefixes(model, count, *args, **kwargs):
+    def anchored(model, count, start=0):
         if not inside and count == model.d:
             calls.append(("scan", count))
-        return real_prefixes(model, count, *args, **kwargs)
+        return real_anchored(model, count, start)
 
     monkeypatch.setattr(observability, "check_observability", check)
-    monkeypatch.setattr(observability, "information_prefixes", prefixes)
+    monkeypatch.setattr(observability, "_anchored", anchored)
     return calls
 
 
@@ -558,12 +614,14 @@ class TestReportReuse:
         model, K = request.getfixturevalue(which)[0], 20
         fresh = lambda_min_asymptotics(model, K).lambda_min_trace
         report = check_observability(model, L_max=L_max)
-        calls = []
+        stacks = []
         real = observability._lambda_min
-        monkeypatch.setattr(observability, "_lambda_min", lambda g: calls.append(1) or real(g))
+        monkeypatch.setattr(observability, "_lambda_min",
+                            lambda g: stacks.append(len(g)) or real(g))
         growth = lambda_min_asymptotics(model, K, report=report)
         np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
-        assert len(calls) == max(K - len(report.lambda_min_trace), 0)
+        head = len(report.lambda_min_trace)
+        assert stacks == ([K - head] if head < K else [])
 
     @pytest.mark.parametrize("which", ["example1", "example2", "lti_per_step_r"])
     @pytest.mark.parametrize("L_max", [1, 4, 7])
@@ -572,9 +630,11 @@ class TestReportReuse:
     def test_growth_trace_continues_the_report_accumulator(self, which, L_max, K, replaced,
                                                            request, monkeypatch):
         # K below, at and above the report's L_max (K >= 5 fits example1's
-        # growth); a report with L_max < d certifies afresh and the trace
-        # continues from that certificate.  Either way the trace has the bits
-        # of one uninterrupted pass, and each information term is added once.
+        # growth); a report with L_max < d certifies afresh, and the trace
+        # of that certificate heads the growth trace.  Either way the trace
+        # has the bits of the per-term accumulation, and outside the
+        # certificate one anchor-0 stack of K Gramians is built, of which
+        # only the rows past the certifying trace are decomposed.
         model = (ltv_fixture(which) if which == "lti_per_step_r"
                  else request.getfixturevalue(which)[0])
         fresh = np.array([np.linalg.eigvalsh(info[0])[0]
@@ -582,20 +642,34 @@ class TestReportReuse:
         report = check_observability(model, L_max=L_max)
         if replaced:
             report = dataclasses.replace(report, rho=float("nan"))
-        terms = []
-        real = observability._accumulate
+        walks, stacks, inside = [], [], []
+        real_check, real_anchored, real_lambda_min = (
+            observability.check_observability, observability._anchored, observability._lambda_min)
 
-        def counted(*args, **kwargs):
-            for acc in real(*args, **kwargs):
-                terms.append(acc.terms)
-                yield acc
+        def check(*args, **kwargs):
+            inside.append(1)
+            try:
+                return real_check(*args, **kwargs)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(observability, "_accumulate", counted)
+        def anchored(model, count, start=0):
+            if not inside:
+                walks.append((count, start))
+            return real_anchored(model, count, start)
+
+        def lambda_min(gramians):
+            if not inside:
+                stacks.append(len(gramians))
+            return real_lambda_min(gramians)
+
+        monkeypatch.setattr(observability, "check_observability", check)
+        monkeypatch.setattr(observability, "_anchored", anchored)
+        monkeypatch.setattr(observability, "_lambda_min", lambda_min)
         growth = lambda_min_asymptotics(model, K, report=report)
         head = min(model.d, model.horizon or model.d) if L_max < model.d \
             else len(report.lambda_min_trace)
-        first = 0 if L_max < model.d else head
-        assert terms == list(range(first + 1, max(K, head) + 1))
+        assert (walks, stacks) == (([(K, 0)], [K - head]) if head < K else ([], []))
         monkeypatch.undo()
         np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
         np.testing.assert_array_equal(lambda_min_asymptotics(model, K).lambda_min_trace, fresh)

@@ -427,8 +427,10 @@ class TestPsiNorms:
         report = analyze_stability(model, P0=p if form == "scalar" else p * np.eye(model.d),
                                    k_max=k_max)
         monkeypatch.undo()
-        # one stacked eigvalsh, of the covariances, besides _prior's check of P0
-        assert [s for s in shapes if len(s) == 3] == [(k_max + 1, model.d, model.d)]
+        # two stacked eigvalsh besides _prior's check of P0: the covariances,
+        # then the anchor-0 trace of the certificate up to d; none of Psi
+        d = model.d
+        assert [s for s in shapes if len(s) == 3] == [(k_max + 1, d, d), (d, d, d)]
         covs = estimator.covariance_sequence(model, p, k_max)
         np.testing.assert_array_equal(report.covariance_norm_trace,
                                       np.abs(np.linalg.eigvalsh(covs)).max(axis=1))
