@@ -1,81 +1,47 @@
-"""Time the filter's update kernel and the layers built on it.
+"""Time the filter's kernels and the layers built on them, each table round-robin.
 
     python3 bench/kernel.py [--tiny] [--out BENCH.json] [--baseline SRC]
 
-Times ``estimator._update`` (on a positive definite P, the Cholesky path,
-and on a rank-deficient P, the eigen-split fallback), ``estimator.step``,
-``estimator.gain_schedule`` (per step), ``estimator.wls_prefixes`` (per
-prefix), ``model.advance_observed_evolution`` (one step),
-``stability.analyze_stability``, ``observability.check_observability``
-(L_max = d) and ``observability.lambda_min_asymptotics`` (K = 2d, given
-that report) at d = 2, 8, 32 and 128 on seeded random LTI systems.  It
-also times the layers of one long LTV record (d = 8, m = 1, T = 800,
-per-step A, H and R): ``cli._read_json`` of its config, written once as
-JSON (the decode ``--config`` pays), ``cli._load_config`` of that file (the
-decode and the validation, as every command that takes ``--config`` pays
-them), ``SystemModel`` validation,
-``check_observability`` (L_max = 16, every anchor), one
-``advance_observed_evolution`` step in the middle of the record (its
-transition carried), the ``model.observed_evolution_sequence`` walk of the
-record, ``harness.simulate`` and ``estimator.run`` per step,
-``harness.write_estimates_csv`` of the run's states as the CLI's
-``estimate --truth`` writes them (stacking included), and one
-``isokal estimate --batch-check`` of the record end to end through
-``cli.main`` (config and observations read from a temporary directory).
-For that same ``estimate`` it also counts, over a fixed run of consecutive
-calls, the cyclic garbage collections per call by generation and the
-seconds they take, from ``gc.callbacks``: the minimum over samples that
-the layers report leaves out the collections that only some calls pay.
-One
-``harness.monte_carlo`` ensemble and one ``harness.reproduce_example`` of
-example1 (d = 4, T = 40, 100 trials, the CSV file set written to a
-temporary directory); and the analysis of ``isokal analyze --horizon 64
---k-max 100`` on a d = 64, m = 8 LTI model of rotation blocks whose radii
-straddle 1: ``check_observability`` (L_max = 64),
-``lambda_min_asymptotics`` (K = 100) and ``analyze_stability``
-(k_max = 100, P0 = I), each given that report, the three in a row, the
-``observed_evolution_sequence`` walk of K steps, per step, and
-``estimator.wls_prefixes`` of K observations, per prefix.  The two
-forms of the filter pass, ``estimator._information_schedule`` and
-``estimator._joseph_schedule``, are timed per step on the same observers
-of that LTV record and of that analysis model (T = K), the information
-form on the observers the pass whitens once before its gate (whitening
-untimed, as both forms share it), their samples taken
-in turn, A, B, A, B, in one process, so that a slow phase of the machine
-hits both alike; the JSON gives each minimum, their ratio (Joseph over
-information) and the form the gate picks.  The LTV
-sweep times the walk, ``harness.simulate`` and ``estimator.run`` per step
-on the first T steps of one record of 2000, for T = 100, 250, 500, 1000
-and 2000: each should stay flat in T.
-It writes the minimum over the perf_counter samples, in microseconds per
-call, as JSON together with the machine: CPU, numpy, scipy and OpenBLAS
-versions and the BLAS thread count, which is pinned to 1 before numpy
-loads.  The minimum is the least disturbed sample: other processes on a
-shared machine only ever add time, so medians of the same code spread
-wider between runs than the changes they are meant to show.  isokal is
-imported from ``src/`` next to this directory.  ``--tiny`` is a smoke run
-(d = 2 and 8, an LTV record of d = 4 and T = 40 with a sweep over T = 20
-and 40, a d = 16, m = 2 analysis with K = 20, three short repeats) of a
-few seconds.
+Each ``*_table`` function below builds one table of named calls on an
+isokal package, each call with the divisor that turns its seconds into
+the unit its name states (``_per_step``, ``_per_prefix``; whole calls
+otherwise).  ``sample`` times every call of a table in rounds: each round
+takes one sample of every layer on every side, each sample a loop of
+about 50 ms sized by one warm-up call, so a slow phase of the shared
+machine hits every layer and both sides alike.  A full run takes 16
+rounds; ``--tiny`` is a smoke run of smaller sizes, 4 rounds of 5 ms
+samples.
 
-The start-up layer runs the two sessions of the CLI below, each in its own
-fresh interpreter, SAMPLES times (3 with ``--tiny``): LTI (the analysis
-model at d = 16, m = 2: ``simulate``, ``estimate --batch-check`` and
-``analyze``) and LTV (the record at d = 4, T = 40: ``simulate``,
-``estimate`` and ``analyze``).  It records the seconds of ``import
-isokal.cli`` and the peak resident memory after it (minimums over every
-interpreter), the minimum seconds of each command, and whether
-``scipy.linalg`` is loaded after the import and after each command.
-``--baseline SRC`` also imports the isokal package under SRC (another
-checkout's ``src/``) beside this one.  The start-up samples then alternate
-between the two, and at every d the per-step minimums of
-``gain_schedule``, of the Joseph recursion ``_joseph_schedule`` (the
-kernel that still calls LAPACK through scipy) and of ``wls_prefixes`` are
-sampled in turn, the baseline's and this package's, in one process
-(``interleaved``, with the ratio this over baseline).  So are
-``check_observability`` followed by ``lambda_min_asymptotics`` (given that
-report) on the analysis model, and ``check_observability`` of the LTV record
-(``interleaved["analysis"]``, whole calls).
+Each timed JSON leaf is ``{"this": us}``: the minimum over the rounds, in
+microseconds per call over its divisor.  ``--baseline SRC`` imports the
+isokal package under SRC (another checkout's ``src/``) beside this one and
+builds every table on it too; its calls join the same rounds, the two
+sides of a layer back to back, this one first in even rounds and the
+baseline first in odd ones.  Each leaf then also carries ``"baseline"``
+(its minimum), ``"ratio"`` (this over baseline) and ``"wins"`` (the
+rounds, out of the document's ``rounds``, in which this side's sample was
+the lower).  A layer whose call the baseline cannot make (it lacks a
+private function that this checkout renamed or added) keeps ``this``
+alone.
+
+Read a comparison against A/A runs, ``--baseline`` set to this checkout's
+own ``src/``: two identical packages in one process still drift apart,
+by the machine's phases and the alignment of their operands, and a single
+run can show a ratio of 0.77 or 1.44 with wins of 0 or 15 of 16 (the
+floor of each table is in CHANGES.md, from ``BENCH_29.json``).  Those
+extremes did not repeat between runs, so a layer has changed only when
+its ratio lies outside that floor with wins at or near 0 or ``rounds``
+in each of several runs.
+
+Two layers keep their own samplers.  ``ltv.gc_per_estimate_call`` counts
+the cyclic garbage collections per ``estimate`` call over a fixed run of
+calls, which the minimum hides because only some calls pay for one.
+``startup`` runs the CLI's sessions in fresh interpreters, the baseline's
+in turn with this checkout's.  The JSON also records the machine: CPU,
+numpy, scipy and OpenBLAS versions and the BLAS thread count, which is
+pinned to 1 before numpy loads.  isokal is imported from ``src/`` next to
+this directory.  On a shared 2-core Xeon a full run took 65 s, 122-124 s
+with ``--baseline``, and ``--tiny --baseline`` about 9 s.
 """
 
 import os
@@ -109,30 +75,24 @@ import scipy  # noqa: E402
 from scipy.linalg.lapack import dpotrf  # noqa: E402
 
 import isokal  # noqa: E402
-from isokal import cli, estimator, harness, observability, stability  # noqa: E402
-from isokal.model import (SystemModel, advance_observed_evolution,  # noqa: E402
-                          observed_evolution_sequence)
+from isokal import estimator, harness  # noqa: E402
 
-LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
-          "wls_prefixes_per_prefix", "advance_observed_evolution", "analyze_stability",
-          "check_observability", "lambda_min_asymptotics")
-LTV_LAYERS = ("config_decode", "load_config", "model_validation", "check_observability",
-              "advance_observed_evolution", "observed_evolution_sequence_per_step",
-              "simulate_per_step", "run_per_step", "write_estimates_csv",
-              "estimate_batch_check")
-SWEEP_LAYERS = ("observed_evolution_sequence_per_step", "simulate_per_step", "run_per_step")
-ENSEMBLE_LAYERS = ("monte_carlo", "reproduce_example")
-ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
-                  "analyze", "observed_evolution_sequence_per_step", "wls_prefixes_per_prefix")
-SCHEDULE_FORMS = ("information", "joseph")
-INTERLEAVED_LAYERS = ("gain_schedule_per_step", "joseph_schedule_per_step",
-                      "wls_prefixes_per_prefix")
-INTERLEAVED_ANALYSIS_LAYERS = ("check_observability_lambda_min_asymptotics",
-                               "ltv_check_observability")
+#: Sizes and sampling of a full run (False) and of a ``--tiny`` run (True):
+#: the kernel layers' dimensions, their filter steps T and stability
+#: horizon; the LTV record (d, m, T, L_max) and the T of its sweep; the
+#: analysis model (d, m, K); the rounds (even, so that each side goes first
+#: in half of them) and seconds per sample; the ``estimate`` calls of the GC
+#: count and the interpreters per start-up session and side.
+RUNS = {
+    False: {"dims": (2, 8, 32, 128), "T": 50, "k_max": 40, "ltv": (8, 1, 800, 16),
+            "sweep": (100, 250, 500, 1000, 2000), "analyze": (64, 8, 100),
+            "rounds": 16, "target_s": 0.05, "gc_calls": 30, "startup": 10},
+    True: {"dims": (2, 8), "T": 4, "k_max": 5, "ltv": (4, 1, 40, 8), "sweep": (20, 40),
+           "analyze": (16, 2, 20), "rounds": 4, "target_s": 0.005, "gc_calls": 5,
+           "startup": 3},
+}
+ENSEMBLE_TRIALS = 100
 SESSION_COMMANDS = ("simulate", "estimate", "analyze")
-
-#: Fresh interpreters per side for the start-up layer.
-SAMPLES = 10
 
 #: One fresh interpreter of the start-up layer: it times ``import isokal.cli``,
 #: reads the peak resident memory, then runs one session's commands through
@@ -250,36 +210,6 @@ def ltv_config(a_seq, h_seq, r_seq):
     }
 
 
-def min_us(fn, repeats, target_s):
-    """Minimum over ``repeats`` samples of the seconds per call, in microseconds.
-
-    Each sample loops ``fn`` for about ``target_s`` seconds, sized by one
-    warm-up call.
-    """
-    return interleaved_min_us([fn], repeats, target_s)[0]
-
-
-def interleaved_min_us(fns, repeats, target_s):
-    """``min_us`` of each of ``fns``, from samples taken in turn: A, B, A, B, ...
-
-    Each function's loop is sized by its own warm-up call; every round takes
-    one sample of each, so a slow phase of the machine hits all alike.
-    """
-    numbers = []
-    for fn in fns:
-        t0 = time.perf_counter()
-        fn()
-        numbers.append(max(1, int(target_s / max(time.perf_counter() - t0, 1e-9))))
-    samples = [[] for _ in fns]
-    for _ in range(repeats):
-        for fn, number, out in zip(fns, numbers, samples):
-            t0 = time.perf_counter()
-            for _ in range(number):
-                fn()
-            out.append((time.perf_counter() - t0) / number)
-    return [min(out) * 1e6 for out in samples]
-
-
 def gc_per_call(fn, calls):
     """Cyclic GC per call of ``fn`` over ``calls`` consecutive calls, from ``gc.callbacks``.
 
@@ -306,191 +236,6 @@ def gc_per_call(fn, calls):
         gc.callbacks.remove(callback)
     return {"calls": calls, "seconds": seconds / calls,
             "collections": {str(g): n / calls for g, n in enumerate(collections_by_gen)}}
-
-
-def measure(d, tiny):
-    repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
-    T, k_max = (4, 5) if tiny else (50, 40)
-    model = system(d)
-    sched = estimator.gain_schedule(model, 1.0, T)
-    P, h, R = sched.P[T // 2], sched.h_tilde[T // 2], model.R_at(T // 2)
-    state = estimator.run(model, None, 1.0, np.zeros((T // 2, model.m)))[-1]
-    y = np.ones(model.m)
-    obs = harness.simulate(model, np.ones(d), T, 1)
-    # P with its trailing half of rows and columns zeroed: PSD, rank d/2,
-    # and Cholesky meets a zero pivot, so the update takes the eigen-split
-    singular = P.copy()
-    singular[d // 2:] = 0.0
-    singular[:, d // 2:] = 0.0
-    assert dpotrf(singular, lower=1)[1] > 0
-    report = observability.check_observability(model, d)
-    eye = np.eye(d)
-    return {
-        "_update": min_us(lambda: estimator._update(P, h, R), repeats, target_s),
-        "_update_fallback": min_us(lambda: estimator._update(singular, h, R),
-                                   repeats, target_s),
-        "step": min_us(lambda: estimator.step(state, y, R, model), repeats, target_s),
-        "gain_schedule_per_step": min_us(
-            lambda: estimator.gain_schedule(model, 1.0, T), repeats, target_s) / T,
-        # T observations give T + 1 prefixes, the prior alone first
-        "wls_prefixes_per_prefix": min_us(
-            lambda: collections.deque(estimator.wls_prefixes(model, None, 1.0, obs), maxlen=0),
-            repeats, target_s) / (T + 1),
-        "advance_observed_evolution": min_us(
-            lambda: advance_observed_evolution(model, 1, h, eye), repeats, target_s),
-        "analyze_stability": min_us(
-            lambda: stability.analyze_stability(model, 1.0, k_max), repeats, target_s),
-        "check_observability": min_us(
-            lambda: observability.check_observability(model, d), repeats, target_s),
-        "lambda_min_asymptotics": min_us(
-            lambda: observability.lambda_min_asymptotics(model, 2 * d, report=report),
-            repeats, target_s),
-    }
-
-
-def measure_ltv(tiny):
-    repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
-    d, m, T, horizon = (4, 1, 40, 8) if tiny else (8, 1, 800, 16)
-    a_seq, h_seq, r_seq = ltv_record(d, m, T)
-    model = SystemModel(a_seq, h_seq, r_seq)
-    x0 = np.ones(d)
-    obs = harness.simulate(model, x0, T, 1)
-    states = estimator.run(model, None, 1.0, obs)
-    mid = states[T // 2 - 1]
-
-    def write_estimates(path):
-        x_hat = np.array([s.x_hat for s in states])
-        harness.write_estimates_csv(path, x_hat, [np.trace(s.P) for s in states], truth=x0)
-
-    config = ltv_config(a_seq, h_seq, r_seq)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "estimates.csv"
-        write_us = min_us(lambda: write_estimates(path), repeats, target_s)
-        config_path = Path(tmp) / "config.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        decode_us = min_us(lambda: cli._read_json(config_path, "--config"),
-                           repeats, target_s)
-        load_us = min_us(lambda: cli._load_config(config_path), repeats, target_s)
-        obs_path = Path(tmp) / "observations.csv"
-        harness.write_observations_csv(obs_path, obs)
-        estimate = ["estimate", "--config", str(config_path), "--obs", str(obs_path),
-                    "--p0", "1.0", "--out", str(Path(tmp) / "est.csv"), "--batch-check",
-                    "--quiet"]
-        if cli.main(estimate) != 0:
-            raise RuntimeError("estimate --batch-check failed on the LTV record")
-        batch_check_us = min_us(lambda: cli.main(estimate), repeats, target_s)
-        gc_calls = gc_per_call(lambda: cli.main(estimate), 5 if tiny else 30)
-    layers = {
-        "config_decode": decode_us,
-        "load_config": load_us,
-        "model_validation": min_us(lambda: SystemModel(a_seq, h_seq, r_seq),
-                                   repeats, target_s),
-        "check_observability": min_us(
-            lambda: observability.check_observability(model, horizon), repeats, target_s),
-        "advance_observed_evolution": min_us(
-            lambda: advance_observed_evolution(model, T // 2, mid.H_tilde_next, mid.phi),
-            repeats, target_s),
-        "observed_evolution_sequence_per_step": min_us(
-            lambda: observed_evolution_sequence(model, T), repeats, target_s) / T,
-        "simulate_per_step": min_us(lambda: harness.simulate(model, x0, T, 1),
-                                    repeats, target_s) / T,
-        "run_per_step": min_us(lambda: estimator.run(model, None, 1.0, obs),
-                               repeats, target_s) / T,
-        "write_estimates_csv": write_us,
-        "estimate_batch_check": batch_check_us,
-    }
-    return {"d": d, "m": m, "T": T, "L_max": horizon, "layers": layers,
-            "gc_per_estimate_call": gc_calls,
-            "sweep": measure_ltv_sweep(d, m, (20, 40) if tiny else (100, 250, 500, 1000, 2000),
-                                       repeats, target_s)}
-
-
-def measure_ltv_sweep(d, m, steps, repeats, target_s):
-    """Per-step walk, simulate and run on the first T steps of one LTV record, for each T."""
-    a_seq, h_seq, r_seq = ltv_record(d, m, max(steps))
-    sweep = {layer: {} for layer in SWEEP_LAYERS}
-    x0 = np.ones(d)
-    for T in steps:
-        model = SystemModel(a_seq[:T - 1], h_seq[:T], r_seq[:T])
-        obs = harness.simulate(model, x0, T, 1)
-        sweep["observed_evolution_sequence_per_step"][str(T)] = min_us(
-            lambda: observed_evolution_sequence(model, T), repeats, target_s) / T
-        sweep["simulate_per_step"][str(T)] = min_us(
-            lambda: harness.simulate(model, x0, T, 1), repeats, target_s) / T
-        sweep["run_per_step"][str(T)] = min_us(
-            lambda: estimator.run(model, None, 1.0, obs), repeats, target_s) / T
-    return sweep
-
-
-def measure_ensemble(tiny):
-    repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
-    model, x0, x_hat0, p0, _ = harness.example_system("example1")
-    T, trials = harness.EXAMPLE_STEPS, 100
-    with tempfile.TemporaryDirectory() as tmp:
-        layers = {
-            "monte_carlo": min_us(
-                lambda: harness.monte_carlo(model, x0, x_hat0, p0, T, trials, 42),
-                repeats, target_s),
-            "reproduce_example": min_us(
-                lambda: harness.reproduce_example("example1", trials, 42, tmp),
-                repeats, target_s),
-        }
-    return {"example": "example1", "T": T, "trials": trials, "layers": layers}
-
-
-def measure_analyze(tiny):
-    """The analysis of one ``isokal analyze`` of an observable LTI model, layer by layer."""
-    repeats, target_s = (3, 0.005) if tiny else (7, 0.05)
-    d, m, K = (16, 2, 20) if tiny else (64, 8, 100)
-    model = rotation_system(d, m)
-    report = observability.check_observability(model, d)
-    obs = harness.simulate(model, np.ones(d), K, 1)
-
-    def analyze():
-        obs_report = observability.check_observability(model, d)
-        observability.lambda_min_asymptotics(model, K, report=obs_report)
-        stability.analyze_stability(model, 1.0, K, report=obs_report)
-
-    layers = {
-        "check_observability": min_us(
-            lambda: observability.check_observability(model, d), repeats, target_s),
-        "lambda_min_asymptotics": min_us(
-            lambda: observability.lambda_min_asymptotics(model, K, report=report),
-            repeats, target_s),
-        "analyze_stability": min_us(
-            lambda: stability.analyze_stability(model, 1.0, K, report=report),
-            repeats, target_s),
-        "analyze": min_us(analyze, repeats, target_s),
-        "observed_evolution_sequence_per_step": min_us(
-            lambda: observed_evolution_sequence(model, K), repeats, target_s) / K,
-        "wls_prefixes_per_prefix": min_us(
-            lambda: collections.deque(estimator.wls_prefixes(model, None, 1.0, obs), maxlen=0),
-            repeats, target_s) / (K + 1),
-    }
-    return {"d": d, "m": m, "L_max": d, "K": K, "layers": layers}
-
-
-def measure_schedules(tiny):
-    """Both forms of the filter pass, interleaved, on the LTV record and the analysis model."""
-    repeats, target_s = (3, 0.005) if tiny else (15, 0.05)
-    d, m, T = (4, 1, 40) if tiny else (8, 1, 800)
-    cases = {"ltv": SystemModel(*ltv_record(d, m, T))}
-    d, m, K = (16, 2, 20) if tiny else (64, 8, 100)
-    cases["analyze"] = rotation_system(d, m)
-    out = {}
-    for name, model in cases.items():
-        steps = T if name == "ltv" else K
-        p0 = np.eye(model.d)
-        h_tilde = observed_evolution_sequence(model, steps)[0]
-        whitened = model.whiten(h_tilde)
-        per_step = [us / steps for us in interleaved_min_us(
-            [lambda: estimator._information_schedule(model, p0, whitened),
-             lambda: estimator._joseph_schedule(model, p0, h_tilde)], repeats, target_s)]
-        out[name] = {"d": model.d, "m": model.m, "T": steps,
-                     "gate_form": estimator.gain_schedule(model, p0, steps).form,
-                     "per_step": dict(zip(SCHEDULE_FORMS, per_step)),
-                     "ratio": per_step[1] / per_step[0]}
-    return out
 
 
 def startup_sessions(tmp):
@@ -571,148 +316,309 @@ def load_baseline(src):
     return package
 
 
-def kernel_calls(package, d, T):
-    """``gain_schedule``, ``_joseph_schedule`` and a drained ``wls_prefixes`` of ``package``.
+def sample(tables, rounds, target_s):
+    """Time every call of ``tables`` (side -> {layer: (call, divisor)}) round-robin.
 
-    On ``system(d)``, T steps, P0 = I.
+    One warm-up call sizes each call's loop to about ``target_s`` seconds.
+    Each of ``rounds`` rounds then takes one sample of every layer of the
+    ``"this"`` table, on every side that runs it, the sides in turn and
+    their order reversed every other round.  Returns layer -> leaf (see the
+    module docstring).  A baseline call that raises AttributeError at its
+    warm-up leaves its layer to ``this`` alone.
     """
+    loops = {}
+    for side, table in tables.items():
+        for layer, (call, _) in table.items():
+            t0 = time.perf_counter()
+            try:
+                call()
+            except AttributeError as exc:
+                if side == "this":
+                    raise
+                print(f"{side} cannot run {layer}: {exc}", file=sys.stderr)
+                continue
+            loops[layer, side] = max(1, int(target_s / max(time.perf_counter() - t0, 1e-9)))
+    us = {key: [] for key in loops}
+    for turn in range(rounds):
+        for layer in tables["this"]:
+            sides = [side for side in tables if (layer, side) in loops]
+            for side in sides[::-1] if turn % 2 else sides:
+                (call, divisor), number = tables[side][layer], loops[layer, side]
+                t0 = time.perf_counter()
+                for _ in range(number):
+                    call()
+                us[layer, side].append((time.perf_counter() - t0) / number / divisor * 1e6)
+    leaves = {}
+    for layer in tables["this"]:
+        this = us[layer, "this"]
+        leaves[layer] = {"this": round(min(this), 3)}
+        if (layer, "baseline") in us:
+            base = us[layer, "baseline"]
+            leaves[layer].update(baseline=round(min(base), 3),
+                                 ratio=round(min(this) / min(base), 3),
+                                 wins=sum(t < b for t, b in zip(this, base)))
+    return leaves
+
+
+def kernel_table(package, d, T, k_max):
+    """The kernel layers of ``package`` on ``system(d)``, T filter steps, P0 = I.
+
+    ``_update`` on a positive definite P (the Cholesky path) and, as
+    ``_update_fallback``, on a rank-deficient P (the eigen-split); ``step``;
+    the filter pass as ``gain_schedule`` runs it and as the Joseph recursion
+    ``_joseph_schedule`` alone; ``wls_prefixes``; one
+    ``advance_observed_evolution`` step; ``analyze_stability`` (k_max);
+    ``check_observability`` (L_max = d) and ``lambda_min_asymptotics`` (K =
+    2d, given that report).
+    """
+    est, obsv = package.estimator, package.observability
     model = system(d, package)
+    sched = est.gain_schedule(model, 1.0, T)
+    P, h, R = sched.P[T // 2], sched.h_tilde[T // 2], model.R_at(T // 2)
+    state = est.run(model, None, 1.0, np.zeros((T // 2, model.m)))[-1]
+    y = np.ones(model.m)
     obs = package.simulate(model, np.ones(d), T, 1)
-    h_tilde, p0 = package.model.observed_evolution_sequence(model, T)[0], np.eye(d)
-    return (lambda: package.estimator.gain_schedule(model, 1.0, T),
-            lambda: package.estimator._joseph_schedule(model, p0, h_tilde),
-            lambda: collections.deque(package.estimator.wls_prefixes(model, None, 1.0, obs),
-                                      maxlen=0))
+    # P with its trailing half of rows and columns zeroed: PSD, rank d/2,
+    # and Cholesky meets a zero pivot, so the update takes the eigen-split
+    singular = P.copy()
+    singular[d // 2:] = 0.0
+    singular[:, d // 2:] = 0.0
+    assert dpotrf(singular, lower=1)[1] > 0
+    report = obsv.check_observability(model, d)
+    eye = np.eye(d)
+    h_tilde = package.model.observed_evolution_sequence(model, T)[0]
+    return {
+        "_update": (lambda: est._update(P, h, R), 1),
+        "_update_fallback": (lambda: est._update(singular, h, R), 1),
+        "step": (lambda: est.step(state, y, R, model), 1),
+        "gain_schedule_per_step": (lambda: est.gain_schedule(model, 1.0, T), T),
+        "joseph_schedule_per_step": (lambda: est._joseph_schedule(model, eye, h_tilde), T),
+        # T observations give T + 1 prefixes, the prior alone first
+        "wls_prefixes_per_prefix": (
+            lambda: collections.deque(est.wls_prefixes(model, None, 1.0, obs), maxlen=0), T + 1),
+        "advance_observed_evolution": (
+            lambda: package.model.advance_observed_evolution(model, 1, h, eye), 1),
+        "analyze_stability": (lambda: package.stability.analyze_stability(model, 1.0, k_max), 1),
+        "check_observability": (lambda: obsv.check_observability(model, d), 1),
+        "lambda_min_asymptotics": (
+            lambda: obsv.lambda_min_asymptotics(model, 2 * d, report=report), 1),
+    }
 
 
-def measure_interleaved(baseline, dims, tiny):
-    """Per-step ``gain_schedule`` and Joseph recursion, per-prefix ``wls_prefixes``, in turn.
+def sweep_table(package, record, T):
+    """The ``observed_evolution_sequence`` walk, ``simulate`` and ``run`` on ``record[:T]``.
 
-    At each d the baseline's and this package's samples alternate (T = 50,
-    or 4 with ``--tiny``); ``gate_form`` is the form this package's gate picks.
+    Each per step, on the first T steps of the (A_seq, H_seq, R_seq) record.
     """
-    repeats, target_s = (3, 0.005) if tiny else (15, 0.05)
-    T = 4 if tiny else 50
-    out = {layer: {} for layer in INTERLEAVED_LAYERS}
-    out["gate_form"] = {}
-    for d in dims:
-        base, this = kernel_calls(baseline, d, T), kernel_calls(isokal, d, T)
-        for layer, calls, fns in zip(INTERLEAVED_LAYERS, (T, T, T + 1), zip(base, this)):
-            us = [v / calls for v in interleaved_min_us(list(fns), repeats, target_s)]
-            out[layer][str(d)] = {"baseline": round(us[0], 3), "this": round(us[1], 3),
-                                  "ratio": round(us[1] / us[0], 3)}
-        out["gate_form"][str(d)] = estimator.gain_schedule(system(d), 1.0, T).form
-    return out
+    a_seq, h_seq, r_seq = record
+    model = package.SystemModel(a_seq[:T - 1], h_seq[:T], r_seq[:T])
+    x0 = np.ones(model.d)
+    obs = package.simulate(model, x0, T, 1)
+    return {
+        "observed_evolution_sequence_per_step": (
+            lambda: package.model.observed_evolution_sequence(model, T), T),
+        "simulate_per_step": (lambda: package.simulate(model, x0, T, 1), T),
+        "run_per_step": (lambda: package.estimator.run(model, None, 1.0, obs), T),
+    }
 
 
-def analysis_sizes(tiny):
-    """(d, m, K) of the analysis model and (d, m, T, L_max) of the LTV record."""
-    return ((16, 2, 20), (4, 1, 40, 8)) if tiny else ((64, 8, 100), (8, 1, 800, 16))
+def ltv_table(package, d, m, T, L_max, tmp):
+    """The layers of one ``ltv_record(d, m, T)``, its files in a new directory under ``tmp``.
 
-
-def analysis_calls(package, tiny):
-    """The certificate and growth trace of the analysis model, and the LTV record's certificate.
-
-    ``check_observability`` (L_max = d) then ``lambda_min_asymptotics`` (K,
-    given that report), as ``analyze`` runs them; and ``check_observability``
-    of the record, every anchor, at its L_max.
+    The CLI's JSON decode of its config (``config_decode``), ``_load_config``
+    of that file (decode and validation, as every ``--config`` command pays
+    them), ``SystemModel`` validation, ``check_observability`` (L_max, every
+    anchor), one ``advance_observed_evolution`` step in the middle of the
+    record (its transition carried), the ``sweep_table`` layers,
+    ``write_estimates_csv`` of the run's states as ``estimate --truth``
+    writes them (stacking included), and one ``isokal estimate
+    --batch-check`` of the record through ``cli.main``.
     """
-    (d, m, K), (ltv_d, ltv_m, T, L_max) = analysis_sizes(tiny)
+    cli = importlib.import_module(f"{package.__name__}.cli")
+    record = ltv_record(d, m, T)
+    model = package.SystemModel(*record)
+    x0 = np.ones(d)
+    obs = package.simulate(model, x0, T, 1)
+    states = package.estimator.run(model, None, 1.0, obs)
+    mid = states[T // 2 - 1]
+    out = Path(tempfile.mkdtemp(dir=tmp))
+    config, obs_path = out / "config.json", out / "observations.csv"
+    config.write_text(json.dumps(ltv_config(*record)), encoding="utf-8")
+    package.harness.write_observations_csv(obs_path, obs)
+    estimate = ["estimate", "--config", str(config), "--obs", str(obs_path), "--p0", "1.0",
+                "--out", str(out / "est.csv"), "--batch-check", "--quiet"]
+
+    def estimate_batch_check():
+        if cli.main(estimate) != 0:
+            raise RuntimeError("estimate --batch-check failed on the LTV record")
+
+    def write_estimates():
+        x_hat = np.array([s.x_hat for s in states])
+        package.harness.write_estimates_csv(out / "estimates.csv", x_hat,
+                                            [np.trace(s.P) for s in states], truth=x0)
+
+    return {
+        "config_decode": (lambda: cli._read_json(config, "--config"), 1),
+        "load_config": (lambda: cli._load_config(config), 1),
+        "model_validation": (lambda: package.SystemModel(*record), 1),
+        "check_observability": (
+            lambda: package.observability.check_observability(model, L_max), 1),
+        "advance_observed_evolution": (lambda: package.model.advance_observed_evolution(
+            model, T // 2, mid.H_tilde_next, mid.phi), 1),
+        **sweep_table(package, record, T),
+        "write_estimates_csv": (write_estimates, 1),
+        "estimate_batch_check": (estimate_batch_check, 1),
+    }
+
+
+def ensemble_table(package, trials, tmp):
+    """One ``monte_carlo`` and one ``reproduce_example`` of example1, its CSVs under ``tmp``."""
+    harness = package.harness
+    model, x0, x_hat0, p0, _ = harness.example_system("example1")
+    out = tempfile.mkdtemp(dir=tmp)
+    return {
+        "monte_carlo": (lambda: harness.monte_carlo(model, x0, x_hat0, p0, harness.EXAMPLE_STEPS,
+                                                    trials, 42), 1),
+        "reproduce_example": (lambda: harness.reproduce_example("example1", trials, 42, out), 1),
+    }
+
+
+def analysis_table(package, d, m, K):
+    """The analysis of ``isokal analyze --horizon d --k-max K`` on ``rotation_system(d, m)``.
+
+    ``check_observability`` (L_max = d); ``lambda_min_asymptotics`` (K) and
+    ``analyze_stability`` (k_max = K, P0 = I), each given that report; the
+    certificate then the growth trace, and those two then
+    ``analyze_stability``, as ``analyze`` runs them; the
+    ``observed_evolution_sequence`` walk of K steps and ``wls_prefixes`` of
+    K observations.
+    """
+    obsv, stability = package.observability, package.stability
     model = rotation_system(d, m, package)
-    record = package.SystemModel(*ltv_record(ltv_d, ltv_m, T))
-    obs = package.observability
+    report = obsv.check_observability(model, d)
+    obs = package.simulate(model, np.ones(d), K, 1)
 
-    def growth():
-        obs.lambda_min_asymptotics(model, K, report=obs.check_observability(model, d))
+    def certificate_and_growth():
+        fresh = obsv.check_observability(model, d)
+        obsv.lambda_min_asymptotics(model, K, report=fresh)
+        return fresh
 
-    return growth, lambda: obs.check_observability(record, L_max)
+    return {
+        "check_observability": (lambda: obsv.check_observability(model, d), 1),
+        "lambda_min_asymptotics": (lambda: obsv.lambda_min_asymptotics(model, K, report=report), 1),
+        "analyze_stability": (
+            lambda: stability.analyze_stability(model, 1.0, K, report=report), 1),
+        "check_observability_lambda_min_asymptotics": (certificate_and_growth, 1),
+        "analyze": (lambda: stability.analyze_stability(model, 1.0, K,
+                                                        report=certificate_and_growth()), 1),
+        "observed_evolution_sequence_per_step": (
+            lambda: package.model.observed_evolution_sequence(model, K), K),
+        "wls_prefixes_per_prefix": (lambda: collections.deque(
+            package.estimator.wls_prefixes(model, None, 1.0, obs), maxlen=0), K + 1),
+    }
 
 
-def measure_interleaved_analysis(baseline, tiny):
-    """``analysis_calls`` of the baseline and of this package, sampled in turn, in us per call."""
-    repeats, target_s = (3, 0.005) if tiny else (15, 0.05)
-    (d, m, K), (ltv_d, ltv_m, T, L_max) = analysis_sizes(tiny)
-    layers = {}
-    for layer, fns in zip(INTERLEAVED_ANALYSIS_LAYERS,
-                          zip(analysis_calls(baseline, tiny), analysis_calls(isokal, tiny))):
-        us = interleaved_min_us(list(fns), repeats, target_s)
-        layers[layer] = {"baseline": round(us[0], 3), "this": round(us[1], 3),
-                         "ratio": round(us[1] / us[0], 3)}
-    return {"d": d, "m": m, "L_max": d, "K": K,
-            "ltv": {"d": ltv_d, "m": ltv_m, "T": T, "L_max": L_max}, "layers": layers}
+def schedule_table(package, model, T):
+    """The two forms of the filter pass on the first T observers of ``model``, P0 = I.
+
+    ``_information_schedule`` reads the observers whitened once, untimed,
+    as the pass whitens them before its gate for either form.
+    """
+    est = package.estimator
+    h_tilde = package.model.observed_evolution_sequence(model, T)[0]
+    p0, whitened = np.eye(model.d), model.whiten(h_tilde)
+    return {"information": (lambda: est._information_schedule(model, p0, whitened), T),
+            "joseph": (lambda: est._joseph_schedule(model, p0, h_tilde), T)}
+
+
+def by_layer(by_size):
+    """size -> layer -> leaf, turned into layer -> size -> leaf."""
+    first = next(iter(by_size.values()))
+    return {layer: {size: leaves[layer] for size, leaves in by_size.items()} for layer in first}
+
+
+def timed_leaves(node, path=()):
+    """(path, leaf) of every timed leaf under ``node``."""
+    if isinstance(node, dict) and isinstance(node.get("this"), float):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            yield from timed_leaves(child, (*path, key))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tiny", action="store_true", help="smoke run: d = 2, 8, short repeats")
+    parser.add_argument("--tiny", action="store_true", help="smoke run: small sizes, 4 rounds")
     parser.add_argument("--out", default="BENCH.json", help="output JSON path")
     parser.add_argument("--baseline", default=None, metavar="SRC",
-                        help="another checkout's src/: its start-up and kernels are sampled "
+                        help="another checkout's src/: every layer of its package is sampled "
                              "in turn with this one's")
     args = parser.parse_args(argv)
-    sources = {"this": SRC}
-    baseline = None
+    run = RUNS[args.tiny]
+    sources, packages = {"this": SRC}, {"this": isokal}
     if args.baseline is not None:
         sources["baseline"] = Path(args.baseline).resolve()
-        baseline = load_baseline(sources["baseline"])
+        packages["baseline"] = load_baseline(sources["baseline"])
 
-    dims = (2, 8) if args.tiny else (2, 8, 32, 128)
-    by_dim = {d: measure(d, args.tiny) for d in dims}
-    ltv = measure_ltv(args.tiny)
-    ensemble = measure_ensemble(args.tiny)
-    analysis = measure_analyze(args.tiny)
-    schedules = measure_schedules(args.tiny)
-    startup = measure_startup(sources, 3 if args.tiny else SAMPLES)
-    interleaved = None if baseline is None else measure_interleaved(baseline, dims, args.tiny)
-    if interleaved is not None:
-        interleaved["analysis"] = measure_interleaved_analysis(baseline, args.tiny)
+    def timed(build):
+        """``sample`` of the table ``build(package)`` of every side."""
+        return sample({side: build(package) for side, package in packages.items()},
+                      run["rounds"], run["target_s"])
+
+    T, k_max = run["T"], run["k_max"]
+    ltv_d, ltv_m, ltv_T, L_max = run["ltv"]
+    d, m, K = run["analyze"]
+    with tempfile.TemporaryDirectory() as tmp:
+        ltv_tables = {side: ltv_table(package, ltv_d, ltv_m, ltv_T, L_max, tmp)
+                      for side, package in packages.items()}
+        ltv_layers = sample(ltv_tables, run["rounds"], run["target_s"])
+        gc_calls = gc_per_call(ltv_tables["this"]["estimate_batch_check"][0], run["gc_calls"])
+        ensemble = timed(lambda package: ensemble_table(package, ENSEMBLE_TRIALS, tmp))
+    record = ltv_record(ltv_d, ltv_m, max(run["sweep"]))
+    schedule = {}
+    for name, model_of, steps in (
+            ("ltv", lambda package: package.SystemModel(*ltv_record(ltv_d, ltv_m, ltv_T)), ltv_T),
+            ("analyze", lambda package: rotation_system(d, m, package), K)):
+        model = model_of(isokal)
+        per_step = timed(lambda package: schedule_table(package, model_of(package), steps))
+        schedule[name] = {"d": model.d, "m": model.m, "T": steps,
+                          "gate_form": estimator.gain_schedule(model, np.eye(model.d), steps).form,
+                          "per_step": per_step,
+                          "ratio": round(per_step["joseph"]["this"]
+                                         / per_step["information"]["this"], 3)}
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
         "unit": "us",
-        "statistic": "minimum of perf_counter samples",
-        "layers": {layer: {str(d): round(by_dim[d][layer], 3) for d in dims}
-                   for layer in LAYERS},
-        "ltv": {**ltv, "layers": {layer: round(ltv["layers"][layer], 3) for layer in LTV_LAYERS},
-                "sweep": {layer: {T: round(us, 3) for T, us in ltv["sweep"][layer].items()}
-                          for layer in SWEEP_LAYERS}},
-        "ensemble": {**ensemble, "layers": {layer: round(ensemble["layers"][layer], 3)
-                                            for layer in ENSEMBLE_LAYERS}},
-        "analyze": {**analysis, "layers": {layer: round(analysis["layers"][layer], 3)
-                                           for layer in ANALYZE_LAYERS}},
-        "schedule": {name: {**case, "per_step": {form: round(us, 3)
-                                                 for form, us in case["per_step"].items()},
-                            "ratio": round(case["ratio"], 3)}
-                     for name, case in schedules.items()},
-        "startup": startup,
+        "statistic": "minimum of perf_counter samples, every layer and side in turn each round",
+        "rounds": run["rounds"],
+        "layers": by_layer({str(dim): timed(lambda package: kernel_table(package, dim, T, k_max))
+                            for dim in run["dims"]}),
+        "gate_form": {str(dim): estimator.gain_schedule(system(dim), 1.0, T).form
+                      for dim in run["dims"]},
+        "ltv": {"d": ltv_d, "m": ltv_m, "T": ltv_T, "L_max": L_max, "layers": ltv_layers,
+                "gc_per_estimate_call": gc_calls,
+                "sweep": by_layer({str(steps): timed(
+                    lambda package: sweep_table(package, record, steps))
+                    for steps in run["sweep"]})},
+        "ensemble": {"example": "example1", "T": harness.EXAMPLE_STEPS,
+                     "trials": ENSEMBLE_TRIALS, "layers": ensemble},
+        "analyze": {"d": d, "m": m, "L_max": d, "K": K,
+                    "layers": timed(lambda package: analysis_table(package, d, m, K))},
+        "schedule": schedule,
+        "startup": measure_startup(sources, run["startup"]),
     }
-    if interleaved is not None:
-        doc["interleaved"] = interleaved
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for layer in LAYERS:
-        print(f"{layer:24s}" + "".join(f"  d={d}: {by_dim[d][layer]:10.1f}" for d in dims))
-    for layer in LTV_LAYERS:
-        print(f"ltv {layer:36s}  T={ltv['T']}: {ltv['layers'][layer]:10.1f}")
-    gc_calls = ltv["gc_per_estimate_call"]
+    for path, leaf in timed_leaves(doc):
+        print(f"{' '.join(path):64s} {leaf['this']:12.3f}" + (
+            f"  baseline {leaf['baseline']:12.3f}  ratio {leaf['ratio']:6.3f}"
+            f"  wins {leaf['wins']:2d}/{doc['rounds']}" if "baseline" in leaf else ""))
     print(f"ltv gc per estimate call ({gc_calls['calls']} calls): "
           f"{gc_calls['seconds'] * 1e3:.3f} ms, collections by generation "
           + " ".join(f"{n:.2f}" for n in gc_calls["collections"].values()))
-    for layer in SWEEP_LAYERS:
-        print(f"ltv sweep {layer:30s}" + "".join(f"  T={T}: {us:8.2f}"
-                                                  for T, us in ltv["sweep"][layer].items()))
-    for layer in ENSEMBLE_LAYERS:
-        print(f"ensemble {layer:17s} {ensemble['trials']} trials, T={ensemble['T']}: "
-              f"{ensemble['layers'][layer]:10.1f}")
-    for layer in ANALYZE_LAYERS:
-        print(f"analyze {layer:36s} d={analysis['d']}, K={analysis['K']}: "
-              f"{analysis['layers'][layer]:10.1f}")
-    for name, case in schedules.items():
-        print(f"schedule {name:8s} d={case['d']}, T={case['T']}, gate: {case['gate_form']:11s}"
-              + "".join(f"  {form}: {us:8.2f}" for form, us in case["per_step"].items())
-              + f"  ratio: {case['ratio']:.2f}")
-    for side, layer in startup.items():
+    for side, layer in doc["startup"].items():
         print(f"startup {side:8s} import isokal.cli: {layer['import_s'] * 1e3:7.1f} ms, "
               f"peak RSS {layer['peak_rss_mb']:5.1f} MB")
         for kind, loaded in layer["scipy_linalg_loaded"].items():
@@ -720,14 +626,6 @@ def main(argv=None):
                 f"{cmd} {layer['command_s'][kind][cmd] * 1e3:6.1f} ms" for cmd in SESSION_COMMANDS)
                 + "; scipy.linalg loaded after: "
                 + (", ".join(step for step, on in loaded.items() if on) or "none"))
-    if interleaved is not None:
-        for layer in INTERLEAVED_LAYERS:
-            print(f"interleaved {layer:24s}" + "".join(
-                f"  d={d}: {v['baseline']:8.2f} -> {v['this']:8.2f}"
-                for d, v in interleaved[layer].items()))
-        for layer, v in interleaved["analysis"]["layers"].items():
-            print(f"interleaved {layer:42s} {v['baseline']:10.1f} -> {v['this']:10.1f}"
-                  f"  ratio {v['ratio']:.3f}")
     return 0
 
 

@@ -235,14 +235,17 @@ def write_observations_csv(path, observations):
 def read_observations_csv(path):
     """The (N, m) observations in a CSV as write_observations_csv writes it.
 
-    Every row has the header's width; a row of another width or a cell
-    that is not a number raises ValueError naming the file and its line.
+    The header is 'k' and at least one observation column.  Every row has
+    the header's width; a row of another width or a cell that is not a
+    number raises ValueError naming the file and its line.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "k":
             raise ValueError(f"{path}: expected an observations CSV with a 'k' first column")
+        if len(header) < 2:
+            raise ValueError(f"{path}: the header has no observation column after 'k'")
         rows = []
         for row in filter(None, reader):
             where = f"{path}, line {reader.line_num}"

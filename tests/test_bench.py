@@ -1,75 +1,94 @@
 """Smoke test of the kernel bench: a --tiny run writes the documented JSON."""
 
+import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import isokal
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench" / "kernel.py"
 
+KERNEL_LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
+                 "joseph_schedule_per_step", "wls_prefixes_per_prefix",
+                 "advance_observed_evolution", "analyze_stability", "check_observability",
+                 "lambda_min_asymptotics")
+SWEEP_LAYERS = ("observed_evolution_sequence_per_step", "simulate_per_step", "run_per_step")
+LTV_LAYERS = ("config_decode", "load_config", "model_validation", "check_observability",
+              "advance_observed_evolution", *SWEEP_LAYERS, "write_estimates_csv",
+              "estimate_batch_check")
+ANALYZE_LAYERS = ("check_observability", "lambda_min_asymptotics", "analyze_stability",
+                  "check_observability_lambda_min_asymptotics", "analyze",
+                  "observed_evolution_sequence_per_step", "wls_prefixes_per_prefix")
+
+
+def timed_paths(dims, steps):
+    """The path of every timed leaf of a run at kernel dimensions ``dims`` and sweep ``steps``."""
+    return ({("layers", layer, d) for layer in KERNEL_LAYERS for d in dims}
+            | {("ltv", "layers", layer) for layer in LTV_LAYERS}
+            | {("ltv", "sweep", layer, T) for layer in SWEEP_LAYERS for T in steps}
+            | {("ensemble", "layers", layer) for layer in ("monte_carlo", "reproduce_example")}
+            | {("analyze", "layers", layer) for layer in ANALYZE_LAYERS}
+            | {("schedule", case, "per_step", form) for case in ("ltv", "analyze")
+               for form in ("information", "joseph")})
+
+
+def leaves(node, path=()):
+    """(path, leaf) of every dict under ``node`` whose ``this`` is a number."""
+    if isinstance(node, dict) and isinstance(node.get("this"), (int, float)):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            yield from leaves(child, (*path, key))
+
 
 def test_tiny_run_writes_valid_json(tmp_path):
-    # this checkout's src/ as its own baseline: the layers that compare two packages run
+    # this checkout's src/ as its own baseline: every layer runs on both sides
     out = tmp_path / "bench.json"
     proc = subprocess.run([sys.executable, str(BENCH), "--tiny", "--out", str(out),
                            "--baseline", str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert doc["tiny"] is True and doc["unit"] == "us"
-    assert doc["statistic"] == "minimum of perf_counter samples"
+    assert doc["tiny"] is True and doc["unit"] == "us" and doc["rounds"] == 4
     machine = doc["machine"]
     for key in ("cpu", "nproc", "python", "numpy", "scipy", "openblas", "blas_threads"):
         assert key in machine
     assert machine["OPENBLAS_NUM_THREADS"] == "1"
-    assert set(doc["layers"]) == {"_update", "_update_fallback", "step",
-                                  "gain_schedule_per_step", "wls_prefixes_per_prefix",
-                                  "advance_observed_evolution", "analyze_stability",
-                                  "check_observability", "lambda_min_asymptotics"}
-    for by_dim in doc["layers"].values():
-        assert set(by_dim) == {"2", "8"}
-        assert all(math.isfinite(v) and v > 0.0 for v in by_dim.values())
+    timed = dict(leaves(doc))
+    assert set(timed) == timed_paths(("2", "8"), ("20", "40"))
+    for leaf in timed.values():
+        assert set(leaf) == {"this", "baseline", "ratio", "wins"}
+        assert all(math.isfinite(leaf[side]) and leaf[side] > 0.0
+                   for side in ("this", "baseline"))
+        assert math.isclose(leaf["ratio"], leaf["this"] / leaf["baseline"], rel_tol=1e-2)
+        assert isinstance(leaf["wins"], int) and 0 <= leaf["wins"] <= doc["rounds"]
+    assert set(doc["gate_form"]) == {"2", "8"}
+    assert set(doc["gate_form"].values()) <= {"information", "joseph"}
     ltv = doc["ltv"]
     assert (ltv["d"], ltv["m"], ltv["T"], ltv["L_max"]) == (4, 1, 40, 8)
-    assert set(ltv["layers"]) == {"config_decode", "load_config", "model_validation",
-                                  "check_observability",
-                                  "advance_observed_evolution",
-                                  "observed_evolution_sequence_per_step", "simulate_per_step",
-                                  "run_per_step", "write_estimates_csv", "estimate_batch_check"}
-    assert all(math.isfinite(v) and v > 0.0 for v in ltv["layers"].values())
     gc_calls = ltv["gc_per_estimate_call"]
     assert gc_calls["calls"] == 5
     assert math.isfinite(gc_calls["seconds"]) and gc_calls["seconds"] >= 0.0
     assert set(gc_calls["collections"]) == {"0", "1", "2"}
     assert all(math.isfinite(v) and v >= 0.0 for v in gc_calls["collections"].values())
-    assert set(ltv["sweep"]) == {"observed_evolution_sequence_per_step", "simulate_per_step",
-                                 "run_per_step"}
-    for by_steps in ltv["sweep"].values():
-        assert set(by_steps) == {"20", "40"}
-        assert all(math.isfinite(v) and v > 0.0 for v in by_steps.values())
     ensemble = doc["ensemble"]
     assert (ensemble["example"], ensemble["T"], ensemble["trials"]) == ("example1", 40, 100)
-    assert set(ensemble["layers"]) == {"monte_carlo", "reproduce_example"}
-    assert all(math.isfinite(v) and v > 0.0 for v in ensemble["layers"].values())
     analyze = doc["analyze"]
     assert (analyze["d"], analyze["m"], analyze["L_max"], analyze["K"]) == (16, 2, 16, 20)
-    assert set(analyze["layers"]) == {"check_observability", "lambda_min_asymptotics",
-                                      "analyze_stability", "analyze",
-                                      "observed_evolution_sequence_per_step",
-                                      "wls_prefixes_per_prefix"}
-    assert all(math.isfinite(v) and v > 0.0 for v in analyze["layers"].values())
     schedule = doc["schedule"]
-    assert set(schedule) == {"ltv", "analyze"}
     assert {name: (case["d"], case["m"], case["T"]) for name, case in schedule.items()} == \
         {"ltv": (4, 1, 40), "analyze": (16, 2, 20)}
     for case in schedule.values():
         assert case["gate_form"] in ("information", "joseph")
-        assert set(case["per_step"]) == {"information", "joseph"}
-        assert all(math.isfinite(v) and v > 0.0 for v in case["per_step"].values())
-        ratio = case["per_step"]["joseph"] / case["per_step"]["information"]
-        assert math.isclose(case["ratio"], ratio, rel_tol=1e-2)
+        per_step = case["per_step"]
+        assert math.isclose(case["ratio"], per_step["joseph"]["this"]
+                            / per_step["information"]["this"], rel_tol=1e-2)
     startup = doc["startup"]
     assert set(startup) == {"this", "baseline"}
     for side in startup.values():
@@ -84,22 +103,24 @@ def test_tiny_run_writes_valid_json(tmp_path):
         assert side["scipy_linalg_loaded"] == {
             "lti": {"import": False, "simulate": False, "estimate": True, "analyze": True},
             "ltv": {"import": False, "simulate": False, "estimate": False, "analyze": False}}
-    interleaved = doc["interleaved"]
-    assert set(interleaved) == {"gain_schedule_per_step", "joseph_schedule_per_step",
-                                "wls_prefixes_per_prefix", "gate_form", "analysis"}
-    assert set(interleaved.pop("gate_form").values()) <= {"information", "joseph"}
-    analysis = interleaved.pop("analysis")
-    assert (analysis["d"], analysis["m"], analysis["L_max"], analysis["K"]) == (16, 2, 16, 20)
-    assert analysis["ltv"] == {"d": 4, "m": 1, "T": 40, "L_max": 8}
-    assert set(analysis["layers"]) == {"check_observability_lambda_min_asymptotics",
-                                       "ltv_check_observability"}
-    for pair in analysis["layers"].values():
-        assert set(pair) == {"baseline", "this", "ratio"}
-        assert all(math.isfinite(v) and v > 0.0 for v in pair.values())
-        assert math.isclose(pair["ratio"], pair["this"] / pair["baseline"], rel_tol=1e-2)
-    for by_dim in interleaved.values():
-        assert set(by_dim) == {"2", "8"}
-        for pair in by_dim.values():
-            assert set(pair) == {"baseline", "this", "ratio"}
-            assert all(math.isfinite(v) and v > 0.0 for v in pair.values())
-            assert math.isclose(pair["ratio"], pair["this"] / pair["baseline"], rel_tol=1e-2)
+
+
+def test_a_layer_the_baseline_cannot_run_is_timed_for_this_only(monkeypatch):
+    # importing the bench pins the BLAS threads and puts src/ on the path: undone after
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, os.environ.get(name, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("kernel_bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    # a baseline from before a rename: its estimator has no _joseph_schedule
+    estimator = types.SimpleNamespace(**{name: value for name, value
+                                         in vars(isokal.estimator).items()
+                                         if name != "_joseph_schedule"})
+    baseline = types.SimpleNamespace(**{**vars(isokal), "estimator": estimator})
+    tables = {side: bench.schedule_table(package, bench.rotation_system(4, 1, package), 6)
+              for side, package in (("this", isokal), ("baseline", baseline))}
+    sampled = bench.sample(tables, 2, 1e-4)
+    assert set(sampled["joseph"]) == {"this"}
+    assert set(sampled["information"]) == {"this", "baseline", "ratio", "wins"}
+    assert 0 <= sampled["information"]["wins"] <= 2

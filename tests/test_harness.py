@@ -404,11 +404,12 @@ def test_observations_csv_accepts_what_csv_reader_reads(tmp_path, raw, expected)
     (b"", ": expected an observations CSV with a 'k' first column"),
     (b"\nk,y_0\n0,1.0\n", ": expected an observations CSV with a 'k' first column"),
     (b"step,y_0\n0,1.0\n", ": expected an observations CSV with a 'k' first column"),
+    (b"k\n0\n1\n2\n", ": the header has no observation column after 'k'"),
     (b"k,y_0\r0,1.0\r   \r", ", line 3: 1 fields, the header has 2"),
     (b'k,y_0\n0,"1\n2"\n1,3\n', ", line 3: could not convert string to float: '1\\n2'"),
     (b"k,y_0\n0,1.0\n1,nan,\n", ", line 3: 3 fields, the header has 2"),
-], ids=["empty", "blank_header", "wrong_header", "blank_cell_row", "quoted_line_break",
-        "trailing_comma"])
+], ids=["empty", "blank_header", "wrong_header", "no_observation_column", "blank_cell_row",
+        "quoted_line_break", "trailing_comma"])
 def test_observations_csv_names_the_first_bad_line(tmp_path, raw, message):
     path = tmp_path / "obs.csv"
     path.write_bytes(raw)
