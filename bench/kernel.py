@@ -96,17 +96,21 @@ SESSION_COMMANDS = ("simulate", "estimate", "analyze")
 
 #: One fresh interpreter of the start-up layer: it times ``import isokal.cli``,
 #: reads the peak resident memory, then runs one session's commands through
-#: ``cli.main`` and notes after each whether scipy.linalg is loaded.  The
-#: peak is VmHWM, this process's own: ``ru_maxrss`` of a child started by
-#: fork and exec also counts the resident memory of the bench process.
+#: ``cli.main``, notes after each whether scipy.linalg is loaded, and reads
+#: the peak again at the end.  The peak is VmHWM, this process's own:
+#: ``ru_maxrss`` of a child started by fork and exec also counts the
+#: resident memory of the bench process.
 STARTUP_PROBE = textwrap.dedent("""
     import json, sys, time
     t0 = time.perf_counter()
     import isokal.cli
     out = {"import_s": time.perf_counter() - t0, "scipy_linalg": {}, "seconds": {}}
-    with open("/proc/self/status", encoding="utf-8") as fh:
-        out["peak_rss_mb"] = next(int(line.split()[1]) for line in fh
-                                  if line.startswith("VmHWM:")) / 1024.0
+
+    def peak_mb():
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
+
+    out["peak_rss_mb"] = peak_mb()
     out["scipy_linalg"]["import"] = "scipy.linalg" in sys.modules
     for argv in json.loads(sys.argv[1]):
         t0 = time.perf_counter()
@@ -114,6 +118,7 @@ STARTUP_PROBE = textwrap.dedent("""
             raise SystemExit(f"isokal {argv[0]} failed")
         out["seconds"][argv[0]] = time.perf_counter() - t0
         out["scipy_linalg"][argv[0]] = "scipy.linalg" in sys.modules
+    out["session_peak_rss_mb"] = peak_mb()
     print(json.dumps(out))
 """)
 
@@ -277,8 +282,9 @@ def measure_startup(sources, samples):
     fresh interpreter with only that ``src`` on PYTHONPATH.  Returns, per
     side, the minimum import seconds and peak resident memory after the
     import over all its interpreters and, per session, the minimum seconds
-    of each command and whether scipy.linalg was loaded after the import
-    and after each command.
+    of each command, the minimum peak resident memory at the session's end,
+    and whether scipy.linalg was loaded after the import and after each
+    command.
     """
     runs = {side: {} for side in sources}
     with tempfile.TemporaryDirectory() as tmp:
@@ -300,6 +306,9 @@ def measure_startup(sources, samples):
                      "command_s": {kind: {cmd: min(run["seconds"][cmd] for run in docs)
                                           for cmd in SESSION_COMMANDS}
                                    for kind, docs in by_kind.items()},
+                     "session_peak_rss_mb": {kind: min(run["session_peak_rss_mb"]
+                                                       for run in docs)
+                                             for kind, docs in by_kind.items()},
                      "scipy_linalg_loaded": {kind: docs[0]["scipy_linalg"]
                                              for kind, docs in by_kind.items()}}
     return out
@@ -624,6 +633,7 @@ def main(argv=None):
         for kind, loaded in layer["scipy_linalg_loaded"].items():
             print(f"startup {side:8s} {kind}: " + "  ".join(
                 f"{cmd} {layer['command_s'][kind][cmd] * 1e3:6.1f} ms" for cmd in SESSION_COMMANDS)
+                + f"; peak RSS {layer['session_peak_rss_mb'][kind]:5.1f} MB"
                 + "; scipy.linalg loaded after: "
                 + (", ".join(step for step, on in loaded.items() if on) or "none"))
     return 0

@@ -1,24 +1,63 @@
 """Small shared linear-algebra helpers (SPD factors, solves and inverses, symmetry, norms, spectra).
 
 The helpers run on numpy alone.  This module is also the one place that
-names scipy: ``lapack``, scipy's LAPACK wrappers, is imported on its first
-access, and only the per-step kernels read it (the Joseph gain pieces and
-the square-root information update of ``estimator``), where an f2py call
-costs about 1 us against numpy's 4-5 us per linalg call.  Every other path,
-``import isokal`` included, never loads ``scipy.linalg``, whose import is
-about two thirds of the CLI's start-up time and half its memory.
+names scipy: ``lapack`` is scipy's LAPACK extension module
+``scipy.linalg._flapack``, the f2py wrappers that ``scipy.linalg.lapack``
+re-exports.  It is loaded from its file on its first access, without
+running the ``scipy.linalg`` package (about 0.2 s and 24 MB of a fresh
+process), so that package is never imported, ``import isokal`` and the
+per-step kernels included.  Only those kernels read ``lapack`` (the Joseph
+gain pieces and the square-root information update of ``estimator``),
+where an f2py call costs about 1 us against numpy's 4-5 us per linalg
+call.  The first access also sets scipy's OpenBLAS pool to one thread:
+the kernels call it on d x d and m x d operands between numpy's products,
+and two multi-threaded pools spin against each other (a d = 128 Joseph
+step is about 37x slower).  numpy's own pool is left alone.
 """
 
+import ctypes
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
+
+FLAPACK = "scipy.linalg._flapack"
 
 
 def __getattr__(name):
     # Runs until the first access of ``lapack`` binds it as a module global.
     if name != "lapack":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import lapack
-    globals()["lapack"] = lapack
+    globals()["lapack"] = lapack = _load_flapack()
     return lapack
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack`` from its file, with scipy's OpenBLAS pool set to one thread."""
+    scipy_dir = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    finder = importlib.machinery.FileFinder(
+        str(scipy_dir / "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(FLAPACK)
+    if spec is None:
+        raise ImportError(f"no extension module {FLAPACK} in {finder.path}", name=FLAPACK)
+    filed = FLAPACK in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not filed:
+        # Loading files the module under its name, where a later ``import
+        # scipy.linalg`` would take it without binding ``scipy.linalg._flapack``;
+        # that import gets the same wrappers from the interpreter's extension cache.
+        sys.modules.pop(FLAPACK, None)
+    # The extension has mapped scipy's bundled OpenBLAS; another BLAS build has no such file.
+    for path in (scipy_dir.parent / "scipy.libs").glob("libscipy_openblas*.so"):
+        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+    return module
 
 
 class NonFiniteError(ValueError):

@@ -19,9 +19,10 @@ form, batched prefix sums and inverses, and otherwise the Joseph recursion.
 ``wls_prefixes`` solves the same weighted least-squares problem over the
 same observers by QR updates of a factor no pass shares, a cross-check.
 Those QR updates and the Joseph update call LAPACK directly, through the
-f2py wrappers that ``_linalg.lapack`` imports on first use, whose calls
-cost a fraction of numpy's on small matrices; the rest of the module runs
-on numpy, so a pass in information form never loads those wrappers.
+f2py wrappers of scipy's extension module that ``_linalg.lapack`` loads
+on first use (without the ``scipy.linalg`` package), whose calls cost a
+fraction of numpy's on small matrices; the rest of the module runs on
+numpy, so a pass in information form never loads those wrappers.
 
 Adjoints are written as transposes: all data is real, and a complex
 extension would only swap in conjugate transposes.

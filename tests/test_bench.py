@@ -92,17 +92,20 @@ def test_tiny_run_writes_valid_json(tmp_path):
     startup = doc["startup"]
     assert set(startup) == {"this", "baseline"}
     for side in startup.values():
-        assert set(side) == {"import_s", "peak_rss_mb", "command_s", "scipy_linalg_loaded"}
+        assert set(side) == {"import_s", "peak_rss_mb", "command_s", "session_peak_rss_mb",
+                             "scipy_linalg_loaded"}
         assert math.isfinite(side["import_s"]) and side["import_s"] > 0.0
         assert math.isfinite(side["peak_rss_mb"]) and side["peak_rss_mb"] > 0.0
         assert set(side["command_s"]) == {"lti", "ltv"}
         for seconds in side["command_s"].values():
             assert set(seconds) == {"simulate", "estimate", "analyze"}
             assert all(math.isfinite(v) and v > 0.0 for v in seconds.values())
-        # scipy loads at the LTI session's batch check, never in the LTV session
+        assert set(side["session_peak_rss_mb"]) == {"lti", "ltv"}
+        assert all(peak >= side["peak_rss_mb"] for peak in side["session_peak_rss_mb"].values())
+        # no session imports the scipy.linalg package, the LTI batch check included
         assert side["scipy_linalg_loaded"] == {
-            "lti": {"import": False, "simulate": False, "estimate": True, "analyze": True},
-            "ltv": {"import": False, "simulate": False, "estimate": False, "analyze": False}}
+            kind: {"import": False, "simulate": False, "estimate": False, "analyze": False}
+            for kind in ("lti", "ltv")}
 
 
 def test_a_layer_the_baseline_cannot_run_is_timed_for_this_only(monkeypatch):

@@ -931,35 +931,44 @@ class TestConfigContract:
 
 
 #: Runs CLI commands in a fresh interpreter and prints, after each, its exit
-#: code and whether scipy.linalg is loaded; then one example2 gain schedule.
+#: code, whether scipy.linalg is loaded and whether ``_linalg.lapack`` is
+#: bound; then the same after one example2 gain schedule.
 IMPORT_PROBE = textwrap.dedent("""
     import json, sys
     import isokal.cli
-    from isokal import estimator, harness
+    from isokal import _linalg, estimator, harness
 
-    steps = [["import", 0, "scipy.linalg" in sys.modules]]
+    def loaded():
+        return ["scipy.linalg" in sys.modules, "lapack" in vars(_linalg)]
+
+    steps = [["import", 0, *loaded()]]
     for argv in json.loads(sys.argv[1]):
         code = isokal.cli.main(argv)
-        steps.append([argv[0], code, "scipy.linalg" in sys.modules])
+        steps.append([argv[0], code, *loaded()])
     schedule = estimator.gain_schedule(harness.example_system("example2")[0], 1e-2, 40)
-    steps.append([schedule.form, 0, "scipy.linalg" in sys.modules])
+    steps.append([schedule.form, 0, *loaded()])
     print(json.dumps(steps))
 """)
 
 
 class TestImportBoundary:
-    """Only the Joseph kernel and the batch check load scipy; every other path runs on numpy."""
+    """No path imports the scipy.linalg package; the LAPACK kernels load its extension alone."""
 
-    def test_simulate_and_information_form_sessions_never_load_scipy(self, tmp_path,
-                                                                      example2_config):
+    def test_no_session_imports_the_scipy_linalg_package(self, tmp_path, example2_config):
         lti, ltv = (write_config(tmp_path, doc, name) for doc, name in
                     ((example2_config, "lti.json"), (ltv_record_config(), "ltv.json")))
-        obs, est, report = (str(tmp_path / name) for name in ("obs.csv", "est.csv", "r.json"))
+        lti_obs, ltv_obs, lti_est, ltv_est, report = (
+            str(tmp_path / name) for name in
+            ("lti.csv", "ltv.csv", "lti_est.csv", "ltv_est.csv", "r.json"))
         commands = [
-            ["simulate", "--config", lti, "--x0", "0.8,0.4", "--steps", "40", "--out", obs],
-            ["simulate", "--config", ltv, "--x0", "1,-1,0.5,2", "--steps", "40", "--out", obs],
-            ["estimate", "--config", ltv, "--obs", obs, "--p0", "0.01", "--out", est],
+            ["simulate", "--config", lti, "--x0", "0.8,0.4", "--steps", "40", "--out", lti_obs],
+            ["simulate", "--config", ltv, "--x0", "1,-1,0.5,2", "--steps", "40",
+             "--out", ltv_obs],
+            ["estimate", "--config", ltv, "--obs", ltv_obs, "--p0", "0.01", "--out", ltv_est],
             ["analyze", "--config", ltv, "--horizon", "8", "--k-max", "10", "--out", report],
+            ["estimate", "--config", lti, "--obs", lti_obs, "--p0", "0.01", "--out", lti_est,
+             "--batch-check"],
+            ["analyze", "--config", lti, "--horizon", "2", "--k-max", "10", "--out", report],
         ]
         src = str(Path(isokal.__file__).resolve().parent.parent)
         env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "PATH": ""}
@@ -968,10 +977,12 @@ class TestImportBoundary:
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         steps = json.loads(proc.stdout)
-        assert [name for name, _, _ in steps] == \
-            ["import", "simulate", "simulate", "estimate", "analyze", "joseph"]
-        assert [code for _, code, _ in steps] == [0] * 6
-        assert json.loads(Path(f"{est}.manifest.json").read_text())["schedule_form"] \
-            == "information"
-        # the Joseph pass loads scipy's LAPACK wrappers on first use
-        assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]
+        assert [name for name, *_ in steps] == \
+            ["import", "simulate", "simulate", "estimate", "analyze", "estimate", "analyze",
+             "joseph"]
+        assert [code for _, code, *_ in steps] == [0] * 8
+        assert [json.loads(Path(f"{est}.manifest.json").read_text())["schedule_form"]
+                for est in (ltv_est, lti_est)] == ["information", "joseph"]
+        assert [package for _, _, package, _ in steps] == [False] * 8
+        # the LTI estimate's Joseph pass and batch check load the LAPACK extension
+        assert [bound for *_, bound in steps] == [False] * 5 + [True] * 3
