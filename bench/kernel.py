@@ -33,6 +33,12 @@ extremes did not repeat between runs, so a layer has changed only when
 its ratio lies outside that floor with wins at or near 0 or ``rounds``
 in each of several runs.
 
+The ``layers`` and ``analyze`` tables also record, as ``A_offset_64``,
+where each side's dynamics matrix starts within a 64-byte line
+(``A.ctypes.data % 64``): an LTI observer advance at d = 128 took 17.6 us
+on an aligned ``A`` and 26.1 us on one that was not, so a ratio between
+two sides whose offsets differ may be the allocator's.
+
 Two layers keep their own samplers.  ``ltv.gc_per_estimate_call`` counts
 the cyclic garbage collections per ``estimate`` call over a fixed run of
 calls, which the minimum hides because only some calls pay for one.
@@ -369,19 +375,25 @@ def sample(tables, rounds, target_s):
     return leaves
 
 
-def kernel_table(package, d, T, k_max):
-    """The kernel layers of ``package`` on ``system(d)``, T filter steps, P0 = I.
+def a_offset(model):
+    """Where the model's dynamics matrix starts within a 64-byte line, in bytes."""
+    return model.A_at(1).ctypes.data % 64
+
+
+def kernel_table(package, model, T, k_max):
+    """The kernel layers of ``package`` on ``model`` (``system(d)``), T filter steps, P0 = I.
 
     ``_update`` on a positive definite P (the Cholesky path) and, as
     ``_update_fallback``, on a rank-deficient P (the eigen-split); ``step``;
     the filter pass as ``gain_schedule`` runs it and as the Joseph recursion
     ``_joseph_schedule`` alone; ``wls_prefixes``; one
     ``advance_observed_evolution`` step; ``analyze_stability`` (k_max);
-    ``check_observability`` (L_max = d) and ``lambda_min_asymptotics`` (K =
-    2d, given that report).
+    ``check_observability`` (L_max = d), ``lambda_min_asymptotics`` (K =
+    2d, given that report) and ``lambda_min``, the smallest eigenvalue of
+    each of the d anchor-0 Gramians that ``check_observability`` reads.
     """
     est, obsv = package.estimator, package.observability
-    model = system(d, package)
+    d = model.d
     sched = est.gain_schedule(model, 1.0, T)
     P, h, R = sched.P[T // 2], sched.h_tilde[T // 2], model.R_at(T // 2)
     state = est.run(model, None, 1.0, np.zeros((T // 2, model.m)))[-1]
@@ -394,6 +406,7 @@ def kernel_table(package, d, T, k_max):
     singular[:, d // 2:] = 0.0
     assert dpotrf(singular, lower=1)[1] > 0
     report = obsv.check_observability(model, d)
+    gramians = np.stack([info[0] for info in obsv.information_prefixes(model, d)])
     eye = np.eye(d)
     h_tilde = package.model.observed_evolution_sequence(model, T)[0]
     return {
@@ -411,6 +424,7 @@ def kernel_table(package, d, T, k_max):
         "check_observability": (lambda: obsv.check_observability(model, d), 1),
         "lambda_min_asymptotics": (
             lambda: obsv.lambda_min_asymptotics(model, 2 * d, report=report), 1),
+        "lambda_min": (lambda: obsv._lambda_min(gramians), 1),
     }
 
 
@@ -492,9 +506,10 @@ def ensemble_table(package, trials, tmp):
     }
 
 
-def analysis_table(package, d, m, K):
-    """The analysis of ``isokal analyze --horizon d --k-max K`` on ``rotation_system(d, m)``.
+def analysis_table(package, model, K):
+    """The analysis of ``isokal analyze --horizon d --k-max K`` on ``model``.
 
+    The model is ``rotation_system(d, m)``.
     ``check_observability`` (L_max = d); ``lambda_min_asymptotics`` (K) and
     ``analyze_stability`` (k_max = K, P0 = I), each given that report; the
     certificate then the growth trace, and those two then
@@ -503,7 +518,7 @@ def analysis_table(package, d, m, K):
     K observations.
     """
     obsv, stability = package.observability, package.stability
-    model = rotation_system(d, m, package)
+    d = model.d
     report = obsv.check_observability(model, d)
     obs = package.simulate(model, np.ones(d), K, 1)
 
@@ -574,6 +589,16 @@ def main(argv=None):
         return sample({side: build(package) for side, package in packages.items()},
                       run["rounds"], run["target_s"])
 
+    def timed_on(model_of, build):
+        """``sample`` of the table ``build(package, model_of(package))`` of every side.
+
+        Returns the leaves and the ``a_offset`` of each side's model.
+        """
+        models = {side: model_of(package) for side, package in packages.items()}
+        leaves = sample({side: build(package, models[side]) for side, package in packages.items()},
+                        run["rounds"], run["target_s"])
+        return leaves, {side: a_offset(model) for side, model in models.items()}
+
     T, k_max = run["T"], run["k_max"]
     ltv_d, ltv_m, ltv_T, L_max = run["ltv"]
     d, m, K = run["analyze"]
@@ -595,14 +620,21 @@ def main(argv=None):
                           "per_step": per_step,
                           "ratio": round(per_step["joseph"]["this"]
                                          / per_step["information"]["this"], 3)}
+    layers, offsets = {}, {}
+    for dim in run["dims"]:
+        layers[str(dim)], offsets[str(dim)] = timed_on(
+            lambda package: system(dim, package),
+            lambda package, model: kernel_table(package, model, T, k_max))
+    analysis, analysis_offsets = timed_on(
+        lambda package: rotation_system(d, m, package),
+        lambda package, model: analysis_table(package, model, K))
     doc = {
         "machine": machine(),
         "tiny": args.tiny,
         "unit": "us",
         "statistic": "minimum of perf_counter samples, every layer and side in turn each round",
         "rounds": run["rounds"],
-        "layers": by_layer({str(dim): timed(lambda package: kernel_table(package, dim, T, k_max))
-                            for dim in run["dims"]}),
+        "layers": {**by_layer(layers), "A_offset_64": offsets},
         "gate_form": {str(dim): estimator.gain_schedule(system(dim), 1.0, T).form
                       for dim in run["dims"]},
         "ltv": {"d": ltv_d, "m": ltv_m, "T": ltv_T, "L_max": L_max, "layers": ltv_layers,
@@ -612,8 +644,8 @@ def main(argv=None):
                     for steps in run["sweep"]})},
         "ensemble": {"example": "example1", "T": harness.EXAMPLE_STEPS,
                      "trials": ENSEMBLE_TRIALS, "layers": ensemble},
-        "analyze": {"d": d, "m": m, "L_max": d, "K": K,
-                    "layers": timed(lambda package: analysis_table(package, d, m, K))},
+        "analyze": {"d": d, "m": m, "L_max": d, "K": K, "layers": analysis,
+                    "A_offset_64": analysis_offsets},
         "schedule": schedule,
         "startup": measure_startup(sources, run["startup"]),
     }
@@ -624,6 +656,8 @@ def main(argv=None):
         print(f"{' '.join(path):64s} {leaf['this']:12.3f}" + (
             f"  baseline {leaf['baseline']:12.3f}  ratio {leaf['ratio']:6.3f}"
             f"  wins {leaf['wins']:2d}/{doc['rounds']}" if "baseline" in leaf else ""))
+    print("A_offset_64: " + "  ".join(f"layers {size} {sides}" for size, sides in offsets.items())
+          + f"  analyze {analysis_offsets}")
     print(f"ltv gc per estimate call ({gc_calls['calls']} calls): "
           f"{gc_calls['seconds'] * 1e3:.3f} ms, collections by generation "
           + " ".join(f"{n:.2f}" for n in gc_calls["collections"].values()))

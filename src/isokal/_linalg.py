@@ -1,18 +1,21 @@
 """Small shared linear-algebra helpers (SPD factors, solves and inverses, symmetry, norms, spectra).
 
-The helpers run on numpy alone.  This module is also the one place that
-names scipy: ``lapack`` is scipy's LAPACK extension module
-``scipy.linalg._flapack``, the f2py wrappers that ``scipy.linalg.lapack``
-re-exports.  It is loaded from its file on its first access, without
-running the ``scipy.linalg`` package (about 0.2 s and 24 MB of a fresh
-process), so that package is never imported, ``import isokal`` and the
-per-step kernels included.  Only those kernels read ``lapack`` (the Joseph
-gain pieces and the square-root information update of ``estimator``),
-where an f2py call costs about 1 us against numpy's 4-5 us per linalg
-call.  The first access also sets scipy's OpenBLAS pool to one thread:
-the kernels call it on d x d and m x d operands between numpy's products,
-and two multi-threaded pools spin against each other (a d = 128 Joseph
-step is about 37x slower).  numpy's own pool is left alone.
+The helpers run on numpy, ``extreme_eigenvalues`` of wide stacks apart.
+This module is also the one place that names scipy: ``lapack`` is scipy's
+LAPACK extension module ``scipy.linalg._flapack``, the f2py wrappers that
+``scipy.linalg.lapack`` re-exports.  It is loaded from its file on its
+first access, without running the ``scipy.linalg`` package (about 0.2 s
+and 24 MB of a fresh process), so that package is never imported,
+``import isokal`` and the per-step kernels included.  Three callers read
+``lapack``: the Joseph gain pieces and the square-root information update
+of ``estimator``, where an f2py call costs about 1 us against numpy's
+4-5 us per linalg call, and ``extreme_eigenvalues`` on stacks of width
+BISECTION_MIN_D or more, where one eigenvalue by bisection (``dsyevx``)
+is cheaper than the full spectrum.  The first access also sets scipy's
+OpenBLAS pool to one thread: the kernels call it on d x d and m x d
+operands between numpy's products, and two multi-threaded pools spin
+against each other (a d = 128 Joseph step is about 37x slower).  numpy's
+own pool is left alone.
 """
 
 import ctypes
@@ -125,6 +128,46 @@ def spectral_norm(m):
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+#: Width d from which ``extreme_eigenvalues`` takes one eigenvalue of each
+#: matrix by bisection instead of numpy's full spectrum.  Microseconds per
+#: matrix, stacks of 64 random SPD matrices, one BLAS thread, minimum of 9
+#: repeats on a shared 2-core Xeon:
+#:
+#:     d                 2     4     8    16    24    32    48    64   128
+#:     eigvalsh        0.5   2.1   5.7  17.2  34.7  56.7   124   203   599
+#:     dsyevx, one     5.8   6.9   9.8  19.0  30.3  45.8    85    92   344
+#:
+#: The crossing sits near d = 24; 32 leaves every narrower stack its bits.
+BISECTION_MIN_D = 32
+
+
+def extreme_eigenvalues(stack, largest=False):
+    """The smallest (or ``largest``) eigenvalue of each symmetric matrix of a (..., d, d) stack.
+
+    Reads the lower triangle, as numpy's eigvalsh does.  Below
+    BISECTION_MIN_D it is the first (or last) entry of eigvalsh's spectra,
+    bit for bit.  From there on each matrix takes one ``dsyevx`` call: a
+    tridiagonal reduction, then Sturm-sequence bisection for that one
+    eigenvalue (Golub & Van Loan, *Matrix Computations*, 8.4), within
+    about eps ||A|| of the full spectrum's.  Where bisection reports that
+    it did not find it (dstebz's Sturm counts are not monotone on some
+    clustered spectra, such as I - U S U^T with a low-rank U), that matrix
+    alone takes eigvalsh.  A non-finite entry raises ValueError.
+    """
+    a = finite(stack, "the symmetric matrix stack")
+    d = a.shape[-1]
+    if d < BISECTION_MIN_D:
+        return np.linalg.eigvalsh(a)[..., -1 if largest else 0]
+    syevx = sys.modules[__name__].lapack.dsyevx
+    k = d if largest else 1
+    flat = a.reshape(-1, d, d)
+    out = np.empty(len(flat))
+    for i, m in enumerate(flat):
+        w, _, found, _, info = syevx(m, compute_v=0, range="I", il=k, iu=k, lower=1)
+        out[i] = w[0] if info == 0 and found == 1 else np.linalg.eigvalsh(m)[k - 1]
+    return out.reshape(a.shape[:-2])[()]
 
 
 def eig_abs_sorted(a):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import extreme_eigenvalues
 from .model import NonFiniteError, advance_observed_evolution, observed_evolution_sequence
 
 #: Half-width of the |lambda| = 1 band inside which min |eig(A)| alone
@@ -40,7 +41,9 @@ class ObservabilityReport:
     "NotObservableUpTo" (no window length up to L carried a Gramian bounded
     below by rho_tol).  lambda_min_trace holds lambda_min(O(k,0)) for
     k = 1..min(L_max, horizon).  L_max and rho_tol record the search that
-    was made; they are not part of the JSON form.
+    was made; they are not part of the JSON form, and neither is ``_end``,
+    the last Gramian and observer of the anchor-0 stack behind the trace,
+    from which ``lambda_min_asymptotics`` carries the stack on.
     """
 
     verdict: str
@@ -49,6 +52,7 @@ class ObservabilityReport:
     L_max: int
     rho_tol: float
     lambda_min_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _end: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def observable(self):
@@ -74,28 +78,40 @@ class GramianGrowth:
     beta: float | None = None
 
 
-def _anchored(model, count, start=0):
-    """The Gramians O(start+k, start), k = 1..count, as one (count, d, d) stack.
+def _anchored(model, count, start=0, after=None):
+    """The Gramians O(start+k, start), k = 1..count, as one (count, d, d) stack, and the observers.
 
     One observer walk, one ``model.whiten``, one batched Gram product
     W_j^T W_j and one running sum.  numpy forms x^T x by syrk and mirrors
     its triangle, so every term and every sum is exactly symmetric.  Row
     k-1 has the bits of row 0 of item k of ``information_prefixes``.
+    ``after``, the last Gramian and observer of an LTI model's anchor-0
+    stack of ``start`` rows, carries that walk and sum on instead: the
+    observers advance by H~_j = H~_j-1 A, and the rows are O(start+k, 0),
+    with the bits of the last ``count`` rows of one stack of start + count.
     Overflow raises NonFiniteError naming the step, and no numpy warning.
     """
     model._check_horizon(start + count - 1)
-    h_tilde = observed_evolution_sequence(model, count, start)[0]
     # Overflow is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        if after is None:
+            h_tilde = observed_evolution_sequence(model, count, start)[0]
+        else:
+            h_tilde, observer, a = np.empty((count, model.m, model.d)), after[1], model.A_at(1)
+            for row in h_tilde:
+                observer = np.matmul(observer, a, out=row)
         whitened = model.whiten(h_tilde, start)
         info = np.swapaxes(whitened, 1, 2) @ whitened
+        if after is not None:
+            np.add(after[0], info[0], out=info[0])
         for k in range(1, count):
             np.add(info[k - 1], info[k], out=info[k])
         # Diagonals only grow along the sum, so the last one screens the stack.
         total = np.trace(info[-1])
     if not math.isfinite(total):
-        _raise_overflow(info, [start] * count, range(start, start + count))
-    return info
+        anchor = start if after is None else 0
+        _raise_overflow(info, [anchor] * count, range(start, start + count))
+    return info, h_tilde
 
 
 def information_prefixes(model, count, start=0, anchors=1):
@@ -156,22 +172,27 @@ def gramian(model, k0, L):
     """Windowed observability Gramian O(k0+L, k0): the last row of ``_anchored``, 0 for L = 0."""
     if L < 0:
         raise ValueError(f"window length must be non-negative, got {L}")
-    return _anchored(model, L, k0)[-1].copy() if L else np.zeros((model.d, model.d))
+    return _anchored(model, L, k0)[0][-1].copy() if L else np.zeros((model.d, model.d))
 
 
 def _lambda_min(gramians):
-    """Smallest eigenvalue of a Gramian, or of each Gramian in a stack."""
-    return np.linalg.eigvalsh(gramians)[..., 0]
+    """Smallest eigenvalue of a Gramian, or of each Gramian in a stack.
+
+    ``extreme_eigenvalues``: eigvalsh's first entry below d = 32, one
+    bisection per Gramian from there on.
+    """
+    return extreme_eigenvalues(gramians)
 
 
 def check_observability(model, L_max, rho_tol=1e-9):
     """Find the smallest window length certifying (uniform) observability.
 
-    The trace is one decomposition of the ``_anchored`` stack.  An LTI
+    The trace is one ``_lambda_min`` of the ``_anchored`` stack, whose
+    last Gramian and observer the report keeps (``_end``).  An LTI
     model with constant noise needs the window anchored at 0 alone;
     otherwise every anchor inside the finite data horizon is verified, and
     nothing is extrapolated beyond the data.  The other anchors' windows of
-    a length are decomposed only where anchor 0's passes, whose value is
+    a length are screened only where anchor 0's passes, whose value is
     the trace's.  Not finding a window is a verdict ("NotObservableUpTo"),
     not an error.  ``rho_tol`` must be finite and positive.
     """
@@ -181,7 +202,8 @@ def check_observability(model, L_max, rho_tol=1e-9):
         raise ValueError(f"rho_tol must be finite and > 0, got {rho_tol!r}")
     horizon = model.horizon
     k_max = L_max if horizon is None else min(L_max, horizon)
-    trace = _lambda_min(_anchored(model, k_max))
+    info, h_tilde = _anchored(model, k_max)
+    trace, end = _lambda_min(info), (info[-1].copy(), h_tilde[-1].copy())
     L, rho = k_max, None
     if model.is_lti and model.isotropic:
         passing = np.flatnonzero(trace >= rho_tol)
@@ -196,7 +218,7 @@ def check_observability(model, L_max, rho_tol=1e-9):
                     break
     return ObservabilityReport(verdict="NotObservableUpTo" if rho is None else "Observable",
                                L=L, rho=rho, L_max=L_max, rho_tol=rho_tol,
-                               lambda_min_trace=trace)
+                               lambda_min_trace=trace, _end=end)
 
 
 def _require_observable(model, report=None):
@@ -205,12 +227,14 @@ def _require_observable(model, report=None):
     ``report``, a ``check_observability`` result for the model, is the
     certificate when its search covered L_max >= d: by Cayley-Hamilton the
     kernel of O(k,0) is fixed from k = d on, so a window of any length that
-    meets rho_tol certifies the same rank condition.  Otherwise
-    ``check_observability`` certifies the model afresh up to d at the
-    report's rho_tol (1e-9 without a report), and that report is returned.
+    meets rho_tol certifies the same rank condition.  Otherwise, or when the
+    report holds no anchor-0 stack end (it was not made by
+    ``check_observability``), ``check_observability`` certifies the model
+    afresh up to d at the report's rho_tol (1e-9 without a report), and
+    that report is returned.
     """
     d = model.d
-    if report is None or report.L_max < d:
+    if report is None or report.L_max < d or report._end is None:
         rho_tol = 1e-9 if report is None else report.rho_tol
         report = check_observability(model, L_max=d, rho_tol=rho_tol)
     if not report.observable:
@@ -245,8 +269,9 @@ def lambda_min_asymptotics(model, K, report=None):
     positive limit when min |eig(A)| < 1.  Within the SPECTRAL_BAND_TOL band
     around 1 the class is Undetermined.  A ``check_observability``
     ``report`` of the model certifies it as ``_require_observable`` says;
-    its ``lambda_min_trace`` decomposed the leading rows of the ``_anchored``
-    stack, so only the rows past it are.  min |eig(A)| is ``eigs_abs``.
+    its ``lambda_min_trace`` holds the leading rows, and the rows past it
+    carry the report's stack on from its last Gramian and observer, so no
+    Gramian is built or decomposed twice.  min |eig(A)| is ``eigs_abs``.
     """
     if not model.is_lti:
         raise ValueError("growth classification is defined for LTI models only")
@@ -255,7 +280,8 @@ def lambda_min_asymptotics(model, K, report=None):
     report = _require_observable(model, report)
 
     head = report.lambda_min_trace[:K]
-    tail = _lambda_min(_anchored(model, K)[len(head):]) if len(head) < K else ()
+    tail = (_lambda_min(_anchored(model, K - len(head), len(head), after=report._end)[0])
+            if len(head) < K else ())
     trace = np.concatenate([head, tail])
     lam_min = float(model.eigs_abs[-1])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import finite, spd_inverse, spd_solve, spectral_norm
+from ._linalg import extreme_eigenvalues, finite, spd_inverse, spd_solve, spectral_norm
 from . import estimator
 from .observability import (SPECTRAL_BAND_TOL, UnobservableModelError, _require_observable,
                             _tail_fit)
@@ -165,24 +165,25 @@ def analyze_stability(model, P0=1.0, k_max=40, report=None):
     checks it.  The Lyapunov trace follows z(k) = Psi_k z(k-1) from the
     normalized all-ones vector z0; by the covariance-inverse identity
     z(k) = P_k P0^-1 z0, so it is read off the covariance stack without
-    factorizing any P_k.  The norms are ||P_k||_2 = max |eig(P_k)|, one
-    stacked eigvalsh, and, for P0 = p I (a scalar or a matrix equal to
-    p I), ||Psi(k,0)||_2 = ||P_k||_2 / p, since Psi(k,0) = P_k / p; any
-    other P0 takes sqrt(lambda_max(Psi^T Psi)) of the stacked products.
+    factorizing any P_k.  The norms are ||P_k||_2 = lambda_max(P_k) of
+    the positive semidefinite covariances, one ``extreme_eigenvalues`` of
+    the stack, and, for P0 = p I (a scalar or a matrix equal to p I),
+    ||Psi(k,0)||_2 = ||P_k||_2 / p, since Psi(k,0) = P_k / p; any other P0
+    takes sqrt(lambda_max(Psi^T Psi)) of the stacked products, the same way.
     Classification is attempted for observable LTI models and left None
     otherwise; ``report`` certifies the model as ``_require_observable``
     says, and the spectrum is the model's ``eigs_abs``.
     """
     covs = estimator.covariance_sequence(model, P0, k_max)
     p0_inv = spd_inverse(covs[0], "P0")
-    p_norm_trace = np.abs(np.linalg.eigvalsh(covs)).max(axis=1)
+    p_norm_trace = extreme_eigenvalues(covs, largest=True)
     p = covs[0, 0, 0]
     if np.array_equal(covs[0], p * np.eye(model.d)):
         # Psi(k,0) = P_k / p exactly, so its norm is ||P_k|| / p.
         psi_norms = p_norm_trace / p
     else:
         psi = covs @ p0_inv
-        psi_norms = np.sqrt(np.linalg.eigvalsh(psi.swapaxes(1, 2) @ psi)[:, -1])
+        psi_norms = np.sqrt(extreme_eigenvalues(psi.swapaxes(1, 2) @ psi, largest=True))
 
     # z(k) = Psi(k,0) z0 = P_k u with u = P0^-1 z0, so V(k, z(k)) = u^T P_k u.
     u = p0_inv @ (np.ones(model.d) / np.sqrt(model.d))

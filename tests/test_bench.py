@@ -17,7 +17,7 @@ BENCH = ROOT / "bench" / "kernel.py"
 KERNEL_LAYERS = ("_update", "_update_fallback", "step", "gain_schedule_per_step",
                  "joseph_schedule_per_step", "wls_prefixes_per_prefix",
                  "advance_observed_evolution", "analyze_stability", "check_observability",
-                 "lambda_min_asymptotics")
+                 "lambda_min_asymptotics", "lambda_min")
 SWEEP_LAYERS = ("observed_evolution_sequence_per_step", "simulate_per_step", "run_per_step")
 LTV_LAYERS = ("config_decode", "load_config", "model_validation", "check_observability",
               "advance_observed_evolution", *SWEEP_LAYERS, "write_estimates_csv",
@@ -39,8 +39,8 @@ def timed_paths(dims, steps):
 
 
 def leaves(node, path=()):
-    """(path, leaf) of every dict under ``node`` whose ``this`` is a number."""
-    if isinstance(node, dict) and isinstance(node.get("this"), (int, float)):
+    """(path, leaf) of every dict under ``node`` whose ``this`` is a float (a time)."""
+    if isinstance(node, dict) and isinstance(node.get("this"), float):
         yield path, node
     elif isinstance(node, dict):
         for key, child in node.items():
@@ -68,6 +68,12 @@ def test_tiny_run_writes_valid_json(tmp_path):
                    for side in ("this", "baseline"))
         assert math.isclose(leaf["ratio"], leaf["this"] / leaf["baseline"], rel_tol=1e-2)
         assert isinstance(leaf["wins"], int) and 0 <= leaf["wins"] <= doc["rounds"]
+    # where each side's A starts within a 64-byte line, per kernel size and for the analysis
+    offsets = doc["layers"]["A_offset_64"]
+    assert set(offsets) == {"2", "8"}
+    for sides in [*offsets.values(), doc["analyze"]["A_offset_64"]]:
+        assert set(sides) == {"this", "baseline"}
+        assert all(isinstance(v, int) and 0 <= v < 64 and v % 8 == 0 for v in sides.values())
     assert set(doc["gate_form"]) == {"2", "8"}
     assert set(doc["gate_form"].values()) <= {"information", "joseph"}
     ltv = doc["ltv"]

@@ -612,6 +612,52 @@ class TestAnalyze:
         assert doc["beta_fit"] > 0
         assert doc["beta"] > 0
 
+    def test_wide_report_matches_the_full_spectra(self, tmp_path, monkeypatch):
+        # d = 64, m = 8: one bisection per Gramian and per covariance, against
+        # the same command with every extreme eigenvalue read off numpy's
+        # full spectrum.  alpha and beta are not compared: a flat tail's fit
+        # amplifies the rounding of the norms about 1e7-fold.
+        from isokal import observability, stability
+        from test_stability import rotation_model
+
+        model = rotation_model(64, 8, 1)
+        cfg = write_config(tmp_path, {
+            "d": 64, "m": 8, "dynamics": {"kind": "lti", "A": model.A_at(1).tolist()},
+            "observation": {"kind": "lti", "H": model.H_at(0).tolist()},
+            "noise": {"kind": "isotropic", "sigma2": 1e-2}})
+        argv = ["analyze", "--config", cfg, "--horizon", "64", "--k-max", "100", "--quiet"]
+        assert run_cli(*argv, "--out", tmp_path / "wide.json") == 0
+        spectra = []
+
+        def full(stack, largest=False):
+            spectra.append(np.linalg.eigvalsh(stack))
+            return spectra[-1][..., -1 if largest else 0]
+
+        monkeypatch.setattr(observability, "extreme_eigenvalues", full)
+        monkeypatch.setattr(stability, "extreme_eigenvalues", full)
+        assert run_cli(*argv, "--out", tmp_path / "full.json") == 0
+        monkeypatch.undo()
+        wide, ref = (json.loads((tmp_path / f"{name}.json").read_text())
+                     for name in ("wide", "full"))
+        assert [w.shape[1:] for w in spectra] == [(64,), (64,), (64,)]
+        for key in ("verdict", "L", "classification", "growth_class"):
+            assert wide[key] == ref[key]
+        assert (ref["verdict"], ref["classification"], ref["growth_class"]) == (
+            "Observable", "LyapunovStableOnly", "BoundedLimit")
+        # the certificate's 64 Gramians, the growth trace's 36, the 101
+        # covariances.  Both routes are backward stable, so by Weyl's theorem
+        # each lambda_min is within a few d eps lambda_max of the exact one:
+        # the traces agree to 1e-12 relative, or to 8 d eps lambda_max where
+        # lambda_min is that close to it (k = L here reads 2.5e-11 relative).
+        gram_max = np.concatenate([spectra[0][:, -1], spectra[1][:, -1]])
+        weyl = 8 * 64 * np.finfo(float).eps * gram_max
+        lam_min, ref_min = np.array(wide["lambda_min_trace"]), np.array(ref["lambda_min_trace"])
+        assert np.all(np.abs(lam_min - ref_min) <= np.maximum(1e-12 * ref_min, weyl))
+        assert abs(wide["rho"] - ref["rho"]) <= max(1e-12 * ref["rho"], weyl[ref["L"] - 1])
+        np.testing.assert_allclose(wide["p_norm_trace"], ref["p_norm_trace"], rtol=1e-12,
+                                   atol=0)
+        assert wide["growth_limit"] == wide["lambda_min_trace"][-1]
+
     @pytest.mark.parametrize("rho_tol", [1e-12, 1e-9, 1e-6])
     def test_lti_model_is_certified_once(self, tmp_path, example1_config, monkeypatch,
                                          rho_tol):
@@ -629,9 +675,9 @@ class TestAnalyze:
             calls.append(args)
             return real(*args, **kwargs)
 
-        def anchored(model, count, start=0):
-            walks.append(count)
-            return real_anchored(model, count, start)
+        def anchored(model, count, start=0, after=None):
+            walks.append((count, start, after is not None))
+            return real_anchored(model, count, start, after)
 
         monkeypatch.setattr(observability, "check_observability", counted)
         monkeypatch.setattr(cli, "check_observability", counted)
@@ -643,9 +689,10 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", cfg, "--horizon", "6", "--k-max", "30",
                        f"--rho-tol={rho_tol}", "--out", out, "--quiet") == 0
         assert len(calls) == 1
-        # the certificate's stack of 6 Gramians, then the growth trace's 30,
-        # of which only the 24 past the certificate's trace are decomposed
-        assert (walks, stacks) == ([6, 30], [6, 24])
+        # the certificate's stack of 6 Gramians, then the growth trace's 24
+        # past it, carried on from the certificate's last Gramian and
+        # observer; each Gramian is built and decomposed once
+        assert (walks, stacks) == ([(6, 0, False), (24, 6, True)], [6, 24])
         monkeypatch.undo()
 
         model = load_model(example1_config)

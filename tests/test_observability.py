@@ -164,7 +164,7 @@ class TestExactSymmetry:
         for k0 in (0, 2):
             L = min(12, model.horizon - k0) if model.horizon else 12
             anchors = model.horizon - k0 if model.horizon else 3
-            anchored = observability._anchored(model, L, k0)
+            anchored = observability._anchored(model, L, k0)[0]
             stacks = list(information_prefixes(model, L, start=k0, anchors=anchors))
             for gramians in [anchored] + stacks:
                 np.testing.assert_array_equal(gramians, np.swapaxes(gramians, 1, 2))
@@ -550,10 +550,10 @@ def certified(monkeypatch):
         finally:
             inside.pop()
 
-    def anchored(model, count, start=0):
-        if not inside and count == model.d:
+    def anchored(model, count, start=0, after=None):
+        if not inside and count == model.d and after is None:
             calls.append(("scan", count))
-        return real_anchored(model, count, start)
+        return real_anchored(model, count, start, after)
 
     monkeypatch.setattr(observability, "check_observability", check)
     monkeypatch.setattr(observability, "_anchored", anchored)
@@ -633,8 +633,9 @@ class TestReportReuse:
         # growth); a report with L_max < d certifies afresh, and the trace
         # of that certificate heads the growth trace.  Either way the trace
         # has the bits of the per-term accumulation, and outside the
-        # certificate one anchor-0 stack of K Gramians is built, of which
-        # only the rows past the certifying trace are decomposed.
+        # certificate only the K - head Gramians past the certifying trace
+        # are built, carried on from the report's last Gramian and
+        # observer, and decomposed.
         model = (ltv_fixture(which) if which == "lti_per_step_r"
                  else request.getfixturevalue(which)[0])
         fresh = np.array([np.linalg.eigvalsh(info[0])[0]
@@ -653,10 +654,10 @@ class TestReportReuse:
             finally:
                 inside.pop()
 
-        def anchored(model, count, start=0):
+        def anchored(model, count, start=0, after=None):
             if not inside:
-                walks.append((count, start))
-            return real_anchored(model, count, start)
+                walks.append((count, start, after is not None))
+            return real_anchored(model, count, start, after)
 
         def lambda_min(gramians):
             if not inside:
@@ -669,7 +670,8 @@ class TestReportReuse:
         growth = lambda_min_asymptotics(model, K, report=report)
         head = min(model.d, model.horizon or model.d) if L_max < model.d \
             else len(report.lambda_min_trace)
-        assert (walks, stacks) == (([(K, 0)], [K - head]) if head < K else ([], []))
+        assert (walks, stacks) == (([(K - head, head, True)], [K - head]) if head < K
+                                   else ([], []))
         monkeypatch.undo()
         np.testing.assert_array_equal(growth.lambda_min_trace, fresh)
         np.testing.assert_array_equal(lambda_min_asymptotics(model, K).lambda_min_trace, fresh)
